@@ -15,8 +15,8 @@ from .ingest import (IngestConfig, ParseError, filter_by_length,
                      serialize_centerlines, serialize_trajectories, smooth,
                      smooth_set, synth_scene)
 from .metrics import ae_dist, ae_type, iou, prior_iou
-from .raster import (heatmap_to_feature, rasterize_centerlines,
-                     rasterize_polylines, rasterize_trajectories)
+from .raster import (heatmap_to_feature, rasterize_polylines,
+                     rasterize_trajectories)
 from .selection import (ClusterResult, ResampledTrajectory, SampleResult,
                         euclid_flat_dist, fps, frechet_dist, kmeans, resample)
 
@@ -29,7 +29,7 @@ __all__ = [
     "parse_trajectories", "parse_centerlines", "serialize_trajectories",
     "serialize_centerlines", "filter_by_length", "smooth", "smooth_set",
     "retention_check", "synth_scene", "rasterize_trajectories",
-    "rasterize_centerlines", "rasterize_polylines", "heatmap_to_feature",
+    "rasterize_polylines", "heatmap_to_feature",
     "ResampledTrajectory", "ClusterResult", "SampleResult", "resample",
     "euclid_flat_dist", "frechet_dist", "kmeans", "fps",
     "iou", "prior_iou", "ae_type", "ae_dist",

@@ -12,6 +12,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+# Largest grid any product may use. rasterize holds five H x W float64/int64
+# arrays, so 1e7 cells keep it near 400 MB.
+MAX_CELLS = 10_000_000
+
 
 class ContractError(ValueError):
     """An operation was called with inputs that violate its contract."""
@@ -99,6 +103,12 @@ class GridSpec:
         _require(self.x_min < self.x_max, "require x_min < x_max")
         _require(self.y_min < self.y_max, "require y_min < y_max")
         _require(self.cell_dx > 0 and self.cell_dy > 0, "cell sizes must be > 0")
+        _require(math.isfinite((self.x_max - self.x_min) / self.cell_dx
+                               * ((self.y_max - self.y_min) / self.cell_dy)),
+                 "grid extent must be finite")
+        _require(self.height * self.width <= MAX_CELLS,
+                 f"grid of {self.height} x {self.width} cells exceeds "
+                 f"MAX_CELLS={MAX_CELLS}")
 
     @property
     def height(self) -> int:

@@ -9,8 +9,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ._kernels import traverse_cells
-from .core import (CenterlineMap, ContractError, FeatureMap, GridSpec, Heatmap,
-                   Trajectory, TrajectorySet, fold_axial)
+from .core import (ContractError, FeatureMap, GridSpec, Heatmap, Trajectory,
+                   TrajectorySet, fold_axial)
 
 
 def worker_count() -> int:
@@ -102,50 +102,72 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
     return Heatmap(spec, density, direction, count, n_max)
 
 
-def _stamp_segment(mask: np.ndarray, a, b, spec: GridSpec, radius: float) -> None:
-    """Set cells whose center is within radius of segment a-b (bbox-limited)."""
-    ys, xs = spec.cell_centers()
-    x_lo = min(a[0], b[0]) - radius
-    x_hi = max(a[0], b[0]) + radius
-    y_lo = min(a[1], b[1]) - radius
-    y_hi = max(a[1], b[1]) + radius
-    c0 = max(0, int(math.floor((x_lo - spec.x_min) / spec.cell_dx - 0.5)))
-    c1 = min(spec.width, int(math.ceil((x_hi - spec.x_min) / spec.cell_dx + 0.5)))
-    r0 = max(0, int(math.floor((y_lo - spec.y_min) / spec.cell_dy - 0.5)))
-    r1 = min(spec.height, int(math.ceil((y_hi - spec.y_min) / spec.cell_dy + 0.5)))
-    if c0 >= c1 or r0 >= r1:
-        return
-    cx = xs[c0:c1][None, :]
-    cy = ys[r0:r1][:, None]
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        d2 = (cx - ax) ** 2 + (cy - ay) ** 2
-    else:
-        tt = np.clip(((cx - ax) * dx + (cy - ay) * dy) / seg2, 0.0, 1.0)
-        d2 = (cx - (ax + tt * dx)) ** 2 + (cy - (ay + tt * dy)) ** 2
-    mask[r0:r1, c0:c1] |= d2 <= radius * radius
+def chunked_repeat(counts: np.ndarray, chunk: int):
+    """Enumerate ``counts[i]`` entries of every item i, ``chunk`` entries at a time.
+
+    Yields ``(item, rank)`` arrays for each run of at most ``chunk`` entries of
+    the flattened enumeration: entry e is the ``rank[e]``-th entry of item
+    ``item[e]``. Items are visited in order and may be split across chunks, so
+    every temporary a caller derives from one chunk is bounded by ``chunk``.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        a = int(np.searchsorted(ends, lo, side="right"))
+        b = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        take = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
+        item = np.repeat(np.arange(a, b), take)
+        yield item, np.arange(lo, hi) - starts[item]
+
+
+_MASK_CHUNK = 1 << 16  # candidate cells tested at once by rasterize_polylines
+
+
+def _window(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
+    """First index and count of the cells whose centers may lie in [lo, hi]."""
+    first = np.clip(np.floor((lo - origin) / cell - 0.5), 0, n).astype(np.int64)
+    stop = np.clip(np.ceil((hi - origin) / cell + 0.5), 0, n).astype(np.int64)
+    return first, np.maximum(stop - first, 0)
 
 
 def rasterize_polylines(polylines: Sequence[Trajectory], spec: GridSpec,
                         width_m: float = 0.75) -> np.ndarray:
-    """Binary mask: cell is 1 iff its center lies within width_m/2 of a polyline."""
-    if width_m <= 0:
-        raise ContractError("width_m must be > 0")
+    """Binary mask: cell is 1 iff its center lies within width_m/2 of a polyline.
+
+    Each segment tests the cells of its bounding box grown by the radius, with
+    the distance from the cell center to the segment clamp-projected onto it.
+    All segments are processed together, in chunks of candidate cells.
+    """
+    if not (math.isfinite(width_m) and width_m > 0):
+        raise ContractError("width_m must be finite and > 0")
     mask = np.zeros(spec.shape, dtype=bool)
+    if not polylines:
+        return mask
+    a = np.concatenate([p.points[:-1] for p in polylines])
+    b = np.concatenate([p.points[1:] for p in polylines])
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
     radius = width_m / 2.0
-    for poly in polylines:
-        pts = poly.points
-        for i in range(len(pts) - 1):
-            _stamp_segment(mask, pts[i], pts[i + 1], spec, radius)
+    c0, ncol = _window(np.minimum(ax, bx) - radius, np.maximum(ax, bx) + radius,
+                       spec.x_min, spec.cell_dx, spec.width)
+    r0, nrow = _window(np.minimum(ay, by) - radius, np.maximum(ay, by) + radius,
+                       spec.y_min, spec.cell_dy, spec.height)
+    dx, dy = bx - ax, by - ay
+    seg2 = dx * dx + dy * dy
+    # a zero-length segment gets tt = 0 / 1: its start point
+    seg2[seg2 == 0.0] = 1.0
+    ys, xs = spec.cell_centers()
+    for seg, rank in chunked_repeat(nrow * ncol, _MASK_CHUNK):
+        row = r0[seg] + rank // ncol[seg]
+        col = c0[seg] + rank % ncol[seg]
+        cx, cy = xs[col], ys[row]
+        sx, sy, sdx, sdy = ax[seg], ay[seg], dx[seg], dy[seg]
+        tt = np.clip(((cx - sx) * sdx + (cy - sy) * sdy) / seg2[seg], 0.0, 1.0)
+        d2 = (cx - (sx + tt * sdx)) ** 2 + (cy - (sy + tt * sdy)) ** 2
+        hit = d2 <= radius * radius
+        mask[row[hit], col[hit]] = True
     return mask
-
-
-def rasterize_centerlines(cmap: CenterlineMap, spec: GridSpec,
-                          width_m: float = 0.75) -> np.ndarray:
-    return rasterize_polylines(cmap.polylines, spec, width_m)
 
 
 def heatmap_to_feature(h: Heatmap) -> FeatureMap:

@@ -48,6 +48,48 @@ def chamfer_mean_bruteforce(p, q):
     return 0.5 * (fwd + bwd)
 
 
+def chamfer_mean_dense(p, q):
+    """The N x M difference-tensor form of the symmetric Chamfer mean.
+
+    Same per-pair arithmetic and the same means as an exact nearest-neighbour
+    search, so a correct search matches it bit for bit.
+    """
+    p = np.asarray(p, float)
+    q = np.asarray(q, float)
+    diff = p[:, None, :] - q[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    return 0.5 * (float(d.min(axis=1).mean()) + float(d.min(axis=0).mean()))
+
+
+def polyline_mask_by_cell_loop(polylines, spec, width_m):
+    """Cells whose center lies within width_m/2 of some polyline segment.
+
+    Tests every (cell, segment) pair in Python: the center is projected onto
+    the segment with the parameter clamped to [0, 1], and a zero-length
+    segment is its start point.
+    """
+    radius = width_m / 2.0
+    segments = [(pts[i], pts[i + 1]) for pts in polylines
+                for i in range(len(pts) - 1)]
+    mask = np.zeros((spec.height, spec.width), bool)
+    for row in range(spec.height):
+        cy = spec.y_min + (row + 0.5) * spec.cell_dy
+        for col in range(spec.width):
+            cx = spec.x_min + (col + 0.5) * spec.cell_dx
+            for (ax, ay), (bx, by) in segments:
+                dx, dy = bx - ax, by - ay
+                seg2 = dx * dx + dy * dy
+                t = 0.0
+                if seg2 != 0.0:
+                    t = min(max(((cx - ax) * dx + (cy - ay) * dy) / seg2, 0.0), 1.0)
+                ex = cx - (ax + t * dx)
+                ey = cy - (ay + t * dy)
+                if ex * ex + ey * ey <= radius * radius:
+                    mask[row, col] = True
+                    break
+    return mask
+
+
 def best_two_partition(x):
     """Globally optimal 2-means partition of row vectors x by exhaustion.
 

@@ -187,6 +187,19 @@ class TestEval:
                    "--out", tmp_path / "r.json") == 2
 
 
+class TestGridCap:
+    @pytest.mark.parametrize("command", ["eval", "rasterize"])
+    def test_oversized_grid_exit_2(self, command, scene, tmp_path, capsys):
+        inputs = {"eval": ["--pred", scene / "trajectories.jsonl",
+                           "--gt", scene / "centerlines.jsonl"],
+                  "rasterize": ["--input", scene / "trajectories.jsonl"]}
+        assert run(command, *inputs[command], "--cell", "1e-4",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "MAX_CELLS" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSynth:
     def test_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trajprior.core import (ContractError, GridSpec, Point2, Trajectory,
-                            fold_axial, segment_angle, world_to_cell)
+from trajprior.core import (MAX_CELLS, ContractError, GridSpec, Point2,
+                            Trajectory, fold_axial, segment_angle,
+                            world_to_cell)
 
 
 class TestGridSpec:
@@ -17,6 +18,15 @@ class TestGridSpec:
             GridSpec(x_min=10, x_max=-10)
         with pytest.raises(ContractError):
             GridSpec(cell_dx=0.0)
+
+    def test_cell_count_capped(self):
+        side = 1000
+        rows = MAX_CELLS // side
+        assert GridSpec(0, side, 0, rows, 1, 1).shape == (rows, side)
+        with pytest.raises(ContractError):
+            GridSpec(0, side, 0, rows + 1, 1, 1)
+        with pytest.raises(ContractError):
+            GridSpec(0, math.inf, 0, 1, 1, 1)
 
     def test_roundtrip_dict(self):
         spec = GridSpec(-1, 3, 0, 2, 0.25, 0.5)

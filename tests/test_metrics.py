@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
                                sample_polyline_points)
 
-from oracles import chamfer_mean_bruteforce
+from oracles import chamfer_mean_bruteforce, chamfer_mean_dense
 
 
 class TestIou:
@@ -95,11 +97,46 @@ class TestAeDist:
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(0, 10, (int(rng.integers(1, 40)), 2))
-            b = rng.normal(0, 10, (int(rng.integers(1, 40)), 2))
-            assert ae_dist(a, b) == pytest.approx(
-                chamfer_mean_bruteforce(a, b), rel=1e-12)
+        cases = [(rng.normal(0, 10, (int(rng.integers(1, 40)), 2)),
+                  rng.normal(0, 10, (int(rng.integers(1, 40)), 2)))
+                 for _ in range(20)]
+        cases += [
+            (np.full((30, 2), 2.5), rng.normal(0, 10, (25, 2))),  # all duplicates
+            (np.full((12, 2), -1.0), np.full((7, 2), 4.0)),
+            (np.array([[1.0, 2.0]]), np.array([[-3.0, 0.5]])),    # one point each
+            (np.array([[1.0, 2.0]]), rng.normal(0, 10, (40, 2))),
+            # two clusters 1e4 m apart: far queries must not walk rings forever
+            (np.concatenate([rng.normal(0, 1, (50, 2)), rng.normal(1e4, 1, (50, 2))]),
+             rng.normal(0, 1, (50, 2))),
+            (rng.normal(0, 10, (60, 2)) + 1e6, rng.normal(0, 10, (45, 2)) + 1e6),
+        ]
+        for a, b in cases:
+            got = ae_dist(a, b)
+            assert got == chamfer_mean_dense(a, b)
+            assert got == pytest.approx(chamfer_mean_bruteforce(a, b), rel=1e-12)
+
+    def test_nonfinite_rejected(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        for bad in (np.nan, np.inf, -np.inf):
+            other = pts.copy()
+            other[1, 0] = bad
+            with pytest.raises(ContractError):
+                ae_dist(pts, other)
+            with pytest.raises(ContractError):
+                ae_dist(other, pts)
+
+    def test_memory_grows_with_points_not_pairs(self):
+        # a dense 10k x 1k difference tensor alone would take 160 MB
+        rng = np.random.default_rng(4)
+        pred = rng.normal(0, 30, (10_000, 2))
+        gt = rng.normal(0, 30, (1_000, 2))
+        tracemalloc.start()
+        try:
+            ae_dist(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from trajprior.core import CenterlineMap, GridSpec, Trajectory, TrajectorySet
+from trajprior.core import (CenterlineMap, ContractError, GridSpec, Trajectory,
+                            TrajectorySet)
 from trajprior.ingest import synth_scene
-from trajprior.raster import (heatmap_to_feature, rasterize_centerlines,
+from trajprior.raster import (heatmap_to_feature, rasterize_polylines,
                               rasterize_trajectories)
+
+from oracles import polyline_mask_by_cell_loop
 
 
 def single_set(points, tid="t0"):
@@ -88,7 +91,7 @@ class TestRasterizeTrajectories:
 
 class TestRasterizeCenterlines:
     def test_empty_map(self):
-        mask = rasterize_centerlines(CenterlineMap((), GridSpec()), GridSpec())
+        mask = rasterize_polylines(CenterlineMap((), GridSpec()).polylines, GridSpec())
         assert not mask.any()
 
     def test_width_cutoff_single_row(self):
@@ -96,16 +99,45 @@ class TestRasterizeCenterlines:
         spec = GridSpec(0, 5, 0, 5, 0.5, 0.5)
         y_line = 2.25  # center of row 4
         cmap = CenterlineMap((Trajectory("c", [[0.0, y_line], [5.0, y_line]]),), spec)
-        mask = rasterize_centerlines(cmap, spec, width_m=0.75)
+        mask = rasterize_polylines(cmap.polylines, spec, width_m=0.75)
         rows = set(np.nonzero(mask)[0])
         assert rows == {4}  # adjacent centers at 0.5 m > 0.375 m
 
     def test_deterministic(self):
         _, cmap = synth_scene(3, 3, 1, 0.0)
         spec = GridSpec()
-        a = rasterize_centerlines(cmap, spec)
-        b = rasterize_centerlines(cmap, spec)
+        a = rasterize_polylines(cmap.polylines, spec)
+        b = rasterize_polylines(cmap.polylines, spec)
         assert np.array_equal(a, b)
+
+    def test_matches_cell_loop_oracle(self):
+        # ROI [-6, 6) x [-4, 5); polylines spill past it or miss it entirely
+        rng = np.random.default_rng(11)
+        cells = ((0.5, 0.5), (0.4, 0.7), (1.0, 0.3))
+        cases = []
+        for trial in range(18):
+            polys = []
+            for k in range(int(rng.integers(1, 4))):
+                pts = rng.normal(0.0, 5.0, (int(rng.integers(2, 7)), 2))
+                if k == 0:
+                    pts[1] = pts[0]  # a zero-length segment
+                if trial % 6 == 5 and k == 1:
+                    pts += 40.0  # wholly outside the ROI
+                polys.append(Trajectory(f"p{k}", pts))
+            cases.append((cells[trial % 3], polys, (0.1, 0.75, 1.3, 3.0)[trial % 4]))
+        # along a row of centers: the neighbouring rows sit exactly at the radius
+        cases.append(((0.5, 0.5), [Trajectory("c", [[-7.0, 0.25], [7.0, 0.25]])], 1.0))
+        for (dx, dy), polys, width in cases:
+            spec = GridSpec(-6.0, 6.0, -4.0, 5.0, dx, dy)
+            got = rasterize_polylines(polys, spec, width)
+            want = polyline_mask_by_cell_loop([p.points for p in polys], spec, width)
+            assert np.array_equal(got, want), (dx, dy, width)
+
+    def test_nonfinite_width_rejected(self):
+        line = (Trajectory("c", [[0.0, 0.0], [1.0, 0.0]]),)
+        for width in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ContractError):
+                rasterize_polylines(line, GridSpec(), width)
 
 
 class TestHeatmapToFeature:
