@@ -6,7 +6,6 @@ gradient-verified alignment/fusion kernels, and scores priors against
 ground-truth lane centerlines.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .core import (CenterlineMap, ContractError, FeatureMap, GridSpec, Heatmap,
                    Point2, Trajectory, TrajectorySet, fold_axial, segment_angle,
                    world_to_cell)
@@ -23,7 +22,7 @@ from .selection import (ClusterResult, ResampledTrajectory, SampleResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "kernel_backend", "ContractError", "Point2", "Trajectory", "TrajectorySet",
+    "ContractError", "Point2", "Trajectory", "TrajectorySet",
     "GridSpec", "Heatmap", "FeatureMap", "CenterlineMap", "world_to_cell",
     "segment_angle", "fold_axial", "IngestConfig", "ParseError",
     "parse_trajectories", "parse_centerlines", "serialize_trajectories",

@@ -6,7 +6,6 @@ central differences on seeded random instances.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

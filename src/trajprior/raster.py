@@ -2,60 +2,74 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from ._kernels import traverse_cells
 from .core import (ContractError, FeatureMap, GridSpec, Heatmap, Trajectory,
                    TrajectorySet, fold_axial)
 
-
-def worker_count() -> int:
-    """Parallelism cap from TRAJPRIOR_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("TRAJPRIOR_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
+_TRAVERSE_CHUNK = 1 << 15  # segment parameters traversed at once by rasterize_trajectories
 
 
-def _trajectory_contribution(t: Trajectory, spec: GridSpec):
-    """Cells visited by one trajectory and the per-cell direction-vector sums.
+def _crossings(x0, y0, x1, y1, spec: GridSpec):
+    """Segments in grid units, and the grid lines each one crosses.
 
-    Counts are deduplicated per trajectory (a trajectory increments a cell
-    at most once); every segment visit contributes its unit direction vector.
-    Zero-length segments are skipped.
+    Returns ``(p0, span, first, count)`` per axis, u along columns and then v
+    along rows: lines ``first .. first + count - 1`` are the integers k in
+    [0, n] strictly between p0 and p0 + span. Lines outside [0, n] are left
+    out: the pieces they would split lie wholly outside the grid.
     """
-    visited: Dict[Tuple[int, int], None] = {}
-    vec: Dict[Tuple[int, int], List[float]] = {}
-    pts = t.points
-    for i in range(len(pts) - 1):
-        x0, y0 = pts[i]
-        x1, y1 = pts[i + 1]
-        if x0 == x1 and y0 == y1:
-            continue
-        norm = math.hypot(x1 - x0, y1 - y0)
-        ux = (x1 - x0) / norm
-        uy = (y1 - y0) / norm
-        cells = traverse_cells(x0, y0, x1, y1, spec.x_min, spec.y_min,
-                               spec.cell_dx, spec.cell_dy,
-                               spec.height, spec.width)
-        for row, col in cells:
-            key = (int(row), int(col))
-            visited[key] = None
-            acc = vec.get(key)
-            if acc is None:
-                vec[key] = [ux, uy]
-            else:
-                acc[0] += ux
-                acc[1] += uy
-    return list(visited.keys()), vec
+    axes = []
+    for a0, a1, origin, cell, n in ((x0, x1, spec.x_min, spec.cell_dx, spec.width),
+                                    (y0, y1, spec.y_min, spec.cell_dy, spec.height)):
+        p0, p1 = (a0 - origin) / cell, (a1 - origin) / cell
+        first = np.clip(np.floor(np.minimum(p0, p1)) + 1.0, 0, n + 1)
+        stop = np.clip(np.ceil(np.maximum(p0, p1)), 0, n + 1)
+        axes.append((p0, p1 - p0, first, np.maximum(stop - first, 0).astype(np.int64)))
+    return axes
+
+
+def traverse_cells(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
+                   y1: np.ndarray, spec: GridSpec):
+    """Cells touched by each segment (x0, y0) -> (x1, y1), clipped to the grid.
+
+    A cell is touched iff it contains some point of the segment under the
+    half-open cell convention. Each segment is split at its grid-line
+    crossings, with parameters t = (k - p0) / (p1 - p0) sorted per segment,
+    and its two endpoints plus the midpoint of every nonempty piece are
+    mapped to cells. Returns ``(seg, row, col)`` arrays with every touched
+    cell once per segment, sorted by segment and then cell.
+    """
+    h, w = spec.shape
+    (u0, du, kx, nx), (v0, dv, ky, ny) = _crossings(x0, y0, x1, y1, spec)
+    counts = 2 + nx + ny  # t = 0, t = 1, then the crossings
+    seg = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
+    t = (rank == 1).astype(np.float64)
+    on_x = (rank >= 2) & (rank < 2 + nx[seg])
+    on_y = rank >= 2 + nx[seg]
+    sx, sy = seg[on_x], seg[on_y]
+    t[on_x] = (kx[sx] + (rank[on_x] - 2) - u0[sx]) / du[sx]
+    t[on_y] = (ky[sy] + (rank[on_y] - 2 - nx[sy]) - v0[sy]) / dv[sy]
+    t = t[np.lexsort((t, seg))]
+    # samples: each segment's first and last t, and the midpoint of every
+    # pair of consecutive distinct t
+    inner = (seg[1:] == seg[:-1]) & (t[1:] > t[:-1])
+    ends = np.cumsum(counts)
+    sample_seg = np.concatenate([np.arange(len(counts)), seg[:-1][inner],
+                                 np.arange(len(counts))])
+    sample_t = np.concatenate([t[ends - counts], 0.5 * (t[:-1] + t[1:])[inner],
+                               t[ends - 1]])
+    row = np.floor(v0[sample_seg] + sample_t * dv[sample_seg])
+    col = np.floor(u0[sample_seg] + sample_t * du[sample_seg])
+    keep = (row >= 0) & (row < h) & (col >= 0) & (col < w)
+    key = np.sort((sample_seg[keep] * h + row[keep].astype(np.int64)) * w
+                  + col[keep].astype(np.int64))
+    key = np.concatenate([key[:1], key[1:][key[1:] != key[:-1]]])
+    seg_cell, col = np.divmod(key, w)
+    seg, row = np.divmod(seg_cell, h)
+    return seg, row, col
 
 
 def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
@@ -63,43 +77,56 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
 
     Per cell: N = number of distinct trajectories touching it, theta = circular
     mean of the touching segments' directions folded into (-pi/2, pi/2], and
-    density = N / N_max with N_max the max cell count of this heatmap. The
-    result is independent of trajectory order: contributions are merged in a
-    canonical order (sorted by id then coordinates).
+    density = N / N_max with N_max the max cell count of this heatmap. Every
+    segment visit of a cell contributes the segment's unit vector; zero-length
+    segments are skipped. The result is independent of trajectory order:
+    trajectories are taken in a canonical order (sorted by id then
+    coordinates), unit vectors are summed per trajectory and cell in segment
+    order, and those sums per cell in the canonical order.
     """
     h, w = spec.shape
-    count = np.zeros((h, w), dtype=np.int64)
-    sum_x = np.zeros((h, w), dtype=np.float64)
-    sum_y = np.zeros((h, w), dtype=np.float64)
-
-    trajs = list(ts.trajectories)
-    workers = min(worker_count(), max(1, len(trajs)))
-    if workers > 1 and len(trajs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            contributions = list(pool.map(
-                lambda t: _trajectory_contribution(t, spec), trajs))
-    else:
-        contributions = [_trajectory_contribution(t, spec) for t in trajs]
-
-    # fixed reduction order so float sums don't depend on input order
-    order = sorted(range(len(trajs)),
-                   key=lambda i: (trajs[i].id, trajs[i].points.tobytes()))
-    for i in order:
-        visited, vec = contributions[i]
-        for (row, col) in visited:
-            count[row, col] += 1
-        for (row, col), (vx, vy) in vec.items():
-            sum_x[row, col] += vx
-            sum_y[row, col] += vy
+    count = np.zeros(h * w, dtype=np.int64)
+    sum_x = np.zeros(h * w, dtype=np.float64)
+    sum_y = np.zeros(h * w, dtype=np.float64)
+    trajs = sorted(ts.trajectories, key=lambda t: (t.id, t.points.tobytes()))
+    if trajs:
+        pts = np.concatenate([t.points for t in trajs])
+        owner = np.repeat(np.arange(len(trajs)), [len(t) for t in trajs])
+        a, b = pts[:-1], pts[1:]
+        real = (owner[:-1] == owner[1:]) & ((a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1]))
+        a, b, owner = a[real], b[real], owner[:-1][real]
+        # whole trajectories per chunk, so each per-trajectory sum is made in
+        # one pass: a chunk takes the trajectories whose segments' t parameters
+        # start in the same window of _TRAVERSE_CHUNK
+        (*_, nx), (*_, ny) = _crossings(a[:, 0], a[:, 1], b[:, 0], b[:, 1], spec)
+        per_traj = np.bincount(owner, weights=2 + nx + ny, minlength=len(trajs))
+        window = (np.cumsum(per_traj) - per_traj) // _TRAVERSE_CHUNK
+        cuts = np.searchsorted(owner, np.flatnonzero(np.diff(window, prepend=-1)))
+        for lo, hi in zip(cuts, np.append(cuts[1:], len(owner))):
+            x0, y0, x1, y1 = a[lo:hi, 0], a[lo:hi, 1], b[lo:hi, 0], b[lo:hi, 1]
+            seg, row, col = traverse_cells(x0, y0, x1, y1, spec)
+            ddx, ddy = x1 - x0, y1 - y0
+            # math.hypot: np.hypot may round the norm differently
+            norm = np.fromiter(map(math.hypot, ddx.tolist(), ddy.tolist()),
+                               dtype=np.float64, count=len(ddx))
+            # visits come sorted by segment, so each (trajectory, cell) group
+            # sums its unit vectors in segment order
+            pair, inv = np.unique(owner[lo + seg] * (h * w) + row * w + col,
+                                  return_inverse=True)
+            cell = pair % (h * w)
+            count += np.bincount(cell, minlength=h * w)
+            # groups are sorted by trajectory, and add.at accumulates in order
+            np.add.at(sum_x, cell, np.bincount(inv, weights=(ddx / norm)[seg]))
+            np.add.at(sum_y, cell, np.bincount(inv, weights=(ddy / norm)[seg]))
 
     n_max = int(count.max()) if count.size and count.max() > 0 else 1
     density = count.astype(np.float64) / float(n_max)
-    direction = np.zeros((h, w), dtype=np.float64)
-    hit = count > 0
-    for row, col in zip(*np.nonzero(hit)):
-        direction[row, col] = fold_axial(
-            math.atan2(sum_y[row, col], sum_x[row, col]))
-    return Heatmap(spec, density, direction, count, n_max)
+    direction = np.zeros(h * w, dtype=np.float64)
+    hit = np.flatnonzero(count)
+    direction[hit] = [fold_axial(math.atan2(y, x))
+                      for y, x in zip(sum_y[hit].tolist(), sum_x[hit].tolist())]
+    return Heatmap(spec, density.reshape(h, w), direction.reshape(h, w),
+                   count.reshape(h, w), n_max)
 
 
 def chunked_repeat(counts: np.ndarray, chunk: int):

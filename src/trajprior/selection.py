@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ._kernels import frechet_dp
 from .core import ContractError, Trajectory, TrajectorySet
 
 DEFAULT_RESAMPLE = 20
@@ -73,6 +72,50 @@ def euclid_flat_dist(a: ResampledTrajectory, b: ResampledTrajectory) -> float:
     return float(np.linalg.norm(a.flat - b.flat))
 
 
+def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
+    """Discrete Frechet distance from polyline a (n, 2) to every polyline in bs.
+
+    Runs the coupling-table DP of all candidates at once, one anti-diagonal
+    i + j = s at a time: cell (i, j) needs only diagonals s-1 and s-2, so
+    memory is O(K * (n + M)) for K candidates of up to M points. Point
+    distances use sqrt(dx*dx + dy*dy) and the recurrence only max and min,
+    so every result is the exact value of the row-by-row DP.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    lens = np.array([len(b) for b in bs], dtype=np.int64)
+    k = len(lens)
+    if k == 0:
+        return np.empty(0)
+    n, m = len(a), int(lens.max())
+    # candidates reversed, so diagonal s reads the contiguous columns
+    # [m-1-s+i0, m-s+i1) for rows i0..i1; a short candidate is padded with
+    # its last point, which only feeds columns past its own end
+    flat = np.concatenate([np.asarray(b, dtype=np.float64) for b in bs])
+    starts = np.cumsum(lens) - lens
+    idx = starts[:, None] + np.minimum(np.arange(m - 1, -1, -1), lens[:, None] - 1)
+    rx, ry = flat[idx, 0], flat[idx, 1]
+    # column p = i + 1 holds row i; column 0 and unwritten cells stay inf
+    diag = [np.full((k, n + 1), np.inf) for _ in range(3)]
+    last = np.empty((k, m))  # row n-1 of the table
+    for s in range(n + m - 1):
+        i0, i1 = max(0, s - m + 1), min(n - 1, s)
+        cur, prev, prev2 = diag[s % 3], diag[(s - 1) % 3], diag[(s - 2) % 3]
+        lo, hi = m - 1 - s + i0, m - s + i1
+        dx = a[i0:i1 + 1, 0] - rx[:, lo:hi]
+        dy = a[i0:i1 + 1, 1] - ry[:, lo:hi]
+        d = np.sqrt(dx * dx + dy * dy)
+        out = cur[:, i0 + 1:i1 + 2]
+        if s == 0:
+            out[:] = d
+        else:
+            best = np.minimum(prev[:, i0:i1 + 1], prev[:, i0 + 1:i1 + 2])
+            np.minimum(best, prev2[:, i0:i1 + 1], out=best)
+            np.maximum(d, best, out=out)
+        if i1 == n - 1:
+            last[:, s - n + 1] = cur[:, n]
+    return last[np.arange(k), lens - 1]
+
+
 def frechet_dist(a: Union[Trajectory, np.ndarray],
                  b: Union[Trajectory, np.ndarray]) -> float:
     """Discrete Frechet distance between two polylines."""
@@ -80,7 +123,7 @@ def frechet_dist(a: Union[Trajectory, np.ndarray],
     pb = b.points if isinstance(b, Trajectory) else np.asarray(b, dtype=np.float64)
     if len(pa) < 1 or len(pb) < 1:
         raise ContractError("trajectories need at least one point")
-    return frechet_dp(pa, pb)
+    return float(frechet_dp(pa, [pb])[0])
 
 
 def _embed(ts: TrajectorySet, r: int) -> np.ndarray:
@@ -149,7 +192,8 @@ def fps(ts: TrajectorySet, count: int, seed: int = 0,
 
     Each step picks the unselected trajectory whose minimum Frechet distance
     to the selected subset is largest (ties toward the lowest index). The
-    first pick is seeded-uniform unless start_index is given.
+    first pick is seeded-uniform unless start_index is given. Each pick costs
+    one batched frechet_dp call over the trajectories it may still move.
     """
     m = len(ts)
     if count <= 0 or count > m:
@@ -161,16 +205,27 @@ def fps(ts: TrajectorySet, count: int, seed: int = 0,
             raise ContractError(f"start_index out of range [0, {m})")
         start = start_index
 
-    trajs = ts.trajectories
+    pts = [t.points for t in ts.trajectories]
+    heads = np.array([p[0] for p in pts])
+    tails = np.array([p[-1] for p in pts])
     selected = [start]
     min_dists: List[float] = []
-    min_d = np.array([frechet_dist(trajs[start], t) for t in trajs])
+    min_d = np.full(m, np.inf)
     min_d[start] = -np.inf
+    pick = start
     for _ in range(count - 1):
+        # every coupling pairs the two heads and the two tails, so a
+        # trajectory whose endpoint distance (computed as frechet_dp does)
+        # already reaches its running minimum cannot lower it: skip its DP
+        dh, dt = heads[pick] - heads, tails[pick] - tails
+        bound = np.sqrt(np.maximum(dh[:, 0] * dh[:, 0] + dh[:, 1] * dh[:, 1],
+                                   dt[:, 0] * dt[:, 0] + dt[:, 1] * dt[:, 1]))
+        todo = np.flatnonzero(bound < min_d)
+        if len(todo):
+            dists = frechet_dp(pts[pick], [pts[k] for k in todo])
+            min_d[todo] = np.minimum(min_d[todo], dists)
         pick = int(min_d.argmax())
         min_dists.append(float(min_d[pick]))
         selected.append(pick)
-        dists = np.array([frechet_dist(trajs[pick], t) for t in trajs])
-        min_d = np.minimum(min_d, dists)
         min_d[pick] = -np.inf
     return SampleResult(selected, min_dists)

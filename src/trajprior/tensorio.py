@@ -8,10 +8,13 @@ the same tensors twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Dict, Tuple
 
 import numpy as np
+
+from .core import ContractError, FeatureMap, GridSpec, Heatmap
 
 MAGIC = b"TRAJPRI1"
 
@@ -47,22 +50,60 @@ def save_tensors(path, tensors: Dict[str, np.ndarray], meta: dict | None = None)
 
 
 def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Read a tensor container; returns ({name: array}, meta)."""
+    """Read a tensor container; returns ({name: array}, meta).
+
+    Raises ContractError for a malformed file, the CLI's exit code 2.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a tensor container (bad magic)")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        payload = f.read()
+        blob = f.read()
+    if blob[:8] != MAGIC or len(blob) < 12:
+        raise ContractError(f"{path}: not a tensor container (bad magic)")
+    body = 12 + struct.unpack_from("<I", blob, 8)[0]
+    try:  # a truncated header fails to parse
+        header = json.loads(blob[12:body].decode("utf-8"))
+    except ValueError as e:
+        raise ContractError(f"{path}: header is not JSON ({e})") from None
+    payload = memoryview(blob)[body:]
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("meta", {}), dict)):
+        raise ContractError(f"{path}: header needs a 'tensors' list and a 'meta' object")
     tensors = {}
     for entry in header["tensors"]:
-        dt = np.dtype(_DTYPES[entry["dtype"]])
-        n = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-        start = entry["offset"]
+        if not isinstance(entry, dict):
+            raise ContractError(f"{path}: malformed tensor entry {entry!r}")
+        name, shape, dtype, start = (entry.get(k) for k in ("name", "shape", "dtype", "offset"))
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)
+                and type(start) is int and start >= 0):
+            raise ContractError(f"{path}: malformed tensor entry {entry!r}")
+        if dtype not in _DTYPES:
+            raise ContractError(f"{path}: tensor '{name}' has unknown dtype {dtype!r}")
+        dt = np.dtype(_DTYPES[dtype])
+        n = math.prod(shape)
+        if start + n * dt.itemsize > len(payload):
+            raise ContractError(f"{path}: tensor '{name}' runs past the end of the "
+                                f"payload ({len(payload)} bytes)")
         arr = np.frombuffer(payload, dtype=dt, count=n, offset=start)
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).astype(dt.newbyteorder("="))
+        tensors[name] = arr.reshape(shape).astype(dt.newbyteorder("="))
     return tensors, header.get("meta", {})
+
+
+def _load_kind(path, kind: str, names) -> Tuple[Dict[str, np.ndarray], dict]:
+    """load_tensors, requiring meta.kind == kind and the named tensors."""
+    tensors, meta = load_tensors(path)
+    if meta.get("kind") != kind:
+        raise ContractError(f"{path}: expected a {kind} file, got kind {meta.get('kind')!r}")
+    missing = [n for n in names if n not in tensors]
+    if missing:
+        raise ContractError(f"{path}: {kind} file lacks tensor(s) {', '.join(missing)}")
+    return tensors, meta
+
+
+def _spec(path, meta: dict) -> GridSpec:
+    try:
+        return GridSpec.from_dict(meta["spec"])
+    except (KeyError, TypeError) as e:
+        raise ContractError(f"{path}: bad or missing grid spec in meta ({e!r})") from None
 
 
 def save_heatmap(path, heatmap) -> None:
@@ -74,12 +115,12 @@ def save_heatmap(path, heatmap) -> None:
                         "count": heatmap.count}, meta)
 
 
-def load_heatmap(path):
-    from .core import GridSpec, Heatmap
-    tensors, meta = load_tensors(path)
-    return Heatmap(GridSpec.from_dict(meta["spec"]), tensors["density"],
-                   tensors["direction"], tensors["count"].astype(np.int64),
-                   int(meta["n_max"]))
+def load_heatmap(path) -> Heatmap:
+    tensors, meta = _load_kind(path, "heatmap", ("density", "direction", "count"))
+    if type(meta.get("n_max")) is not int:
+        raise ContractError(f"{path}: heatmap meta lacks an integer n_max")
+    return Heatmap(_spec(path, meta), tensors["density"], tensors["direction"],
+                   tensors["count"].astype(np.int64), meta["n_max"])
 
 
 def save_feature_map(path, fm) -> None:
@@ -89,10 +130,9 @@ def save_feature_map(path, fm) -> None:
     save_tensors(path, {"data": fm.data}, meta)
 
 
-def load_feature_map(path):
-    from .core import FeatureMap, GridSpec
-    tensors, meta = load_tensors(path)
-    return FeatureMap(GridSpec.from_dict(meta["spec"]), tensors["data"])
+def load_feature_map(path) -> FeatureMap:
+    tensors, meta = _load_kind(path, "feature", ("data",))
+    return FeatureMap(_spec(path, meta), tensors["data"])
 
 
 def save_params(path, offset_params, fusion_params) -> None:
@@ -107,7 +147,8 @@ def save_params(path, offset_params, fusion_params) -> None:
 
 def load_params(path):
     from .fusion import FusionParams, OffsetParams
-    tensors, _ = load_tensors(path)
+    tensors, _ = _load_kind(path, "params", ("off_w1", "off_b1", "off_w2", "off_b2",
+                                             "logit_weight", "logit_bias"))
     op = OffsetParams(tensors["off_w1"], tensors["off_b1"],
                       tensors["off_w2"], tensors["off_b2"])
     fp = FusionParams(tensors["logit_weight"], tensors["logit_bias"])

@@ -39,6 +39,26 @@ def frechet_by_enumeration(a, b):
     return best[0]
 
 
+def frechet_dp(a, b):
+    """Discrete Frechet distance by the O(n*m) coupling-table DP, one row at a time."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = len(a), len(b)
+    diff = a[:, None, :] - b[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    prev = np.empty(nb)
+    cur = np.empty(nb)
+    prev[0] = d[0, 0]
+    for j in range(1, nb):
+        prev[j] = max(d[0, j], prev[j - 1])
+    for i in range(1, na):
+        cur[0] = max(d[i, 0], prev[0])
+        for j in range(1, nb):
+            cur[j] = max(d[i, j], min(prev[j], prev[j - 1], cur[j - 1]))
+        prev, cur = cur, prev
+    return float(prev[nb - 1])
+
+
 def chamfer_mean_bruteforce(p, q):
     """O(n*m) double loop version of the symmetric Chamfer mean."""
     p = np.asarray(p, float)
@@ -142,6 +162,71 @@ def cells_by_dense_sampling(x0, y0, x1, y1, spec, samples=20001):
             col = int(math.floor((x - spec.x_min) / spec.cell_dx))
             cells.add((min(row, spec.height - 1), min(col, spec.width - 1)))
     return cells
+
+
+def traverse_cells(x0, y0, x1, y1, spec):
+    """Cells of one segment, by splitting it at every grid-line crossing.
+
+    Each piece's midpoint, plus the two endpoints, is mapped to its cell.
+    Returns an (K, 2) int64 array of (row, col) in traversal order,
+    deduplicated.
+    """
+    u0 = (x0 - spec.x_min) / spec.cell_dx
+    v0 = (y0 - spec.y_min) / spec.cell_dy
+    u1 = (x1 - spec.x_min) / spec.cell_dx
+    v1 = (y1 - spec.y_min) / spec.cell_dy
+    ts = [0.0, 1.0]
+    for p0, p1 in ((u0, u1), (v0, v1)):
+        lo, hi = (p0, p1) if p0 < p1 else (p1, p0)
+        k = math.floor(lo) + 1
+        span = p1 - p0
+        while k < hi:
+            ts.append((k - p0) / span)
+            k += 1
+    ts.sort()
+    samples = [ts[0]] + [0.5 * (s + t) for s, t in zip(ts, ts[1:]) if t > s] + [ts[-1]]
+    seen = {}
+    for t in samples:
+        row = math.floor(v0 + t * (v1 - v0))
+        col = math.floor(u0 + t * (u1 - u0))
+        if 0 <= row < spec.height and 0 <= col < spec.width:
+            seen[(row, col)] = None
+    return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+
+
+def rasterize_by_segment_loop(trajectories, spec):
+    """(count, density, direction) of a trajectory heatmap, one segment at a time.
+
+    Per trajectory: the cells of every non-degenerate segment from
+    traverse_cells, each adding the segment's unit vector (math.hypot norm).
+    Trajectories are merged sorted by (id, coordinates); a cell's direction
+    is the folded angle of its summed vectors.
+    """
+    h, w = spec.height, spec.width
+    count = np.zeros((h, w), dtype=np.int64)
+    sum_x = np.zeros((h, w))
+    sum_y = np.zeros((h, w))
+    for t in sorted(trajectories, key=lambda t: (t.id, t.points.tobytes())):
+        vec = {}
+        pts = t.points
+        for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:]):
+            if x0 == x1 and y0 == y1:
+                continue
+            norm = math.hypot(x1 - x0, y1 - y0)
+            for row, col in traverse_cells(x0, y0, x1, y1, spec):
+                acc = vec.setdefault((row, col), [0.0, 0.0])
+                acc[0] += (x1 - x0) / norm
+                acc[1] += (y1 - y0) / norm
+        for (row, col), (vx, vy) in vec.items():
+            count[row, col] += 1
+            sum_x[row, col] += vx
+            sum_y[row, col] += vy
+    n_max = max(int(count.max()), 1)
+    direction = np.zeros((h, w))
+    for row, col in zip(*np.nonzero(count)):
+        angle = math.remainder(math.atan2(sum_y[row, col], sum_x[row, col]), math.pi)
+        direction[row, col] = angle + math.pi if angle <= -math.pi / 2 else angle
+    return count, count / float(n_max), direction
 
 
 def conv3x3_sliding_window(x, w, b):

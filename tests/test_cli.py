@@ -164,6 +164,30 @@ class TestFuse:
         assert sidecar["mean_alpha"] == pytest.approx(0.5)
 
 
+    def test_heatmap_as_bev_exit_2(self, fused_inputs, tmp_path, capsys):
+        _, prior, params = fused_inputs
+        assert run("fuse", "--bev", tmp_path / "hm.tp", "--prior", prior,
+                   "--params", params, "--out", tmp_path / "f.tp") == 2
+        err = capsys.readouterr().err
+        assert "expected a feature file" in err and "Traceback" not in err
+        assert not (tmp_path / "f.tp").exists()
+
+    def test_unknown_dtype_exit_2(self, fused_inputs, tmp_path, capsys):
+        bev, prior, params = fused_inputs
+        raw = params.read_bytes()
+        params.write_bytes(raw.replace(b'"dtype":"float64"', b'"dtype":"float32"', 1))
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "f.tp") == 2
+        assert "unknown dtype 'float32'" in capsys.readouterr().err
+
+    def test_truncated_params_exit_2(self, fused_inputs, tmp_path, capsys):
+        bev, prior, params = fused_inputs
+        params.write_bytes(params.read_bytes()[:-16])
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "f.tp") == 2
+        assert "past the end" in capsys.readouterr().err
+
+
 class TestEval:
     def test_perfect_match(self, scene, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,6 +1,10 @@
-import numpy as np
+import json
+import struct
 
-from trajprior.core import FeatureMap, GridSpec
+import numpy as np
+import pytest
+
+from trajprior.core import ContractError, FeatureMap, GridSpec
 from trajprior.fusion import random_params
 from trajprior.ingest import synth_scene
 from trajprior.raster import rasterize_trajectories
@@ -67,3 +71,64 @@ def test_pgm_header_and_size(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n4 3\n255\n")
     assert len(raw) == len(b"P5\n4 3\n255\n") + 12
+
+
+def rewrite_header(path, edit):
+    """Rewrite a container's JSON header through edit(header), keeping the payload."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + hlen:])
+
+
+@pytest.fixture
+def heatmap_file(tmp_path):
+    ts, _ = synth_scene(1, 2, 3, 0.2)
+    path = tmp_path / "hm.tp"
+    save_heatmap(path, rasterize_trajectories(ts, GridSpec()))
+    return path
+
+
+def test_unknown_dtype_rejected(heatmap_file):
+    rewrite_header(heatmap_file, lambda h: h["tensors"][0].update(dtype="float16"))
+    with pytest.raises(ContractError, match="unknown dtype"):
+        load_tensors(heatmap_file)
+
+
+def test_tensor_past_payload_rejected(heatmap_file):
+    rewrite_header(heatmap_file, lambda h: h["tensors"][-1].update(offset=10**6))
+    with pytest.raises(ContractError, match="past the end"):
+        load_tensors(heatmap_file)
+    raw = heatmap_file.read_bytes()
+    heatmap_file.write_bytes(raw[:-8])  # truncated payload
+    with pytest.raises(ContractError, match="past the end"):
+        load_tensors(heatmap_file)
+
+
+def test_truncated_or_foreign_file_rejected(heatmap_file):
+    raw = heatmap_file.read_bytes()
+    for blob in (raw[:10], raw[:40], b"P5\n4 3\n255\n" + raw[11:]):
+        heatmap_file.write_bytes(blob)
+        with pytest.raises(ContractError):
+            load_tensors(heatmap_file)
+
+
+def test_wrong_kind_rejected(heatmap_file):
+    with pytest.raises(ContractError, match="expected a feature file"):
+        load_feature_map(heatmap_file)
+    with pytest.raises(ContractError, match="expected a params file"):
+        load_params(heatmap_file)
+
+
+def test_missing_tensor_rejected(heatmap_file):
+    rewrite_header(heatmap_file, lambda h: h["tensors"].pop(0))  # "count"
+    with pytest.raises(ContractError, match="lacks tensor"):
+        load_heatmap(heatmap_file)
+
+
+def test_missing_heatmap_meta_rejected(heatmap_file):
+    rewrite_header(heatmap_file, lambda h: h["meta"].pop("spec"))
+    with pytest.raises(ContractError, match="grid spec"):
+        load_heatmap(heatmap_file)
