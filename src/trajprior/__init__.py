@@ -7,8 +7,7 @@ ground-truth lane centerlines.
 """
 
 from .core import (CenterlineMap, ContractError, FeatureMap, GridSpec, Heatmap,
-                   Point2, Trajectory, TrajectorySet, fold_axial, segment_angle,
-                   world_to_cell)
+                   Trajectory, TrajectorySet, fold_axial)
 from .ingest import (IngestConfig, ParseError, filter_by_length,
                      parse_centerlines, parse_trajectories, retention_check,
                      serialize_centerlines, serialize_trajectories, smooth,
@@ -17,19 +16,19 @@ from .metrics import ae_dist, ae_type, iou, prior_iou
 from .raster import (heatmap_to_feature, rasterize_polylines,
                      rasterize_trajectories)
 from .selection import (ClusterResult, ResampledTrajectory, SampleResult,
-                        euclid_flat_dist, fps, frechet_dist, kmeans, resample)
+                        fps, frechet_dist, kmeans, resample)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractError", "Point2", "Trajectory", "TrajectorySet",
-    "GridSpec", "Heatmap", "FeatureMap", "CenterlineMap", "world_to_cell",
-    "segment_angle", "fold_axial", "IngestConfig", "ParseError",
+    "ContractError", "Trajectory", "TrajectorySet",
+    "GridSpec", "Heatmap", "FeatureMap", "CenterlineMap",
+    "fold_axial", "IngestConfig", "ParseError",
     "parse_trajectories", "parse_centerlines", "serialize_trajectories",
     "serialize_centerlines", "filter_by_length", "smooth", "smooth_set",
     "retention_check", "synth_scene", "rasterize_trajectories",
     "rasterize_polylines", "heatmap_to_feature",
     "ResampledTrajectory", "ClusterResult", "SampleResult", "resample",
-    "euclid_flat_dist", "frechet_dist", "kmeans", "fps",
+    "frechet_dist", "kmeans", "fps",
     "iou", "prior_iou", "ae_type", "ae_dist",
 ]

@@ -11,10 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fusion, ingest, metrics, raster, selection, tensorio
-from .core import ContractError, GridSpec, Trajectory, TrajectorySet
+from .core import ContractError, GridSpec, TrajectorySet
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,10 +57,6 @@ def _load_set(path, fmt="jsonl") -> TrajectorySet:
     return ingest.parse_trajectories(Path(path).read_text(encoding="utf-8"), fmt)
 
 
-def _traj_record(t: Trajectory) -> dict:
-    return {"id": t.id, "points": [[float(x), float(y)] for x, y in t.points]}
-
-
 def cmd_ingest(args) -> int:
     cfg = ingest.IngestConfig(min_length_m=args.min_length,
                               smooth_window=args.smooth_window)
@@ -70,7 +64,7 @@ def cmd_ingest(args) -> int:
     m_before = len(ts)
     ts = ingest.filter_by_length(ts, cfg)
     ts = ingest.smooth_set(ts, cfg)
-    retained = ingest.retention_check(ts, cfg)
+    retained = ingest.retention_check(ts)
     Path(args.out).write_text(ingest.serialize_trajectories(ts, "jsonl"),
                               encoding="utf-8")
     print(f"ingested {m_before} trajectories, kept {len(ts)} "
@@ -106,8 +100,7 @@ def cmd_cluster(args) -> int:
         "inertia": result.inertia,
         "inertia_trace": result.inertia_trace,
         "iterations": result.iterations,
-        "centers": [{"points": [[float(x), float(y)] for x, y in c.points]}
-                    for c in result.centers],
+        "centers": [{"points": c.points.tolist()} for c in result.centers],
     }
     _dump_json(args.out, doc)
     if args.queries_out:
@@ -127,7 +120,7 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "indices": result.indices,
         "min_dists": result.min_dists,
-        "selected": [_traj_record(ts.trajectories[i]) for i in result.indices],
+        "selected": [ingest.to_record(ts.trajectories[i]) for i in result.indices],
     }
     _dump_json(args.out, doc)
     if args.queries_out:
@@ -141,8 +134,7 @@ def cmd_sample(args) -> int:
 def _query_seed(point_arrays, r) -> dict:
     """Query-seed export for downstream detector integration."""
     return {"resample": r,
-            "queries": [[[float(x), float(y)] for x, y in pts]
-                        for pts in point_arrays]}
+            "queries": [pts.tolist() for pts in point_arrays]}
 
 
 def cmd_fuse(args) -> int:
@@ -177,12 +169,13 @@ def cmd_eval(args) -> int:
             metrics.sample_polyline_points(gt.polylines, args.sample_step)),
         "width_m": args.width,
     }
-    pred_labels = ingest.traj_labels(pred)
-    gt_labels = ingest.centerline_labels(gt)
-    if pred_labels and gt_labels and len(pred) == len(gt):
-        report["ae_type"] = metrics.ae_type(
-            [pred_labels.get(t.id) for t in pred.trajectories],
-            [gt_labels.get(p.id) for p in gt.polylines])
+    pred_types = [t.label for t in pred.trajectories]
+    gt_types = [p.label for p in gt.polylines]
+    # records pair by position; an unlabelled record counts as None
+    if (len(pred_types) == len(gt_types)
+            and any(x is not None for x in pred_types)
+            and any(x is not None for x in gt_types)):
+        report["ae_type"] = metrics.ae_type(pred_types, gt_types)
     _dump_json(args.out, report)
     if args.csv:
         row = ",".join(f"{k}={report[k]}" for k in sorted(report))

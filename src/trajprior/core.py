@@ -7,7 +7,7 @@ half-open [low, high) so every in-ROI point maps to exactly one cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,20 +26,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ContractError(msg)
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A finite 2D point in meters (ego/BEV frame)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.x) and math.isfinite(self.y),
-                 "Point2 coordinates must be finite")
-
-
 def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
+    try:
+        arr = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ContractError(f"points must be numbers: {e}") from e
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ContractError(f"expected (n, 2) point array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -49,10 +40,15 @@ def _as_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An ordered 2D polyline with an opaque id; at least 2 points."""
+    """An ordered 2D polyline with an opaque id; at least 2 points.
+
+    ``label`` is an optional discrete attribute (a lane type) scored by
+    ``metrics.ae_type``; None means unlabelled.
+    """
 
     id: str
     points: np.ndarray  # (n, 2) float64
+    label: Optional[object] = None
 
     def __post_init__(self):
         arr = _as_points(self.points)
@@ -68,7 +64,7 @@ class Trajectory:
         return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
 
     def reversed(self) -> "Trajectory":
-        return Trajectory(self.id, self.points[::-1].copy())
+        return replace(self, points=self.points[::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -141,26 +137,6 @@ class GridSpec:
     def from_dict(cls, d: dict) -> "GridSpec":
         return cls(d["x_min"], d["x_max"], d["y_min"], d["y_max"],
                    d["cell_dx"], d["cell_dy"])
-
-
-def world_to_cell(p: Point2, spec: GridSpec) -> Optional[Tuple[int, int]]:
-    """Map a world point to its (row, col) cell, or None if outside the ROI.
-
-    The ROI is half-open: [x_min, x_max) x [y_min, y_max).
-    """
-    if not (spec.x_min <= p.x < spec.x_max and spec.y_min <= p.y < spec.y_max):
-        return None
-    row = int(math.floor((p.y - spec.y_min) / spec.cell_dy))
-    col = int(math.floor((p.x - spec.x_min) / spec.cell_dx))
-    # Guard against float round-up at the far edge.
-    row = min(row, spec.height - 1)
-    col = min(col, spec.width - 1)
-    return (row, col)
-
-
-def segment_angle(a: Point2, b: Point2) -> float:
-    """Direction angle of the segment a->b in (-pi, pi]; 0 for a == b."""
-    return math.atan2(b.y - a.y, b.x - a.x)
 
 
 def fold_axial(angle: float) -> float:

@@ -291,42 +291,7 @@ def predict_offsets_grad(bev: FeatureMap, prior: FeatureMap,
 
 
 # ---------------------------------------------------------------------------
-# resize utility and the full alignment pipeline
-
-
-def resize_feature(fm: FeatureMap, shape: Tuple[int, int],
-                   mode: str = "bilinear") -> FeatureMap:
-    """Resample a feature map to a new grid resolution over the same ROI."""
-    h2, w2 = shape
-    if h2 < 1 or w2 < 1:
-        raise ContractError("target shape must be positive")
-    spec = fm.spec
-    new_spec = GridSpec(spec.x_min, spec.x_max, spec.y_min, spec.y_max,
-                        (spec.x_max - spec.x_min) / w2,
-                        (spec.y_max - spec.y_min) / h2)
-    h1, w1 = fm.data.shape[:2]
-    # sample positions of the new cell centers in old pixel coordinates
-    rows = (np.arange(h2) + 0.5) * h1 / h2 - 0.5
-    cols = (np.arange(w2) + 0.5) * w1 / w2 - 0.5
-    if mode == "nearest":
-        ri = np.clip(np.round(rows).astype(int), 0, h1 - 1)
-        ci = np.clip(np.round(cols).astype(int), 0, w1 - 1)
-        out = fm.data[ri[:, None], ci[None, :], :]
-    elif mode == "bilinear":
-        r0 = np.clip(np.floor(rows).astype(int), 0, h1 - 1)
-        c0 = np.clip(np.floor(cols).astype(int), 0, w1 - 1)
-        r1 = np.clip(r0 + 1, 0, h1 - 1)
-        c1 = np.clip(c0 + 1, 0, w1 - 1)
-        tr = np.clip(rows - r0, 0.0, 1.0)[:, None, None]
-        tc = np.clip(cols - c0, 0.0, 1.0)[None, :, None]
-        d = fm.data
-        out = ((1 - tr) * (1 - tc) * d[r0[:, None], c0[None, :]]
-               + (1 - tr) * tc * d[r0[:, None], c1[None, :]]
-               + tr * (1 - tc) * d[r1[:, None], c0[None, :]]
-               + tr * tc * d[r1[:, None], c1[None, :]])
-    else:
-        raise ContractError(f"unknown resize mode {mode!r}")
-    return FeatureMap(new_spec, np.ascontiguousarray(out))
+# the full alignment pipeline
 
 
 def fuse_pipeline(bev: FeatureMap, prior: FeatureMap,

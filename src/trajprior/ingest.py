@@ -3,24 +3,35 @@
 File formats (coordinates in meters, ego/BEV frame):
 
 * JSONL trajectories: optional first-line header object
-  ``{"frame_id": str, "centerline_count": int}``; each following line
-  ``{"id": str, "points": [[x, y], ...]}``. An optional ``"type"`` field
-  carries a discrete label used by the attribute-error metric.
+  ``{"frame_id": str, "centerline_count": int}``, where ``centerline_count``
+  is a non-negative JSON integer; each following line
+  ``{"id": str, "points": [[x, y], ...]}``.
 * CSV trajectories: columns ``traj_id,seq,x,y``; rows grouped by traj_id,
   ordered by seq.
-* JSONL centerlines: one ``{"id": str, "centerlines": [[x, y], ...]}`` per line.
+* JSONL centerlines: one ``{"id": str, "centerlines": [[x, y], ...]}`` per
+  line, each record a single polyline.
+
+Records of both JSONL kinds may carry an optional ``"type"`` field, the
+discrete lane label that ``Trajectory.label`` holds and the attribute-error
+metric scores; ``"type": null`` counts as no label. Every malformed record
+raises a ``ParseError`` that names its line.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .core import CenterlineMap, ContractError, GridSpec, Trajectory, TrajectorySet
+
+# A frame passes the retention check with more than this many trajectories
+# per centerline. An int, so the check stays exact for any integer count.
+RETENTION_RATIO = 5
 
 
 class ParseError(ValueError):
@@ -35,7 +46,6 @@ class ParseError(ValueError):
 class IngestConfig:
     min_length_m: float = 5.0
     smooth_window: int = 5
-    retention_ratio: float = 5.0
 
     def __post_init__(self):
         if self.min_length_m < 0:
@@ -44,16 +54,44 @@ class IngestConfig:
             raise ContractError("smooth_window must be odd and >= 1")
 
 
-def _traj_from_record(line_no: int, rec: dict) -> Trajectory:
-    if "points" not in rec:
-        raise ParseError(line_no, "record missing 'points'")
-    pts = rec["points"]
-    if not isinstance(pts, list) or len(pts) < 2:
-        raise ParseError(line_no, "trajectory shorter than 2 points")
+def _records(text: str) -> Iterator[Tuple[int, dict]]:
+    """(line number, object) for every nonblank JSONL line."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(line_no, f"invalid JSON: {e.msg}") from e
+        if not isinstance(rec, dict):
+            raise ParseError(line_no, "record is not an object")
+        yield line_no, rec
+
+
+_DEFAULT_ID = {"points": "traj", "centerlines": "cl"}
+
+
+def _from_record(line_no: int, rec: dict, key: str) -> Trajectory:
+    """The polyline under ``key`` ("points" or "centerlines") of one record."""
+    if key not in rec:
+        raise ParseError(line_no, f"record missing {key!r}")
     try:
-        return Trajectory(str(rec.get("id", f"traj{line_no}")), pts)
+        return Trajectory(str(rec.get("id", f"{_DEFAULT_ID[key]}{line_no}")),
+                          rec[key], rec.get("type"))
     except ContractError as e:
         raise ParseError(line_no, str(e)) from e
+
+
+def to_record(t: Trajectory, key: str = "points") -> dict:
+    """The JSON record of a polyline; ``type`` only when it has a label."""
+    rec = {"id": t.id, key: t.points.tolist()}
+    if t.label is not None:
+        rec["type"] = t.label
+    return rec
+
+
+def _dumps(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def parse_trajectories(text: str, fmt: str = "jsonl") -> TrajectorySet:
@@ -69,29 +107,20 @@ def _parse_jsonl(text: str) -> TrajectorySet:
     frame_id = "unknown"
     centerline_count = 0
     trajectories: List[Trajectory] = []
-    labels: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(line_no, f"invalid JSON: {e.msg}") from e
-        if not isinstance(rec, dict):
-            raise ParseError(line_no, "record is not an object")
+    for line_no, rec in _records(text):
         if line_no == 1 and "points" not in rec and (
                 "frame_id" in rec or "centerline_count" in rec):
             frame_id = str(rec.get("frame_id", "unknown"))
-            centerline_count = int(rec.get("centerline_count", 0))
+            centerline_count = rec.get("centerline_count", 0)
+            # bool is an int subclass but not a JSON integer
+            if type(centerline_count) is not int or centerline_count < 0:
+                raise ParseError(line_no, "centerline_count must be a "
+                                 f"non-negative integer, got {centerline_count!r}")
+            if not frame_id:
+                raise ParseError(line_no, "frame_id must be nonempty")
             continue
-        t = _traj_from_record(line_no, rec)
-        if "type" in rec:
-            labels[t.id] = rec["type"]
-        trajectories.append(t)
-    ts = TrajectorySet(tuple(trajectories), frame_id, centerline_count)
-    if labels:
-        object.__setattr__(ts, "_labels", labels)  # sidecar, optional
-    return ts
+        trajectories.append(_from_record(line_no, rec, "points"))
+    return TrajectorySet(tuple(trajectories), frame_id, centerline_count)
 
 
 def _parse_csv(text: str) -> TrajectorySet:
@@ -108,6 +137,8 @@ def _parse_csv(text: str) -> TrajectorySet:
             seq, x, y = int(row[1]), float(row[2]), float(row[3])
         except ValueError as e:
             raise ParseError(line_no, f"bad numeric field: {e}") from e
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(line_no, "points must be finite")
         if tid not in groups:
             groups[tid] = []
             order.append(tid)
@@ -122,22 +153,11 @@ def _parse_csv(text: str) -> TrajectorySet:
     return TrajectorySet(tuple(trajectories))
 
 
-def traj_labels(ts: TrajectorySet) -> dict:
-    """Optional per-trajectory discrete labels parsed from "type" fields."""
-    return getattr(ts, "_labels", {})
-
-
 def serialize_trajectories(ts: TrajectorySet, fmt: str = "jsonl") -> str:
     if fmt == "jsonl":
-        lines = [json.dumps({"frame_id": ts.frame_id,
-                             "centerline_count": ts.centerline_count},
-                            sort_keys=True, separators=(",", ":"))]
-        labels = traj_labels(ts)
-        for t in ts.trajectories:
-            rec = {"id": t.id, "points": [[float(x), float(y)] for x, y in t.points]}
-            if t.id in labels:
-                rec["type"] = labels[t.id]
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        lines = [_dumps({"frame_id": ts.frame_id,
+                         "centerline_count": ts.centerline_count})]
+        lines += [_dumps(to_record(t)) for t in ts.trajectories]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         out = io.StringIO()
@@ -151,53 +171,20 @@ def serialize_trajectories(ts: TrajectorySet, fmt: str = "jsonl") -> str:
 
 
 def parse_centerlines(text: str, spec: Optional[GridSpec] = None) -> CenterlineMap:
-    polylines = []
-    labels: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(line_no, f"invalid JSON: {e.msg}") from e
-        if "centerlines" not in rec:
-            raise ParseError(line_no, "record missing 'centerlines'")
-        pts = rec["centerlines"]
-        if not isinstance(pts, list) or len(pts) < 2:
-            raise ParseError(line_no, "centerline shorter than 2 points")
-        poly = Trajectory(str(rec.get("id", f"cl{line_no}")), pts)
-        if "type" in rec:
-            labels[poly.id] = rec["type"]
-        polylines.append(poly)
-    cmap = CenterlineMap(tuple(polylines), spec or GridSpec())
-    if labels:
-        object.__setattr__(cmap, "_labels", labels)
-    return cmap
-
-
-def centerline_labels(cmap: CenterlineMap) -> dict:
-    """Optional per-centerline discrete labels parsed from "type" fields."""
-    return getattr(cmap, "_labels", {})
+    polylines = tuple(_from_record(line_no, rec, "centerlines")
+                      for line_no, rec in _records(text))
+    return CenterlineMap(polylines, spec or GridSpec())
 
 
 def serialize_centerlines(cmap: CenterlineMap) -> str:
-    lines = []
-    for p in cmap.polylines:
-        rec = {"id": p.id,
-               "centerlines": [[float(x), float(y)] for x, y in p.points]}
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_dumps(to_record(p, "centerlines"))
+                     for p in cmap.polylines) + "\n"
 
 
 def filter_by_length(ts: TrajectorySet, cfg: IngestConfig) -> TrajectorySet:
     """Keep trajectories whose arc length is >= cfg.min_length_m."""
     kept = tuple(t for t in ts.trajectories if t.arc_length >= cfg.min_length_m)
-    out = TrajectorySet(kept, ts.frame_id, ts.centerline_count)
-    labels = traj_labels(ts)
-    if labels:
-        object.__setattr__(out, "_labels",
-                           {t.id: labels[t.id] for t in kept if t.id in labels})
-    return out
+    return TrajectorySet(kept, ts.frame_id, ts.centerline_count)
 
 
 def smooth(t: Trajectory, cfg: IngestConfig) -> Trajectory:
@@ -215,21 +202,17 @@ def smooth(t: Trajectory, cfg: IngestConfig) -> Trajectory:
     for i in range(n):
         r = min(radius, i, n - 1 - i)
         out[i] = pts[i - r:i + r + 1].mean(axis=0)
-    return Trajectory(t.id, out)
+    return replace(t, points=out)
 
 
 def smooth_set(ts: TrajectorySet, cfg: IngestConfig) -> TrajectorySet:
-    out = TrajectorySet(tuple(smooth(t, cfg) for t in ts.trajectories),
-                        ts.frame_id, ts.centerline_count)
-    labels = traj_labels(ts)
-    if labels:
-        object.__setattr__(out, "_labels", dict(labels))
-    return out
+    return TrajectorySet(tuple(smooth(t, cfg) for t in ts.trajectories),
+                         ts.frame_id, ts.centerline_count)
 
 
-def retention_check(ts: TrajectorySet, cfg: IngestConfig) -> bool:
-    """True iff the frame has more than ratio x centerline_count trajectories."""
-    return len(ts) > cfg.retention_ratio * ts.centerline_count
+def retention_check(ts: TrajectorySet) -> bool:
+    """True iff the frame has more than RETENTION_RATIO x centerline_count trajectories."""
+    return len(ts) > RETENTION_RATIO * ts.centerline_count
 
 
 def synth_scene(seed: int, lanes: int, per_lane: int,

@@ -66,12 +66,6 @@ def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> ResampledTrajectory:
     return ResampledTrajectory(out)
 
 
-def euclid_flat_dist(a: ResampledTrajectory, b: ResampledTrajectory) -> float:
-    if a.points.shape != b.points.shape:
-        raise ContractError("resample widths differ")
-    return float(np.linalg.norm(a.flat - b.flat))
-
-
 def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
     """Discrete Frechet distance from polyline a (n, 2) to every polyline in bs.
 

@@ -204,11 +204,61 @@ class TestEval:
                        "--gt", scene / "centerlines.jsonl", "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_duplicate_ids_keep_their_own_labels(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"id": "a", "points": [[0, 0], [9, 0]], "type": "x"}\n'
+                       '{"id": "a", "points": [[0, 3], [9, 3]], "type": "y"}\n')
+        pred = tmp_path / "pred.jsonl"
+        assert run("ingest", "--input", raw, "--out", pred) == 0
+        records = [json.loads(line) for line in pred.read_text().splitlines()[1:]]
+        assert [r["type"] for r in records] == ["x", "y"]
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text('{"id": "c0", "centerlines": [[0, 0], [9, 0]], "type": "x"}\n'
+                      '{"id": "c1", "centerlines": [[0, 3], [9, 3]], "type": "y"}\n')
+        out = tmp_path / "report.json"
+        assert run("eval", "--pred", pred, "--gt", gt, "--out", out) == 0
+        assert json.loads(out.read_text())["ae_type"] == 0.0
+
     def test_malformed_exit_2(self, scene, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         assert run("eval", "--pred", bad, "--gt", scene / "centerlines.jsonl",
                    "--out", tmp_path / "r.json") == 2
+
+
+GOOD_TRAJ = '{"id": "a", "points": [[0, 0], [9, 0]]}\n'
+GOOD_CL = '{"id": "c", "centerlines": [[0, 0], [9, 0]]}\n'
+HEADER = '{"frame_id": "f", "centerline_count": %s}\n'
+
+# (file kind, text, line the error must name)
+MALFORMED = {
+    "count-list": ("jsonl", HEADER % "[1]" + GOOD_TRAJ, 1),
+    "count-overflow": ("jsonl", HEADER % "1e400" + GOOD_TRAJ, 1),
+    "count-fraction": ("jsonl", HEADER % "2.7" + GOOD_TRAJ, 1),
+    "point-object": ("jsonl", HEADER % 1 + GOOD_TRAJ
+                     + '{"id": "b", "points": [[0, 0], {}]}\n', 3),
+    "point-string": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": [[0, 0], ["x", 1]]}\n', 2),
+    "centerline-point-object": ("centerlines", GOOD_CL
+                                + '{"id": "d", "centerlines": [{}, {}]}\n', 2),
+    "centerline-number": ("centerlines", GOOD_CL + "5\n", 2),
+    "centerline-list": ("centerlines", GOOD_CL + '["centerlines"]\n', 2),
+    "csv-nan": ("csv", "traj_id,seq,x,y\nt0,0,0,0\nt0,1,nan,1\n", 3),
+}
+
+
+@pytest.mark.parametrize("kind,text,line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    if kind == "centerlines":
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(GOOD_TRAJ)
+        argv = ["eval", "--pred", pred, "--gt", bad]
+    else:
+        argv = ["ingest", "--format", kind, "--input", bad]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "Traceback" not in err
 
 
 class TestGridCap:

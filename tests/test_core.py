@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trajprior.core import (MAX_CELLS, ContractError, GridSpec, Point2,
-                            Trajectory, fold_axial, segment_angle,
-                            world_to_cell)
+from trajprior.core import MAX_CELLS, ContractError, GridSpec, Trajectory, fold_axial
 
 
 class TestGridSpec:
@@ -31,60 +29,6 @@ class TestGridSpec:
     def test_roundtrip_dict(self):
         spec = GridSpec(-1, 3, 0, 2, 0.25, 0.5)
         assert GridSpec.from_dict(spec.to_dict()) == spec
-
-
-class TestWorldToCell:
-    def test_lower_corner(self):
-        assert world_to_cell(Point2(-50, -25), GridSpec()) == (0, 0)
-
-    def test_upper_bound_exclusive(self):
-        assert world_to_cell(Point2(50, 25), GridSpec()) is None
-        assert world_to_cell(Point2(0, 25), GridSpec()) is None
-
-    def test_origin(self):
-        # (0 - (-25))/0.5 = 50, (0 - (-50))/0.5 = 100
-        assert world_to_cell(Point2(0.0, 0.0), GridSpec()) == (50, 100)
-
-    def test_in_roi_points_always_in_range(self):
-        spec = GridSpec()
-        rng = np.random.default_rng(1)
-        for _ in range(500):
-            x = rng.uniform(-50, 50)
-            y = rng.uniform(-25, 25)
-            cell = world_to_cell(Point2(x, y), spec)
-            assert cell is not None
-            row, col = cell
-            assert 0 <= row < spec.height and 0 <= col < spec.width
-            # the cell's half-open extent contains the point
-            assert spec.x_min + col * spec.cell_dx <= x
-            assert x < spec.x_min + (col + 1) * spec.cell_dx
-            assert spec.y_min + row * spec.cell_dy <= y
-            assert y < spec.y_min + (row + 1) * spec.cell_dy
-
-
-class TestSegmentAngle:
-    def test_axes(self):
-        assert segment_angle(Point2(0, 0), Point2(1, 0)) == 0.0
-        assert segment_angle(Point2(0, 0), Point2(0, 1)) == pytest.approx(math.pi / 2)
-
-    def test_diagonal(self):
-        assert segment_angle(Point2(0, 0), Point2(-1, -1)) == pytest.approx(
-            -3 * math.pi / 4)
-
-    def test_degenerate_is_zero(self):
-        assert segment_angle(Point2(2, 3), Point2(2, 3)) == 0.0
-
-    def test_reversal_flips_by_pi(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            a = Point2(*rng.normal(0, 5, 2))
-            b = Point2(*rng.normal(0, 5, 2))
-            if (a.x, a.y) == (b.x, b.y):
-                continue
-            fwd = segment_angle(a, b)
-            back = segment_angle(b, a)
-            diff = math.remainder(fwd - back, 2 * math.pi)
-            assert abs(abs(diff) - math.pi) < 1e-12
 
 
 class TestFoldAxial:

@@ -8,7 +8,7 @@ from trajprior.fusion import (ConfidenceLogits, FusionParams, OffsetField,
                               confidence_fuse_grad, confidence_weights,
                               finite_difference_check, fuse_pipeline,
                               predict_offsets, predict_offsets_grad,
-                              random_params, resize_feature, warp, warp_grad)
+                              random_params, warp, warp_grad)
 
 from oracles import conv3x3_sliding_window
 
@@ -281,22 +281,6 @@ class TestGradients:
         out = warp(ones, off).data[:, :, 0]
         # in-bounds samples: the four weights sum to 1 exactly
         assert np.allclose(out[:-1, :-1], 1.0, atol=1e-12)
-
-
-class TestResize:
-    def test_nearest_identity(self):
-        rng = np.random.default_rng(21)
-        spec = small_spec()
-        fm = random_fm(rng, spec)
-        out = resize_feature(fm, spec.shape, mode="nearest")
-        assert np.array_equal(out.data, fm.data)
-
-    def test_bilinear_constant_field(self):
-        spec = small_spec()
-        fm = FeatureMap(spec, np.full(spec.shape + (2,), 3.25))
-        out = resize_feature(fm, (12, 14), mode="bilinear")
-        assert out.data.shape == (12, 14, 2)
-        assert np.allclose(out.data, 3.25)
 
 
 class TestPipeline:

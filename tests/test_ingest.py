@@ -7,7 +7,8 @@ from trajprior.core import ContractError, Trajectory, TrajectorySet
 from trajprior.ingest import (IngestConfig, ParseError, filter_by_length,
                               parse_centerlines, parse_trajectories,
                               retention_check, serialize_centerlines,
-                              serialize_trajectories, smooth, synth_scene)
+                              serialize_trajectories, smooth, smooth_set,
+                              synth_scene)
 
 
 def make_jsonl(records):
@@ -72,6 +73,33 @@ class TestParse:
         assert len(cmap) == 1
         again = parse_centerlines(serialize_centerlines(cmap))
         assert np.array_equal(again.polylines[0].points, cmap.polylines[0].points)
+
+
+    def test_labels_survive_roundtrip(self):
+        types = ["x", 3, None]
+        traj = [{"id": f"t{i}", "points": [[0, i], [1, i]], "type": t}
+                for i, t in enumerate(types)]
+        cls = [{"id": f"c{i}", "centerlines": [[0, i], [1, i]], "type": t}
+               for i, t in enumerate(types)]
+        ts = parse_trajectories(make_jsonl(traj), "jsonl")
+        cmap = parse_centerlines(make_jsonl(cls))
+        assert [t.label for t in ts.trajectories] == types
+        assert [p.label for p in cmap.polylines] == types
+        # "type": null is no label, so it is not written back
+        once = serialize_trajectories(ts, "jsonl")
+        assert once.count('"type"') == 2
+        again = parse_trajectories(once, "jsonl")
+        assert [t.label for t in again.trajectories] == types
+        again = parse_centerlines(serialize_centerlines(cmap))
+        assert [p.label for p in again.polylines] == types
+
+    def test_smooth_and_filter_keep_labels(self):
+        ts = parse_trajectories(make_jsonl([
+            {"id": "a", "points": [[0, 0], [3, 0], [9, 0]], "type": "x"},
+            {"id": "b", "points": [[0, 1], [1, 1]], "type": "y"}]), "jsonl")
+        cfg = IngestConfig(min_length_m=5.0, smooth_window=3)
+        out = smooth_set(filter_by_length(ts, cfg), cfg)
+        assert [(t.id, t.label) for t in out.trajectories] == [("a", "x")]
 
 
 class TestFilterByLength:
@@ -140,7 +168,7 @@ class TestRetention:
     def test_strict_inequality(self, m, centerlines, expected):
         trajs = tuple(Trajectory(f"t{i}", [[0, 0], [1, 0]]) for i in range(m))
         ts = TrajectorySet(trajs, "f", centerlines)
-        assert retention_check(ts, IngestConfig()) is expected
+        assert retention_check(ts) is expected
 
 
 class TestSynthScene:

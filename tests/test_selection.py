@@ -1,11 +1,9 @@
-import math
 
 import numpy as np
 import pytest
 
 from trajprior.core import ContractError, Trajectory, TrajectorySet
-from trajprior.selection import (euclid_flat_dist, fps, frechet_dist, kmeans,
-                                 resample)
+from trajprior.selection import fps, frechet_dist, kmeans, resample
 
 from conftest import random_set, random_trajectory
 from oracles import best_two_partition, fps_by_full_matrix, frechet_by_enumeration
@@ -36,31 +34,6 @@ class TestResample:
             r = resample(t, 20)
             assert np.allclose(r.points[0], t.points[0], atol=1e-9)
             assert np.allclose(r.points[-1], t.points[-1], atol=1e-9)
-
-
-class TestEuclidFlatDist:
-    def test_zero_on_equal(self):
-        a = resample(Trajectory("t", [[0, 0], [4, 4]]), 5)
-        assert euclid_flat_dist(a, a) == 0.0
-
-    def test_constant_shift(self):
-        a = resample(Trajectory("t", [[0, 0], [1, 0]]), 2)
-        b = resample(Trajectory("t", [[3, 4], [4, 4]]), 2)
-        # each of the 2 points shifted by (3,4): sqrt(2 * 25)
-        assert euclid_flat_dist(a, b) == pytest.approx(math.sqrt(50.0))
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = resample(random_trajectory(rng), 10)
-            b = resample(random_trajectory(rng), 10)
-            assert euclid_flat_dist(a, b) == euclid_flat_dist(b, a)
-
-    def test_mismatched_r_rejected(self):
-        a = resample(Trajectory("t", [[0, 0], [1, 0]]), 3)
-        b = resample(Trajectory("t", [[0, 0], [1, 0]]), 4)
-        with pytest.raises(ContractError):
-            euclid_flat_dist(a, b)
 
 
 class TestFrechet:
