@@ -48,8 +48,8 @@ class IngestConfig:
     smooth_window: int = 5
 
     def __post_init__(self):
-        if self.min_length_m < 0:
-            raise ContractError("min_length_m must be >= 0")
+        if not self.min_length_m >= 0:
+            raise ContractError(f"min_length_m must be >= 0, got {self.min_length_m}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ContractError("smooth_window must be odd and >= 1")
 

@@ -155,8 +155,8 @@ def ae_dist(pred: np.ndarray, gt: np.ndarray) -> float:
 def sample_polyline_points(polylines: Sequence[Trajectory],
                            step: float = DEFAULT_SAMPLE_STEP) -> np.ndarray:
     """Points along each polyline at a fixed arc-length step (endpoints included)."""
-    if step <= 0:
-        raise ContractError("step must be > 0")
+    if not step > 0:
+        raise ContractError(f"step must be > 0, got {step}")
     chunks = []
     for poly in polylines:
         pts = poly.points

@@ -136,8 +136,9 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
     m = len(ts)
     if k <= 0 or k > m:
         raise ContractError(f"k must be in [1, {m}], got {k}")
-    if tol <= 0 or max_iter < 1:
-        raise ContractError("tol must be > 0 and max_iter >= 1")
+    if not tol > 0 or max_iter < 1:
+        raise ContractError(
+            f"tol must be > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     x = _embed(ts, r)
     rng = np.random.default_rng(seed)
     centers = x[rng.permutation(m)[:k]].copy()

@@ -247,6 +247,25 @@ def conv3x3_sliding_window(x, w, b):
     return out
 
 
+def fd_grad_loop(f, x, step):
+    """Central differences, one coordinate and two scalar calls f(x) at a time.
+
+    Perturbs x in place and restores each coordinate after use.
+    """
+    g = np.zeros_like(x, dtype=np.float64)
+    flat = x.ravel()
+    gflat = g.ravel()
+    for i in range(flat.size):
+        old = flat[i]
+        flat[i] = old + step
+        fp = f(x)
+        flat[i] = old - step
+        fm = f(x)
+        flat[i] = old
+        gflat[i] = (fp - fm) / (2.0 * step)
+    return g
+
+
 def sign_test_p_value(wins, n):
     """One-sided sign test: P(X >= wins) for X ~ Binomial(n, 1/2)."""
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2.0 ** n

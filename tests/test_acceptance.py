@@ -177,7 +177,7 @@ def test_criterion_6_warp_kernel():
 
 
 def test_criterion_7_gradient_checks(tmp_path):
-    worst = max(finite_difference_check(seed) for seed in range(50))
+    worst = max(max(finite_difference_check(seed).values()) for seed in range(50))
     # CLI --check-grads path
     d = tmp_path / "scene"
     cli_main(["synth", "--seed", "0", "--lanes", "2", "--per-lane", "2",

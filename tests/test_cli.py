@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from trajprior import tensorio
+from trajprior import fusion, tensorio
 from trajprior.cli import main
 from trajprior.raster import heatmap_to_feature
 
@@ -133,6 +133,38 @@ class TestFuse:
         assert sidecar["grad_check_max_rel_err"] < 1e-5
         assert 0.0 <= sidecar["mean_alpha"] <= 1.0
 
+    def test_check_grads_reports_every_adjoint(self, fused_inputs, tmp_path,
+                                               capsys):
+        bev, prior, params = fused_inputs
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "fused.tp", "--check-grads") == 0
+        sidecar = json.loads((tmp_path / "fused.tp.json").read_text())
+        per_output = sidecar["grad_check_rel_err"]
+        assert len(per_output) == 16 and "fuse.d_lb" in per_output
+        assert sidecar["grad_check_max_rel_err"] == max(per_output.values())
+        worst = max(per_output, key=per_output.get)
+        assert f"({worst})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("wrong", [lambda d_la: d_la,
+                                       lambda d_la: np.full_like(d_la, np.nan)],
+                             ids=["sign", "nan"])
+    def test_wrong_adjoint_exit_3_names_it(self, wrong, fused_inputs, tmp_path,
+                                           capsys, monkeypatch):
+        right = fusion.confidence_fuse_grad
+
+        def wrong_d_lb(*args):
+            d_bev, d_prior, d_la, _ = right(*args)
+            return d_bev, d_prior, d_la, wrong(d_la)
+
+        monkeypatch.setattr(fusion, "confidence_fuse_grad", wrong_d_lb)
+        bev, prior, params = fused_inputs
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "fused.tp", "--check-grads") == 3
+        err = capsys.readouterr().err
+        assert "fuse.d_lb" in err and "Traceback" not in err
+        sidecar = json.loads((tmp_path / "fused.tp.json").read_text())
+        assert sidecar["grad_check_rel_err"]["fuse.d_lb"] > 1e-4
+
     def test_mismatched_shapes_exit_2(self, fused_inputs, tmp_path):
         bev, _, params = fused_inputs
         small = tmp_path / "small.tp"
@@ -259,6 +291,29 @@ def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "Traceback" not in err
+
+
+# (subcommand, NaN flag, the checked name the error must give)
+NAN_FLAGS = {
+    "ingest": ("ingest", "--min-length", "min_length_m must be >= 0, got nan"),
+    "cluster": ("cluster", "--tol", "tol must be > 0 and max_iter >= 1, got tol=nan"),
+    "eval": ("eval", "--sample-step", "step must be > 0, got nan"),
+}
+
+
+@pytest.mark.parametrize("command,flag,message", NAN_FLAGS.values(),
+                         ids=NAN_FLAGS.keys())
+def test_nan_flag_exit_2_names_value(command, flag, message, scene, tmp_path,
+                                     capsys):
+    inputs = {"ingest": ["--input", scene / "trajectories.jsonl"],
+              "cluster": ["--input", scene / "trajectories.jsonl", "--k", 2],
+              "eval": ["--pred", scene / "trajectories.jsonl",
+                       "--gt", scene / "centerlines.jsonl"]}
+    assert run(command, *inputs[command], flag, "nan",
+               "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert message in err and "nan" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestGridCap:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from trajprior import fusion
 from trajprior.core import ContractError, FeatureMap, GridSpec
 from trajprior.fusion import (ConfidenceLogits, FusionParams, OffsetField,
                               OffsetParams, add_prior, compute_logits,
@@ -10,7 +13,7 @@ from trajprior.fusion import (ConfidenceLogits, FusionParams, OffsetField,
                               predict_offsets, predict_offsets_grad,
                               random_params, warp, warp_grad)
 
-from oracles import conv3x3_sliding_window
+from oracles import conv3x3_sliding_window, fd_grad_loop
 
 
 def small_spec(h=6, w=7):
@@ -271,7 +274,7 @@ class TestPredictOffsets:
 class TestGradients:
     def test_finite_difference_check_small(self):
         for seed in range(5):
-            assert finite_difference_check(seed) < 1e-5
+            assert max(finite_difference_check(seed).values()) < 1e-5
 
     def test_bilinear_weight_sum_interior(self):
         rng = np.random.default_rng(20)
@@ -281,6 +284,98 @@ class TestGradients:
         out = warp(ones, off).data[:, :, 0]
         # in-bounds samples: the four weights sum to 1 exactly
         assert np.allclose(out[:-1, :-1], 1.0, atol=1e-12)
+
+    def test_every_adjoint_output_reported(self):
+        assert sorted(finite_difference_check(0)) == sorted(ADJOINT_OUTPUTS)
+
+    def test_wrong_adjoint_is_named(self, monkeypatch):
+        monkeypatch.setattr(fusion, "confidence_fuse_grad", wrong_d_lb)
+        errs = finite_difference_check(0)
+        assert errs["fuse.d_lb"] > 1e-4
+        assert max(errs, key=errs.get) == "fuse.d_lb"
+
+
+ADJOINT_OUTPUTS = [
+    "warp.d_prior", "warp.d_off",
+    "fuse.d_bev", "fuse.d_prior", "fuse.d_la", "fuse.d_lb",
+    "logits.d_bev", "logits.d_prior", "logits.d_weight", "logits.d_bias",
+    "offsets.d_bev", "offsets.d_prior", "offsets.d_w1", "offsets.d_b1",
+    "offsets.d_w2", "offsets.d_b2",
+]
+
+
+def wrong_d_lb(bev, prior_aligned, logits, upstream):
+    """confidence_fuse_grad with the sign of d_lambda_b flipped."""
+    d_bev, d_prior, d_la, _ = confidence_fuse_grad(bev, prior_aligned, logits,
+                                                   upstream)
+    return d_bev, d_prior, d_la, d_la
+
+
+def scalar_losses(inst):
+    """The eight losses the per-coordinate check evaluated, one input at a
+    time through the public functions."""
+    bev, prior, off = inst["bev"], inst["prior"], inst["off"]
+    op, fp, logits = inst["op"], inst["fp"], inst["logits"]
+    up_fm, up_off, up_l = inst["up_fm"], inst["up_off"], inst["up_l"]
+    spec = bev.spec
+
+    def logit_loss(bev_data=None, weight=None):
+        b = FeatureMap(spec, bev_data) if bev_data is not None else bev
+        p = FusionParams(weight, fp.bias) if weight is not None else fp
+        lg = compute_logits(b, prior, p)
+        return float((lg.lambda_a * up_l).sum() - (lg.lambda_b * up_l).sum())
+
+    def off_loss(bev_data=None, w1=None):
+        b = FeatureMap(spec, bev_data) if bev_data is not None else bev
+        p = OffsetParams(w1 if w1 is not None else op.w1, op.b1, op.w2, op.b2)
+        return float((predict_offsets(b, prior, p).offsets * up_off).sum())
+
+    return {
+        "warp.d_prior": lambda x: float(
+            (warp(FeatureMap(spec, x), off).data * up_fm).sum()),
+        "warp.d_off": lambda x: float(
+            (warp(prior, OffsetField(spec, x)).data * up_fm).sum()),
+        "fuse.d_bev": lambda x: float(
+            (confidence_fuse(FeatureMap(spec, x), prior, logits).data * up_fm).sum()),
+        "fuse.d_la": lambda x: float((confidence_fuse(
+            bev, prior, ConfidenceLogits(spec, x, logits.lambda_b)).data * up_fm).sum()),
+        "logits.d_bev": lambda x: logit_loss(bev_data=x),
+        "logits.d_weight": lambda x: logit_loss(weight=x),
+        "offsets.d_bev": lambda x: off_loss(bev_data=x),
+        "offsets.d_w1": lambda x: off_loss(w1=x),
+    }
+
+
+class TestBatchedFiniteDifferences:
+    def test_bit_identical_to_per_coordinate_loop(self):
+        for seed in range(20):
+            inst = fusion._grad_check_instance(seed, 5, 6, 3, 4)
+            losses = scalar_losses(inst)
+            rows = {name: (f, x) for name, _, f, x in fusion._grad_check_table(inst)}
+            for name, loss in losses.items():
+                f, x = rows[name]
+                batched = fusion._fd_grad(f, x, 1e-6)
+                assert np.array_equal(batched, fd_grad_loop(loss, x.copy(), 1e-6)), \
+                    (seed, name)
+
+    @pytest.mark.parametrize("budget", [1, 200])
+    def test_chunking_does_not_change_result(self, monkeypatch, budget):
+        want = finite_difference_check(3)
+        monkeypatch.setattr(fusion, "_FD_CHUNK_VALUES", budget)
+        assert finite_difference_check(3) == want
+
+    def test_peak_memory_bounded_by_chunks(self):
+        # unchunked, this instance stacks 2048 copies of each 16x16x4 input
+        # and peaks at about 150 MB
+        tracemalloc.start()
+        try:
+            errs = finite_difference_check(0, height=16, width=16, channels=4,
+                                           hidden=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(errs.values()) < 1e-5
+        assert peak < 24 * 2 ** 20
 
 
 class TestPipeline:
