@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ingest.ParseError, ContractError, FileNotFoundError, ValueError) as e:
+    except (ingest.ParseError, ContractError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,14 @@ import numpy as np
 # arrays, so 1e7 cells keep it near 400 MB.
 MAX_CELLS = 10_000_000
 
+# Largest |coordinate| in metres of any point. Differences, squared lengths
+# and arc lengths of such points stay far from float64 overflow.
+MAX_COORD = 1e7
+
+# Most points one `metrics.sample_polyline_points` call may return: 16 bytes
+# each, and `eval` samples each of its two inputs once.
+MAX_SAMPLES = 10_000_000
+
 
 class ContractError(ValueError):
     """An operation was called with inputs that violate its contract."""
@@ -33,8 +41,9 @@ def _as_points(points) -> np.ndarray:
         raise ContractError(f"points must be numbers: {e}") from e
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ContractError(f"expected (n, 2) point array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ContractError("points must be finite")
+    if not np.all(np.abs(arr) <= MAX_COORD):
+        raise ContractError(f"points must be finite with |coordinate| <= "
+                            f"MAX_COORD={MAX_COORD:g}")
     return arr
 
 

@@ -6,7 +6,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import CenterlineMap, ContractError, GridSpec, Trajectory, TrajectorySet
+from .core import (MAX_SAMPLES, CenterlineMap, ContractError, GridSpec, Trajectory,
+                   TrajectorySet)
 from .raster import chunked_repeat, rasterize_polylines
 
 DEFAULT_LINE_WIDTH = 0.75  # meters
@@ -158,16 +159,21 @@ def sample_polyline_points(polylines: Sequence[Trajectory],
     if not step > 0:
         raise ContractError(f"step must be > 0, got {step}")
     chunks = []
+    count = 0.0  # counted in float so an oversized request cannot overflow
     for poly in polylines:
         pts = poly.points
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         s = np.concatenate([[0.0], np.cumsum(seg)])
         total = s[-1]
+        n = 1.0 if total == 0.0 else max(2.0, np.floor(total / step) + 1.0)
+        count += n
+        if count > MAX_SAMPLES:
+            raise ContractError(f"sampling at step {step} needs more than "
+                                f"MAX_SAMPLES={MAX_SAMPLES} points")
         if total == 0.0:
             chunks.append(pts[:1])
             continue
-        n = max(2, int(np.floor(total / step)) + 1)
-        targets = np.linspace(0.0, total, n)
+        targets = np.linspace(0.0, total, int(n))
         x = np.interp(targets, s, pts[:, 0])
         y = np.interp(targets, s, pts[:, 1])
         chunks.append(np.column_stack([x, y]))

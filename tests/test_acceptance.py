@@ -13,8 +13,8 @@ import pytest
 from trajprior import tensorio
 from trajprior.cli import main as cli_main
 from trajprior.core import GridSpec, Trajectory, TrajectorySet
-from trajprior.fusion import ConfidenceLogits, confidence_weights, \
-    finite_difference_check
+from trajprior.fusion import confidence_fuse, confidence_weights, \
+    finite_difference_check, warp
 from trajprior.ingest import IngestConfig, filter_by_length, smooth_set, \
     synth_scene
 from trajprior.metrics import ae_dist, ae_type, iou, prior_iou, \
@@ -149,27 +149,20 @@ def test_criterion_5_heatmap_invariants():
 
 
 def test_criterion_6_warp_kernel():
-    from trajprior.core import FeatureMap
-    from trajprior.fusion import OffsetField, warp
     rng = np.random.default_rng(105)
-    spec = GridSpec(0, 9, 0, 8, 1, 1)
-    prior = FeatureMap(spec, rng.normal(0, 1, spec.shape + (3,)))
-    zero = OffsetField(spec, np.zeros(spec.shape + (2,)))
-    identity = np.array_equal(warp(prior, zero).data, prior.data)
+    shape = (h, w) = (8, 9)
+    prior = rng.normal(0, 1, shape + (3,))
+    identity = np.array_equal(warp(prior, np.zeros(shape + (2,))), prior)
 
-    h, w = spec.shape
     field = 1.3 * np.arange(h)[:, None] + 0.4 * np.arange(w)[None, :] - 2.0
-    affine = FeatureMap(spec, field[:, :, None])
-    off = OffsetField(spec, np.stack([np.full(spec.shape, 0.375),
-                                      np.full(spec.shape, 0.625)], axis=2))
-    got = warp(affine, off).data[:-1, :-1, 0]
+    off = np.stack([np.full(shape, 0.375), np.full(shape, 0.625)], axis=2)
+    got = warp(field[:, :, None], off)[:-1, :-1, 0]
     want = (1.3 * (np.arange(h)[:, None] + 0.375)
             + 0.4 * (np.arange(w)[None, :] + 0.625) - 2.0)[:-1, :-1]
     affine_ok = np.allclose(got, want, atol=1e-12)
 
-    ones = FeatureMap(spec, np.ones(spec.shape + (1,)))
-    off_r = OffsetField(spec, rng.uniform(0.05, 0.95, spec.shape + (2,)))
-    sums = warp(ones, off_r).data[:-1, :-1, 0]
+    off_r = rng.uniform(0.05, 0.95, shape + (2,))
+    sums = warp(np.ones(shape + (1,)), off_r)[:-1, :-1, 0]
     weight_sum_ok = np.allclose(sums, 1.0, atol=1e-12)
     report(6, identity and affine_ok and weight_sum_ok,
            f"(identity {identity}, affine {affine_ok}, "
@@ -200,27 +193,21 @@ def test_criterion_8_confidence_fusion():
     rng = np.random.default_rng(106)
     n = 1_000_000
     side = (1000, 1000)
-    spec = GridSpec(0, side[1], 0, side[0], 1, 1)
     la = rng.uniform(-1e4, 1e4, side)
     lb = rng.uniform(-1e4, 1e4, side)
-    alpha, beta = confidence_weights(ConfidenceLogits(spec, la, lb))
+    alpha, beta = confidence_weights(la, lb)
     ulp_ok = bool(np.all(np.abs(alpha + beta - 1.0) <= np.spacing(1.0)))
     finite_ok = bool(np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta)))
-    eq_spec = GridSpec(0, 2, 0, 2, 1, 1)
-    a_eq, b_eq = confidence_weights(ConfidenceLogits(
-        eq_spec, np.full((2, 2), 3.0), np.full((2, 2), 3.0)))
+    a_eq, b_eq = confidence_weights(np.full((2, 2), 3.0), np.full((2, 2), 3.0))
     equal_ok = bool(np.all(a_eq == 0.5) and np.all(b_eq == 0.5))
 
-    from trajprior.core import FeatureMap
-    from trajprior.fusion import confidence_fuse
-    small = GridSpec(0, 6, 0, 5, 1, 1)
-    bev = FeatureMap(small, rng.normal(0, 1, small.shape + (3,)))
-    prior = FeatureMap(small, rng.normal(0, 1, small.shape + (3,)))
-    logits = ConfidenceLogits(small, rng.normal(0, 3, small.shape),
-                              rng.normal(0, 3, small.shape))
-    out = confidence_fuse(bev, prior, logits).data
-    lo = np.minimum(bev.data, prior.data)
-    hi = np.maximum(bev.data, prior.data)
+    small = (5, 6)
+    bev = rng.normal(0, 1, small + (3,))
+    prior = rng.normal(0, 1, small + (3,))
+    out = confidence_fuse(bev, prior, rng.normal(0, 3, small),
+                          rng.normal(0, 3, small))
+    lo = np.minimum(bev, prior)
+    hi = np.maximum(bev, prior)
     bounded = bool(np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12))
     report(8, ulp_ok and finite_ok and equal_ok and bounded,
            f"({n} pairs within 1 ulp: {ulp_ok}; no overflow: {finite_ok}; "

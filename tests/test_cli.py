@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,32 @@ class TestFuse:
                    "--out", tmp_path / "f.tp") == 2
         assert "past the end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,index,bad", [("off_w2", (1, 0, 2, 2), np.nan),
+                                                ("logit_weight", (0, 3), np.inf)],
+                             ids=["nan-off_w2", "inf-logit_weight"])
+    def test_nonfinite_params_exit_2(self, name, index, bad, fused_inputs, tmp_path,
+                                     capsys):
+        bev, prior, params = fused_inputs
+        tensors, meta = tensorio.load_tensors(params)
+        tensors[name] = tensors[name].copy()
+        tensors[name][index] = bad
+        tensorio.save_tensors(params, tensors, meta)
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "f.tp") == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "f.tp").exists()
+
+
+class TestGenParams:
+    @pytest.mark.parametrize("flag", ["--channels", "--hidden"])
+    def test_empty_dimension_exit_2(self, flag, tmp_path, capsys):
+        out = tmp_path / "p.tp"
+        assert run("gen-params", flag, 0, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_perfect_match(self, scene, tmp_path, capsys):
@@ -344,3 +371,46 @@ class TestSynth:
                    "--noise", 0, "--out-dir", d) == 0
         lines = (d / "trajectories.jsonl").read_text().strip().splitlines()
         assert len(lines) == 31  # header + 30 records
+
+
+def test_directory_input_exit_2_names_path(tmp_path, capsys):
+    assert run("ingest", "--input", tmp_path, "--out", tmp_path / "o.jsonl") == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
+HUGE = '{"id": "h", "points": [[0, 0], [1e308, 1e308], [-1e308, -1e308]]}\n'
+
+
+@pytest.mark.parametrize("command", ["ingest", "rasterize", "eval"])
+def test_huge_coordinates_exit_2(command, tmp_path, capsys):
+    bad = tmp_path / "huge.jsonl"
+    bad.write_text(HUGE)
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(GOOD_CL)
+    inputs = {"ingest": ["--input", bad], "rasterize": ["--input", bad],
+              "eval": ["--pred", bad, "--gt", gt]}
+    assert run(command, *inputs[command], "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "line 1:" in err and "MAX_COORD" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# 2e7 m at these steps asks for 2e16 and 2e307 points: without the cap the
+# allocation fails at once, so a regression cannot exhaust memory
+@pytest.mark.parametrize("step", ["1e-9", "1e-300"])
+def test_oversized_sample_request_exit_2(step, tmp_path, capsys):
+    pred = tmp_path / "far.jsonl"
+    pred.write_text('{"id": "f", "points": [[-1e7, 0], [1e7, 0]]}\n')
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(GOOD_CL)
+    tracemalloc.start()
+    try:
+        code = run("eval", "--pred", pred, "--gt", gt, "--sample-step", step,
+                   "--out", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 16 * 2 ** 20
+    err = capsys.readouterr().err
+    assert "MAX_SAMPLES" in err and "Traceback" not in err

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from trajprior.core import MAX_CELLS, ContractError, GridSpec, Trajectory, fold_axial
+from trajprior.core import (MAX_CELLS, MAX_COORD, ContractError, GridSpec, Trajectory,
+                           fold_axial)
 
 
 class TestGridSpec:
@@ -52,6 +53,13 @@ class TestTrajectory:
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
             Trajectory("x", [[0.0, 0.0], [float("nan"), 1.0]])
+
+    def test_coordinates_bounded(self):
+        edge = Trajectory("e", [[-MAX_COORD, 0.0], [0.0, MAX_COORD]])
+        assert edge.arc_length == pytest.approx(MAX_COORD * math.sqrt(2.0))
+        for bad in (np.nextafter(MAX_COORD, np.inf), -1e308, float("inf")):
+            with pytest.raises(ContractError, match="MAX_COORD"):
+                Trajectory("x", [[0.0, 0.0], [1.0, bad]])
 
     def test_arc_length(self):
         t = Trajectory("L", [[0, 0], [1, 0], [1, 1]])
