@@ -111,6 +111,9 @@ class GridSpec:
         _require(math.isfinite((self.x_max - self.x_min) / self.cell_dx
                                * ((self.y_max - self.y_min) / self.cell_dy)),
                  "grid extent must be finite")
+        _require(self.height >= 1 and self.width >= 1,
+                 f"grid needs at least one cell per axis, got "
+                 f"{self.height} x {self.width} cells")
         _require(self.height * self.width <= MAX_CELLS,
                  f"grid of {self.height} x {self.width} cells exceeds "
                  f"MAX_CELLS={MAX_CELLS}")

@@ -9,6 +9,16 @@ an output bias, that the gradient does not depend on) plus the gradient
 w.r.t. the stage's output, for one (H, W, C) instance. The stages do not
 validate: `fuse_pipeline` is the one checked boundary.
 
+`predict_offsets` is two 3x3 convolutions. `_conv3x3` pads x (..., H, W, C)
+once, by one row above, two below and one column either side, and flattens
+it to (..., (H+3)(W+2), C). Tap (i, j) is then the contiguous slice of
+H(W+2) rows starting at i(W+2)+j, so the convolution is nine BLAS matmuls of
+those slices with the tap's weights; the two columns of each output row that
+read across the row wrap are dropped. `_conv3x3_grad` uses the same slices
+against a zero-padded upstream gradient. No 3x3 patch tensor is built: a
+9C-wide copy of every stacked input would multiply the memory of the
+finite-difference check.
+
 `finite_difference_check` compares all 16 adjoint outputs with central
 differences. For each checked input x of n values it stacks the 2n points
 x ± step·eᵢ on a leading axis, at most `_FD_CHUNK_VALUES` values per stack,
@@ -80,6 +90,9 @@ class OffsetParams:
 def random_params(seed: int, channels: int, hidden: int = 8,
                   scale: float = 0.1) -> Tuple[OffsetParams, FusionParams]:
     """Seeded random parameters for tests and synthetic pipelines."""
+    if channels < 1 or hidden < 1:
+        raise ContractError(f"channels and hidden must be >= 1, got "
+                            f"channels={channels} hidden={hidden}")
     rng = np.random.default_rng(seed)
     c2 = 2 * channels
     op = OffsetParams(
@@ -112,29 +125,56 @@ def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                            np.broadcast_to(b, batch + b.shape[-3:])], axis=-1)
 
 
+def _flat_padded(x: np.ndarray) -> np.ndarray:
+    """x (..., H, W, C) zero-padded by one row above, two below and one
+    column either side, flattened to (..., (H+3)(W+2), C)."""
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 3) + ((1, 2), (1, 1), (0, 0)))
+    return xp.reshape(x.shape[:-3] + (-1, x.shape[-1]))
+
+
+def _taps(w: np.ndarray) -> np.ndarray:
+    """w (..., O, C, 3, 3) as contiguous (..., 3, 3, O, C) BLAS operands."""
+    return np.ascontiguousarray(np.moveaxis(w, (-2, -1), (-4, -3)))
+
+
 def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     h, wd = x.shape[-3:-1]
-    xp = np.pad(x, ((0, 0),) * (x.ndim - 3) + ((1, 1), (1, 1), (0, 0)))
+    row = wd + 2
+    n = h * row
+    flat = _flat_padded(x)
+    taps = _taps(w)
     out = np.zeros(np.broadcast_shapes(x.shape[:-3], w.shape[:-4])
-                   + (h, wd, w.shape[-4]))
+                   + (n, w.shape[-4]))
+    term = np.empty_like(out)
     for i in range(3):
         for j in range(3):
-            out += np.einsum("...hwc,...oc->...hwo",
-                             xp[..., i:i + h, j:j + wd, :], w[..., i, j])
+            s = i * row + j
+            np.matmul(flat[..., s:s + n, :],
+                      np.swapaxes(taps[..., i, j, :, :], -1, -2), out=term)
+            out += term
+    del flat, term  # lowers the peak at the bias add
+    # output column wd and wd+1 of each row read across the row wrap: drop them
+    out = out.reshape(out.shape[:-2] + (h, row, -1))[..., :wd, :]
     return out + b[..., None, None, :]
 
 
 def _conv3x3_grad(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     h, wd, _ = x.shape
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    d_xp = np.zeros_like(xp)
-    d_w = np.zeros_like(w)
+    row = wd + 2
+    n = h * row
+    flat = _flat_padded(x)
+    taps = _taps(w)
+    # zero rows at the two wrap-around columns keep them out of both sums
+    d = np.pad(d_out, ((0, 0), (0, 2), (0, 0))).reshape(n, -1)
+    d_flat = np.zeros_like(flat)
+    d_w = np.empty_like(w)
     for i in range(3):
         for j in range(3):
-            d_xp[i:i + h, j:j + wd, :] += np.einsum("hwo,oc->hwc", d_out, w[:, :, i, j])
-            d_w[:, :, i, j] = np.einsum("hwo,hwc->oc", d_out, xp[i:i + h, j:j + wd, :])
-    d_b = d_out.sum(axis=(0, 1))
-    return d_xp[1:1 + h, 1:1 + wd, :], d_w, d_b
+            s = i * row + j
+            d_flat[s:s + n] += d @ taps[i, j]
+            d_w[:, :, i, j] = d.T @ flat[s:s + n]
+    d_x = d_flat.reshape(h + 3, row, -1)[1:1 + h, 1:1 + wd, :]
+    return d_x, d_w, d_out.sum(axis=(0, 1))
 
 
 def predict_offsets(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
@@ -262,11 +302,15 @@ def fuse_pipeline(bev: FeatureMap, prior: FeatureMap,
         raise ContractError(f"offset conv expects {op.w1.shape[1]} channels, got {c2}")
     if fp.weight.shape[1] != c2:
         raise ContractError(f"fusion weight expects {fp.weight.shape[1]} channels, got {c2}")
-    off = _finite("offsets", predict_offsets(_concat(bev.data, prior.data),
-                                              op.w1, op.b1, op.w2, op.b2))
+    # huge finite parameters may overflow; `_finite` reports that as the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = predict_offsets(_concat(bev.data, prior.data),
+                              op.w1, op.b1, op.w2, op.b2)
+    off = _finite("offsets", off)
     aligned = warp(prior.data, off)
-    logits = _finite("logits", compute_logits(_concat(bev.data, aligned),
-                                              fp.weight, fp.bias))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = compute_logits(_concat(bev.data, aligned), fp.weight, fp.bias)
+    logits = _finite("logits", logits)
     la, lb = logits[..., 0], logits[..., 1]
     fused = FeatureMap(bev.spec, confidence_fuse(bev.data, aligned, la, lb))
     stats = {

@@ -226,6 +226,8 @@ def synth_scene(seed: int, lanes: int, per_lane: int,
     """
     if lanes < 1 or per_lane < 1:
         raise ContractError("lanes and per_lane must be >= 1")
+    if not (0 <= noise_sigma < math.inf):
+        raise ContractError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     spec = spec or GridSpec()
     rng = np.random.default_rng(seed)
     margin_x = 0.02 * (spec.x_max - spec.x_min)

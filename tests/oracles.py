@@ -247,6 +247,34 @@ def conv3x3_sliding_window(x, w, b):
     return out
 
 
+def conv3x3_taps(x, w, b):
+    """3x3 zero-padded correlation as nine einsum taps on (..., H, W, C)
+    arrays, stacked over leading axes of x, w and b."""
+    h, wd = x.shape[-3:-1]
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 3) + ((1, 1), (1, 1), (0, 0)))
+    out = np.zeros(np.broadcast_shapes(x.shape[:-3], w.shape[:-4])
+                   + (h, wd, w.shape[-4]))
+    for i in range(3):
+        for j in range(3):
+            out += np.einsum("...hwc,...oc->...hwo",
+                             xp[..., i:i + h, j:j + wd, :], w[..., i, j])
+    return out + b[..., None, None, :]
+
+
+def conv3x3_grad_taps(x, w, d_out):
+    """Adjoint of conv3x3_taps for one (H, W, C) instance: (d_x, d_w, d_b)."""
+    h, wd, _ = x.shape
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    d_xp = np.zeros_like(xp)
+    d_w = np.zeros_like(w)
+    for i in range(3):
+        for j in range(3):
+            d_xp[i:i + h, j:j + wd, :] += np.einsum("hwo,oc->hwc", d_out, w[:, :, i, j])
+            d_w[:, :, i, j] = np.einsum("hwo,hwc->oc", d_out, xp[i:i + h, j:j + wd, :])
+    d_b = d_out.sum(axis=(0, 1))
+    return d_xp[1:1 + h, 1:1 + wd, :], d_w, d_b
+
+
 def fd_grad_loop(f, x, step):
     """Central differences, one coordinate and two scalar calls f(x) at a time.
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ class TestFuse:
         assert "must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "f.tp").exists()
 
+    @pytest.mark.parametrize("name,what", [("off_w2", "offsets"),
+                                           ("logit_weight", "logits")],
+                             ids=["offsets", "logits"])
+    def test_overflowing_params_exit_2_one_line(self, name, what, fused_inputs,
+                                                tmp_path, capsys):
+        bev, prior, params = fused_inputs
+        tensors, meta = tensorio.load_tensors(params)
+        tensors[name] = np.full_like(tensors[name], 1e308)
+        tensorio.save_tensors(params, tensors, meta)
+        # record warnings: outside pytest numpy's would go to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                       "--out", tmp_path / "f.tp")
+        assert code == 2 and not caught
+        assert capsys.readouterr().err == f"error: {what} must be finite\n"
+        assert not (tmp_path / "f.tp").exists()
+
 
 class TestGenParams:
     @pytest.mark.parametrize("flag", ["--channels", "--hidden"])
@@ -343,6 +362,28 @@ def test_nan_flag_exit_2_names_value(command, flag, message, scene, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+# (argv before the output path, the checked name and value the error must give)
+BAD_GENERATOR_ARGS = {
+    "synth-noise-nan": (["synth", "--noise", "nan", "--out-dir"],
+                        "noise_sigma must be finite and >= 0, got nan"),
+    "synth-noise-inf": (["synth", "--noise", "inf", "--out-dir"],
+                        "noise_sigma must be finite and >= 0, got inf"),
+    "gen-params-channels": (["gen-params", "--channels", -1, "--out"],
+                            "channels and hidden must be >= 1, got channels=-1"),
+    "gen-params-hidden": (["gen-params", "--hidden", -3, "--out"],
+                          "got channels=2 hidden=-3"),
+}
+
+
+@pytest.mark.parametrize("argv,message", BAD_GENERATOR_ARGS.values(),
+                         ids=BAD_GENERATOR_ARGS.keys())
+def test_bad_generator_arg_exit_2_names_value(argv, message, tmp_path, capsys):
+    assert run(*argv, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestGridCap:
     @pytest.mark.parametrize("command", ["eval", "rasterize"])
     def test_oversized_grid_exit_2(self, command, scene, tmp_path, capsys):
@@ -353,6 +394,14 @@ class TestGridCap:
                    "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "MAX_CELLS" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "1e300"])
+    def test_empty_grid_exit_2(self, cell, scene, tmp_path, capsys):
+        assert run("rasterize", "--input", scene / "trajectories.jsonl",
+                   "--cell", cell, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "at least one cell" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

@@ -27,6 +27,13 @@ class TestGridSpec:
         with pytest.raises(ContractError):
             GridSpec(0, math.inf, 0, 1, 1, 1)
 
+    @pytest.mark.parametrize("cell", [math.inf, 1e300])
+    def test_at_least_one_cell_per_axis(self, cell):
+        with pytest.raises(ContractError, match="at least one cell"):
+            GridSpec(cell_dx=cell)
+        with pytest.raises(ContractError, match="at least one cell"):
+            GridSpec(cell_dy=cell)
+
     def test_roundtrip_dict(self):
         spec = GridSpec(-1, 3, 0, 2, 0.25, 0.5)
         assert GridSpec.from_dict(spec.to_dict()) == spec

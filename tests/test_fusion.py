@@ -11,7 +11,8 @@ from trajprior.fusion import (FusionParams, OffsetParams, add_prior, compute_log
                               fuse_pipeline, predict_offsets, random_params, warp,
                               warp_grad)
 
-from oracles import conv3x3_sliding_window, fd_grad_loop
+from oracles import (conv3x3_grad_taps, conv3x3_sliding_window, conv3x3_taps,
+                     fd_grad_loop)
 
 SHAPE = (6, 7)
 
@@ -244,6 +245,59 @@ class TestPredictOffsets:
             fuse_pipeline(random_fm(rng, spec, 2), random_fm(rng, spec, 2), op, fp)
 
 
+def rel_diff(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+# (H, W, C, O): single rows and columns, one channel, odd sizes
+CONV_SHAPES = [(1, 1, 1, 1), (1, 5, 2, 3), (4, 1, 3, 2), (5, 7, 1, 4),
+               (3, 4, 6, 8), (7, 3, 4, 2)]
+
+
+def conv_operands(rng, h, w, c, o, x_batch=(), w_batch=(), b_batch=()):
+    return (rng.normal(0, 1, x_batch + (h, w, c)),
+            rng.normal(0, 1, w_batch + (o, c, 3, 3)),
+            rng.normal(0, 1, b_batch + (o,)))
+
+
+class TestConv3x3:
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_forward_matches_taps_oracle(self, shape):
+        x, w, b = conv_operands(np.random.default_rng(26), *shape)
+        got = fusion._conv3x3(x, w, b)
+        assert got.shape == shape[:2] + (shape[3],)
+        assert rel_diff(got, conv3x3_taps(x, w, b)) < 1e-12
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_adjoint_matches_taps_oracle(self, shape):
+        rng = np.random.default_rng(27)
+        x, w, _ = conv_operands(rng, *shape)
+        d_out = rng.normal(0, 1, shape[:2] + (shape[3],))
+        got = fusion._conv3x3_grad(x, w, d_out)
+        want = conv3x3_grad_taps(x, w, d_out)
+        for g, wnt in zip(got, want):
+            assert g.shape == wnt.shape and rel_diff(g, wnt) < 1e-12
+
+    @pytest.mark.parametrize("batches", [((3,), (), ()), ((), (3,), ()),
+                                         ((), (), (3,)), ((2, 3), (3,), (1, 3))],
+                             ids=["x", "w", "b", "all"])
+    def test_stacked_matches_taps_oracle(self, batches):
+        x, w, b = conv_operands(np.random.default_rng(28), 4, 5, 2, 3, *batches)
+        got = fusion._conv3x3(x, w, b)
+        want = conv3x3_taps(x, w, b)
+        assert got.shape == want.shape and rel_diff(got, want) < 1e-12
+
+    def test_stacked_equals_per_row_calls(self):
+        # the batched finite-difference check relies on this bit for bit
+        x, w, b = conv_operands(np.random.default_rng(29), 5, 6, 8, 4,
+                                x_batch=(7,), w_batch=(7,))
+        by_x = fusion._conv3x3(x, w[0], b)
+        by_w = fusion._conv3x3(x[0], w, b)
+        for k in range(7):
+            assert np.array_equal(by_x[k], fusion._conv3x3(x[k], w[0], b))
+            assert np.array_equal(by_w[k], fusion._conv3x3(x[0], w[k], b))
+
+
 class TestParams:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
@@ -418,6 +472,21 @@ class TestPipeline:
         assert np.array_equal(fused.data, confidence_fuse(bev.data, aligned,
                                                           lg[..., 0], lg[..., 1]))
         assert stats["offset_abs_max"] == np.abs(off).max()
+
+    def test_peak_memory_at_cli_shape(self):
+        # the CLI's default grid, C=2 and hidden 8; an im2col rewrite that
+        # builds 3x3 patch tensors peaks above this
+        rng = np.random.default_rng(30)
+        spec = GridSpec()
+        bev, prior = random_fm(rng, spec, 2), random_fm(rng, spec, 2)
+        op, fp = random_params(0, 2, 8)
+        tracemalloc.start()
+        try:
+            fuse_pipeline(bev, prior, op, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(25)
