@@ -204,8 +204,10 @@ def _gather(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _warp_terms(off: np.ndarray, h: int, w: int):
     """Yield (weight, d_weight_d_row, d_weight_d_col, rows, cols, valid)
     for the four bilinear neighbors of each sample position."""
-    rows = np.arange(h)[:, None] + off[..., 0]
-    cols = np.arange(w)[None, :] + off[..., 1]
+    # Positions past one cell beyond the border have no valid neighbor either
+    # way; clipping them keeps the int64 cast in range for any finite offset.
+    rows = np.clip(np.arange(h)[:, None] + off[..., 0], -2, h + 1)
+    cols = np.clip(np.arange(w)[None, :] + off[..., 1], -2, w + 1)
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
     tr = rows - r0

@@ -5,8 +5,12 @@ dense sampling. None of it shares code with the library implementations.
 """
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from trajprior.core import Trajectory
+from trajprior.ingest import IngestConfig
 
 
 def frechet_by_enumeration(a, b):
@@ -297,3 +301,21 @@ def fd_grad_loop(f, x, step):
 def sign_test_p_value(wins, n):
     """One-sided sign test: P(X >= wins) for X ~ Binomial(n, 1/2)."""
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2.0 ** n
+
+
+def smooth_by_point_loop(t: Trajectory, cfg: IngestConfig) -> Trajectory:
+    """Centered moving average; endpoints use shrunken symmetric windows.
+
+    The window radius is clipped to the available neighbors on each side,
+    so the point count never changes and window=1 is the identity.
+    """
+    if cfg.smooth_window == 1:
+        return t
+    radius = cfg.smooth_window // 2
+    pts = t.points
+    n = len(pts)
+    out = np.empty_like(pts)
+    for i in range(n):
+        r = min(radius, i, n - 1 - i)
+        out[i] = pts[i - r:i + r + 1].mean(axis=0)
+    return replace(t, points=out)

@@ -321,6 +321,7 @@ MALFORMED = {
     "centerline-number": ("centerlines", GOOD_CL + "5\n", 2),
     "centerline-list": ("centerlines", GOOD_CL + '["centerlines"]\n', 2),
     "csv-nan": ("csv", "traj_id,seq,x,y\nt0,0,0,0\nt0,1,nan,1\n", 3),
+    "csv-huge": ("csv", "traj_id,seq,x,y\nt0,0,0,0\nt0,1,1e308,0\n", 3),
 }
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ class TestWarp:
         # interior: output(h, w) = prior(h+1, w); last row samples outside -> 0
         assert np.array_equal(out[:-1], prior[1:])
         assert np.all(out[-1] == 0.0)
+
+    @pytest.mark.parametrize("offset", [1e100, -1e19])
+    def test_offsets_beyond_int64_sample_nothing(self, offset):
+        data, off = np.ones((4, 5, 2)), np.full((4, 5, 2), offset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = warp(data, off)
+            d_data, d_off = warp_grad(data, off, np.ones_like(data))
+        assert np.all(out == 0.0)
+        assert not d_data.any() and not d_off.any()
 
     def test_affine_reproduction(self):
         h, w = 8, 9

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from oracles import smooth_by_point_loop
+from trajprior import cli, ingest
 from trajprior.core import ContractError, Trajectory, TrajectorySet
 from trajprior.ingest import (IngestConfig, ParseError, filter_by_length,
                               parse_centerlines, parse_trajectories,
                               retention_check, serialize_centerlines,
-                              serialize_trajectories, smooth, smooth_set,
-                              synth_scene)
+                              serialize_trajectories, smooth_set, synth_scene)
 
 
 def make_jsonl(records):
@@ -129,15 +130,21 @@ class TestFilterByLength:
         assert [t.id for t in once.trajectories] == [t.id for t in twice.trajectories]
 
 
+def smooth_one(t, window):
+    """smooth_set on the one-trajectory set of t."""
+    return smooth_set(TrajectorySet((t,)),
+                      IngestConfig(smooth_window=window)).trajectories[0]
+
+
 class TestSmooth:
     def test_window_one_is_identity(self):
         t = Trajectory("a", [[0, 0], [1, 5], [2, -3]])
-        out = smooth(t, IngestConfig(smooth_window=1))
+        out = smooth_one(t, 1)
         assert out is t
 
     def test_window_three_midpoint(self):
         t = Trajectory("a", [[0, 0], [1, 1], [2, 0]])
-        out = smooth(t, IngestConfig(smooth_window=3))
+        out = smooth_one(t, 3)
         assert np.allclose(out.points[1], [1.0, 1.0 / 3.0])
         # endpoints keep their position (shrunken window radius 0)
         assert np.array_equal(out.points[0], [0, 0])
@@ -145,7 +152,7 @@ class TestSmooth:
 
     def test_collinear_unchanged(self):
         t = Trajectory("a", np.column_stack([np.arange(10.0), 2 * np.arange(10.0)]))
-        out = smooth(t, IngestConfig(smooth_window=5))
+        out = smooth_one(t, 5)
         assert np.allclose(out.points, t.points, atol=1e-12)
 
     def test_point_count_preserved_and_finite(self):
@@ -153,13 +160,87 @@ class TestSmooth:
         for _ in range(20):
             n = int(rng.integers(2, 30))
             t = Trajectory("a", rng.normal(0, 100, (n, 2)))
-            out = smooth(t, IngestConfig(smooth_window=5))
+            out = smooth_one(t, 5)
             assert len(out) == n
             assert np.all(np.isfinite(out.points))
 
     def test_even_window_rejected(self):
         with pytest.raises(ContractError):
             IngestConfig(smooth_window=4)
+
+
+def labelled_set(rng, lengths):
+    """Random trajectories of the given lengths, labelled, with some -0.0."""
+    trajs = []
+    for i, n in enumerate(lengths):
+        pts = rng.normal(0.0, 50.0, (n, 2))
+        pts[rng.random((n, 2)) < 0.1] = -0.0
+        trajs.append(Trajectory(f"t{i}", pts, label=["x", i, None][i % 3]))
+    return TrajectorySet(tuple(trajs), "f", 3)
+
+
+WINDOWS = list(range(1, 16, 2)) + [201, 10**20 + 1]
+
+
+class TestSmoothMatchesPointLoop:
+    """smooth_set is bit-identical to averaging every window with np.mean."""
+
+    def assert_matches(self, ts, window):
+        cfg = IngestConfig(smooth_window=window)
+        out = smooth_set(ts, cfg)
+        assert (out.frame_id, out.centerline_count) == (ts.frame_id,
+                                                        ts.centerline_count)
+        assert len(out) == len(ts)
+        for got, t in zip(out.trajectories, ts.trajectories):
+            want = smooth_by_point_loop(t, cfg)
+            assert (got.id, got.label) == (t.id, t.label)
+            assert got.points.tobytes() == want.points.tobytes()
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_mixed_lengths(self, window):
+        rng = np.random.default_rng(window % 1000)
+        for _ in range(5):
+            m = int(rng.integers(1, 15))
+            self.assert_matches(labelled_set(rng, rng.integers(2, 41, m)), window)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_only_two_point_trajectories(self, window):
+        self.assert_matches(labelled_set(np.random.default_rng(1), [2] * 6), window)
+
+    @pytest.mark.parametrize("window", [3, 201, 1001, 10**20 + 1])
+    def test_long_beside_short(self, window):
+        rng = np.random.default_rng(2)
+        self.assert_matches(labelled_set(rng, [3, 2500, 7, 40, 2]), window)
+
+    def test_empty_set_and_window_one_keep_objects(self):
+        for window in (1, 5):
+            out = smooth_set(TrajectorySet((), "f", 2),
+                             IngestConfig(smooth_window=window))
+            assert len(out) == 0 and (out.frame_id, out.centerline_count) == ("f", 2)
+        ts = labelled_set(np.random.default_rng(3), [4, 9])
+        out = smooth_set(ts, IngestConfig(smooth_window=1))
+        assert all(a is b for a, b in zip(out.trajectories, ts.trajectories))
+
+
+def test_smooth_reached_once_through_module_attribute(monkeypatch, tmp_path):
+    """smooth_set makes one kernel call per set, looked up on the module at
+    call time, so a wrapper installed there (a tracer) times all smoothing."""
+    calls = []
+    kernel = ingest.smooth
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(ingest, "smooth", counting)
+    ts = labelled_set(np.random.default_rng(4), [5, 12, 30])
+    smooth_set(ts, IngestConfig(smooth_window=5))
+    assert calls == [3]
+    src = tmp_path / "in.jsonl"
+    src.write_text(serialize_trajectories(ts))
+    assert cli.main(["ingest", "--input", str(src), "--min-length", "0",
+                     "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert calls == [3, 3]
 
 
 class TestRetention:

@@ -1,0 +1,106 @@
+"""Seeded mutation fuzzing of `ingest`: every input exits 0 or 2, never a traceback.
+
+Each case mutates a valid JSONL or CSV file (truncation, flipped bytes,
+dropped keys or fields, wrong types, huge and non-finite numbers) and runs
+`cli.main(["ingest", ...])` in process. The mutations come from stdlib
+`random` seeded per case, so a failing case reruns alone from its number.
+"""
+import functools
+import json
+import random
+
+import pytest
+
+from trajprior import cli
+
+JSONL = "\n".join(json.dumps(r) for r in [
+    {"frame_id": "fuzz", "centerline_count": 1},
+    {"id": "a", "points": [[0.0, 0.0], [1.5, 0.2], [3.0, -0.1], [4.5, 0.3],
+                           [6.0, 0.0], [7.5, 0.1]], "type": "solid"},
+    {"id": "b", "points": [[0.0, 3.5], [2.0, 3.4], [4.0, 3.6], [6.0, 3.5]]},
+    {"id": "c", "points": [[-1.0, -3.5], [9.0, -3.5]], "type": 2},
+]) + "\n"
+CSV = "traj_id,seq,x,y\n" + "".join(
+    f"t{t},{s},{1.5 * s},{3.5 * t + 0.1 * (s % 3)}\n"
+    for t in range(3) for s in range(7))
+
+WINDOWS = (1, 3, 5, 9, 10**20 + 1)
+ODD_VALUES = (None, True, "x", "", [], {}, [[0, 0]], [[1, 2, 3], [4, 5, 6]],
+              0, -0.0, 7, 2.5, 1e308, -1e308, float("inf"), float("-inf"),
+              float("nan"), 10**400, -(10**400))
+ODD_FIELDS = ("", "x", "[1]", "1e308", "-1e308", "1e400", "nan", "inf", "-inf",
+              "9" * 400, "0x10", "1_0", " 3 ", "-0.0")
+CASES = 1200
+
+
+def mutate_value(rng, value):
+    """value with one nested entry replaced or dropped."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.75:
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        key = rng.choice(list(keys))
+        if rng.random() < 0.2:
+            del value[key]
+        else:
+            value[key] = mutate_value(rng, value[key])
+        return value
+    return rng.choice(ODD_VALUES)
+
+
+def mutate_jsonl(rng):
+    records = [json.loads(line) for line in JSONL.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(records))
+        records[i] = mutate_value(rng, records[i])
+    return "\n".join(json.dumps(r) for r in records) + "\n"
+
+
+def mutate_csv(rng):
+    rows = [line.split(",") for line in CSV.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        row = rows[rng.randrange(len(rows))]
+        if rng.random() < 0.15 and row:
+            del row[rng.randrange(len(row))]
+        elif row:
+            row[rng.randrange(len(row))] = rng.choice(ODD_FIELDS)
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def mutate(rng, fmt):
+    """(kind, bytes) of one mutated input file."""
+    base = JSONL if fmt == "jsonl" else CSV
+    kind = rng.choice(("truncate", "flip", "structure"))
+    if kind == "truncate":
+        return kind, base.encode()[:rng.randrange(len(base))]
+    if kind == "flip":
+        data = bytearray(base.encode())
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return kind, bytes(data)
+    text = mutate_jsonl(rng) if fmt == "jsonl" else mutate_csv(rng)
+    return kind, text.encode()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_mutated_input_exits_0_or_2(fmt, tmp_path, capsys, monkeypatch):
+    # The parser does not depend on the input; building it once per test
+    # instead of once per case keeps the cases inside the time budget.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    src, out = tmp_path / f"in.{fmt}", tmp_path / "out.jsonl"
+    codes = {0: 0, 2: 0}
+    for case in range(CASES // 2):
+        rng = random.Random(f"{fmt}-{case}")
+        kind, data = mutate(rng, fmt)
+        src.write_bytes(data)
+        window = rng.choice(WINDOWS)
+        argv = ["ingest", "--format", fmt, "--input", str(src),
+                "--smooth-window", str(window), "--out", str(out)]
+        try:
+            code = cli.main(argv)
+        except Exception as e:  # report the case, then fail on it
+            pytest.fail(f"case {case} ({kind}, window {window}) raised {e!r} "
+                        f"on {data[:300]!r}")
+        assert code in codes, f"case {case} ({kind}) exit {code} on {data[:300]!r}"
+        codes[code] += 1
+        capsys.readouterr()
+    # the mutations reach both outcomes, not only the parser's first check
+    assert min(codes.values()) >= CASES // 20
