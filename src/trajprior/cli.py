@@ -22,8 +22,11 @@ GRAD_CHECK_TOL = 1e-4
 
 
 def _dump_json(path, obj) -> None:
+    # NaN and infinity are not JSON: refusing them (ValueError, exit 2) keeps
+    # every report and sidecar loadable by a strict reader
     Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8")
 
 
 def _parse_roi(text: str) -> tuple:
@@ -210,29 +213,22 @@ def cmd_gen_params(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trajprior",
-        description="Trajectory map-prior pipeline: ingest, rasterize, "
-                    "cluster/sample, fuse, evaluate.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse, filter and smooth trajectories")
+def _ingest_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--min-length", type=float, default=5.0)
     p.add_argument("--smooth-window", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("rasterize", help="build the density/direction heatmap")
+
+def _rasterize_args(p) -> None:
     p.add_argument("--input", required=True)
     _add_grid_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--png", default=None, help="optional grayscale density image")
-    p.set_defaults(func=cmd_rasterize)
 
-    p = sub.add_parser("cluster", help="k-means representative trajectories")
+
+def _cluster_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--resample", type=int, default=selection.DEFAULT_RESAMPLE)
@@ -242,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--queries-out", default=None,
                    help="also write a query-seed JSON for detector integration")
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("sample", help="Frechet farthest-point sampling")
+
+def _sample_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -252,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resample", type=int, default=selection.DEFAULT_RESAMPLE)
     p.add_argument("--out", required=True)
     p.add_argument("--queries-out", default=None)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("fuse", help="align and fuse a prior with a BEV feature map")
+
+def _fuse_args(p) -> None:
     p.add_argument("--bev", required=True)
     p.add_argument("--prior", required=True)
     p.add_argument("--params", required=True)
@@ -262,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-grads", action="store_true",
                    help="verify analytic gradients against finite differences")
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("eval", help="score a prior against ground-truth centerlines")
+
+def _eval_args(p) -> None:
     p.add_argument("--pred", required=True, help="trajectory JSONL")
     p.add_argument("--gt", required=True, help="centerline JSONL")
     _add_grid_args(p)
@@ -272,28 +268,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-step", type=float, default=metrics.DEFAULT_SAMPLE_STEP)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None, help="append a CSV row to this file")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth", help="generate a synthetic scene")
+
+def _synth_args(p) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lanes", type=int, default=3)
     p.add_argument("--per-lane", type=int, default=10)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("gen-params", help="write seeded random fusion parameters")
+
+def _gen_params_args(p) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=2)
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_params)
 
+
+# subcommand -> (help, argument builder, handler), in the order of the usage line
+_COMMANDS = {
+    "ingest": ("parse, filter and smooth trajectories", _ingest_args, cmd_ingest),
+    "rasterize": ("build the density/direction heatmap", _rasterize_args,
+                  cmd_rasterize),
+    "cluster": ("k-means representative trajectories", _cluster_args, cmd_cluster),
+    "sample": ("Frechet farthest-point sampling", _sample_args, cmd_sample),
+    "fuse": ("align and fuse a prior with a BEV feature map", _fuse_args, cmd_fuse),
+    "eval": ("score a prior against ground-truth centerlines", _eval_args, cmd_eval),
+    "synth": ("generate a synthetic scene", _synth_args, cmd_synth),
+    "gen-params": ("write seeded random fusion parameters", _gen_params_args,
+                   cmd_gen_params),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand or, when `command` names one,
+    with that one alone.
+
+    A single subcommand parses its arguments and prints its help and errors
+    exactly as the full parser does, at a fraction of the cost of building
+    all eight; the usage line still lists every command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="trajprior",
+        description="Trajectory map-prior pipeline: ingest, rasterize, "
+                    "cluster/sample, fuse, evaluate.")
+    if command in _COMMANDS:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -76,7 +76,7 @@ def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
                 and all(type(d) is int and d >= 0 for d in shape)
                 and type(start) is int and start >= 0):
             raise ContractError(f"{path}: malformed tensor entry {entry!r}")
-        if dtype not in _DTYPES:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise ContractError(f"{path}: tensor '{name}' has unknown dtype {dtype!r}")
         dt = np.dtype(_DTYPES[dtype])
         n = math.prod(shape)
@@ -102,7 +102,7 @@ def _load_kind(path, kind: str, names) -> Tuple[Dict[str, np.ndarray], dict]:
 def _spec(path, meta: dict) -> GridSpec:
     try:
         return GridSpec.from_dict(meta["spec"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:  # an int past float range
         raise ContractError(f"{path}: bad or missing grid spec in meta ({e!r})") from None
 
 

@@ -279,6 +279,16 @@ def conv3x3_grad_taps(x, w, d_out):
     return d_xp[1:1 + h, 1:1 + wd, :], d_w, d_b
 
 
+def gather_by_fancy_index(data, rows, cols):
+    """data[..., rows, cols, :] by fancy indexing of the flattened grids: each
+    leading index reads its own grid."""
+    h, w, c = data.shape[-3:]
+    batch = np.broadcast_shapes(data.shape[:-3], rows.shape[:-2])
+    flat = np.broadcast_to(data, batch + (h, w, c)).reshape(-1, c)
+    base = np.arange(flat.shape[0] // (h * w)).reshape(batch + (1, 1)) * (h * w)
+    return flat[base + rows * w + cols]
+
+
 def fd_grad_loop(f, x, step):
     """Central differences, one coordinate and two scalar calls f(x) at a time.
 

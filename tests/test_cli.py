@@ -1,17 +1,28 @@
 import json
+import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from trajprior import fusion, tensorio
+from trajprior import cli, fusion, tensorio
 from trajprior.cli import main
 from trajprior.raster import heatmap_to_feature
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def edit_header(path, edit):
+    """Rewrite the JSON header of a .tp file through edit(header)."""
+    raw = path.read_bytes()
+    end = 12 + struct.unpack_from("<I", raw, 8)[0]
+    header = json.loads(raw[12:end])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[end:])
 
 
 @pytest.fixture
@@ -214,6 +225,27 @@ class TestFuse:
                    "--out", tmp_path / "f.tp") == 2
         assert "unknown dtype 'float32'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dtype", [["float64"], {"float64": 1}],
+                             ids=["list", "dict"])
+    def test_unhashable_dtype_exit_2_names_file(self, dtype, fused_inputs,
+                                                tmp_path, capsys):
+        bev, prior, params = fused_inputs
+        edit_header(bev, lambda h: h["tensors"][0].update(dtype=dtype))
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "f.tp") == 2
+        err = capsys.readouterr().err
+        assert f"{bev}: tensor 'data' has unknown dtype" in err
+        assert "Traceback" not in err
+
+    def test_spec_beyond_float_range_exit_2_names_file(self, fused_inputs,
+                                                       tmp_path, capsys):
+        bev, prior, params = fused_inputs
+        edit_header(prior, lambda h: h["meta"]["spec"].update(x_max=10 ** 400))
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "f.tp") == 2
+        err = capsys.readouterr().err
+        assert f"{prior}: bad or missing grid spec" in err and "Traceback" not in err
+
     def test_truncated_params_exit_2(self, fused_inputs, tmp_path, capsys):
         bev, prior, params = fused_inputs
         params.write_bytes(params.read_bytes()[:-16])
@@ -238,8 +270,9 @@ class TestFuse:
         assert not (tmp_path / "f.tp").exists()
 
     @pytest.mark.parametrize("name,what", [("off_w2", "offsets"),
-                                           ("logit_weight", "logits")],
-                             ids=["offsets", "logits"])
+                                           ("logit_weight", "logits"),
+                                           ("off_b2", "mean absolute offset")],
+                             ids=["offsets", "logits", "offset-mean"])
     def test_overflowing_params_exit_2_one_line(self, name, what, fused_inputs,
                                                 tmp_path, capsys):
         bev, prior, params = fused_inputs
@@ -464,3 +497,32 @@ def test_oversized_sample_request_exit_2(step, tmp_path, capsys):
     assert code == 2 and peak < 16 * 2 ** 20
     err = capsys.readouterr().err
     assert "MAX_SAMPLES" in err and "Traceback" not in err
+
+
+# the last case is complete but for a stray argument, which the top-level
+# parser reports under its own usage line
+PARSE_CASES = [[], ["--help"], ["no-such-command"]] + [
+    argv for command in cli._COMMANDS
+    for argv in ([command, "--help"], [command], [command, "--no-such-flag"])
+] + [["synth", "--out-dir", "OUT", "extra"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_one_command_parser_matches_full_parser(argv, tmp_path, capsys,
+                                                monkeypatch):
+    """Help text, usage errors and exit codes do not depend on building only
+    the invoked subcommand's parser."""
+    argv = [str(tmp_path / "x") if a == "OUT" else a for a in argv]
+    build, seen = cli.build_parser, []
+    for builder in (build, lambda command: build()):
+        monkeypatch.setattr(cli, "build_parser", builder)
+        seen.append((main(argv), *capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == (0 if "--help" in argv else 2)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_dump_json_refuses_nonfinite(bad, tmp_path):
+    with pytest.raises(ValueError):
+        cli._dump_json(tmp_path / "r.json", {"stats": [1.0, bad]})

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -13,7 +14,7 @@ from trajprior.fusion import (FusionParams, OffsetParams, add_prior, compute_log
                               warp_grad)
 
 from oracles import (conv3x3_grad_taps, conv3x3_sliding_window, conv3x3_taps,
-                     fd_grad_loop)
+                     fd_grad_loop, gather_by_fancy_index)
 
 SHAPE = (6, 7)
 
@@ -124,6 +125,43 @@ class TestWarpGrad:
         up = rng.normal(0, 1, prior.shape)
         d_prior, _ = warp_grad(prior, np.zeros(SHAPE + (2,)), up)
         assert np.allclose(d_prior, up)
+
+
+# (data batch, offset batch): stacked data, stacked offsets, broadcast
+# leading axes
+WARP_BATCHES = [((3,), ()), ((), (3,)), ((2, 1), (1, 3))]
+
+
+class TestGather:
+    """`_gather` (`take` on the flattened grids) against the fancy-index
+    gather it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("batches", WARP_BATCHES, ids=["data", "off", "both"])
+    def test_gather_matches_fancy_index(self, batches):
+        rng = np.random.default_rng(31)
+        data = rng.normal(0, 1, batches[0] + SHAPE + (3,))
+        rows = rng.integers(0, SHAPE[0], batches[1] + SHAPE)
+        cols = rng.integers(0, SHAPE[1], batches[1] + SHAPE)
+        assert np.array_equal(fusion._gather(data, rows, cols),
+                              gather_by_fancy_index(data, rows, cols))
+
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "clipped"])
+    @pytest.mark.parametrize("batches", WARP_BATCHES, ids=["data", "off", "both"])
+    def test_warp_matches_fancy_index(self, batches, far, monkeypatch):
+        rng = np.random.default_rng(32)
+        data = rng.normal(0, 1, batches[0] + SHAPE + (3,))
+        off = rng.uniform(-3, 3, batches[1] + SHAPE + (2,))
+        if far:  # positions clipped beyond the grid on every side
+            off[..., ::2, :, 0] = 1e100
+            off[..., 1::3, 1] = -1e100
+        # the adjoint takes one instance: the first of each stack
+        one = (data[(0,) * len(batches[0])], off[(0,) * len(batches[1])],
+               rng.normal(0, 1, SHAPE + (3,)))
+        got, got_grads = warp(data, off), warp_grad(*one)
+        monkeypatch.setattr(fusion, "_gather", gather_by_fancy_index)
+        assert np.array_equal(got, warp(data, off))
+        for g, want in zip(got_grads, warp_grad(*one)):
+            assert np.array_equal(g, want)
 
 
 class TestConfidenceWeights:
@@ -349,6 +387,13 @@ class TestGradients:
         out = warp(np.ones(SHAPE + (1,)), rng.uniform(0.05, 0.95, SHAPE + (2,)))
         # in-bounds samples: the four weights sum to 1 exactly
         assert np.allclose(out[:-1, :-1, 0], 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rel_err_is_largest_float(self, bad):
+        # a gate cannot pass it, and the CLI's strict JSON sidecar can hold it
+        analytic = np.array([1.0, bad])
+        assert fusion._rel_err(analytic, np.ones(2)) == sys.float_info.max
+        assert fusion._rel_err(np.ones(2), analytic) == sys.float_info.max
 
     def test_every_adjoint_output_reported(self):
         assert sorted(finite_difference_check(0)) == sorted(ADJOINT_OUTPUTS)

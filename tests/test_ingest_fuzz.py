@@ -1,17 +1,27 @@
-"""Seeded mutation fuzzing of `ingest`: every input exits 0 or 2, never a traceback.
+"""Seeded mutation fuzzing of `ingest` and `fuse`: every input exits 0 or 2,
+never a traceback.
 
-Each case mutates a valid JSONL or CSV file (truncation, flipped bytes,
-dropped keys or fields, wrong types, huge and non-finite numbers) and runs
-`cli.main(["ingest", ...])` in process. The mutations come from stdlib
-`random` seeded per case, so a failing case reruns alone from its number.
+Each `ingest` case mutates a valid JSONL or CSV file (truncation, flipped
+bytes, dropped keys or fields, wrong types, huge and non-finite numbers) and
+runs `cli.main(["ingest", ...])` in process. Each `fuse` case mutates one of
+its three `.tp` inputs (truncation, flipped bits, non-finite or huge payload
+words, wrong types in a tensor entry or the grid spec) and runs
+`cli.main(["fuse", ...])` with warnings as errors. The mutations come from
+stdlib `random` seeded per case, so a failing case reruns alone from its
+number.
 """
 import functools
 import json
 import random
+import struct
+import warnings
 
+import numpy as np
 import pytest
 
-from trajprior import cli
+from trajprior import cli, tensorio
+from trajprior.core import FeatureMap, GridSpec
+from trajprior.fusion import random_params
 
 JSONL = "\n".join(json.dumps(r) for r in [
     {"frame_id": "fuzz", "centerline_count": 1},
@@ -104,3 +114,76 @@ def test_mutated_input_exits_0_or_2(fmt, tmp_path, capsys, monkeypatch):
         capsys.readouterr()
     # the mutations reach both outcomes, not only the parser's first check
     assert min(codes.values()) >= CASES // 20
+
+
+ODD_WORDS = (float("nan"), float("inf"), float("-inf"), 1e308, -1e308)
+TP_KINDS = ("truncate", "flip", "payload", "entry", "header", "spec")
+TP_CASES = 1500
+
+
+def tp_inputs(d):
+    """{name: bytes} of valid `fuse` inputs on a 10 x 10 grid with C = 2,
+    written as d / <name>.tp."""
+    spec = GridSpec(0.0, 10.0, 0.0, 10.0, 1.0, 1.0)
+    rng = np.random.default_rng(7)
+    for name in ("bev", "prior"):
+        tensorio.save_feature_map(d / f"{name}.tp",
+                                  FeatureMap(spec, rng.normal(0, 1, (10, 10, 2))))
+    tensorio.save_params(d / "params.tp", *random_params(0, 2, hidden=4))
+    return {name: (d / f"{name}.tp").read_bytes() for name in ("bev", "prior", "params")}
+
+
+def mutate_tp(rng, blob, feature):
+    """(kind, bytes) of one mutated .tp file; grid-spec edits only in a
+    feature file, the one kind that has a spec."""
+    kind = rng.choice(TP_KINDS if feature else TP_KINDS[:-1])
+    if kind == "truncate":
+        return kind, blob[:rng.randrange(len(blob))]
+    if kind == "flip":
+        data = bytearray(blob)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return kind, bytes(data)
+    end = 12 + struct.unpack_from("<I", blob, 8)[0]
+    header, payload = json.loads(blob[12:end]), bytearray(blob[end:])
+    if kind == "payload":
+        for _ in range(rng.randint(1, 3)):
+            i = 8 * rng.randrange(len(payload) // 8)
+            payload[i:i + 8] = struct.pack("<d", rng.choice(ODD_WORDS))
+    elif kind == "entry":
+        entry = rng.choice(header["tensors"])
+        key = rng.choice(("dtype", "shape", "offset", "name"))
+        entry[key] = mutate_value(rng, entry[key])
+    elif kind == "header":
+        header = mutate_value(rng, header)
+    else:
+        spec = header["meta"]["spec"]
+        spec[rng.choice(sorted(spec))] = rng.choice(ODD_VALUES)
+    text = json.dumps(header).encode()
+    return kind, blob[:8] + struct.pack("<I", len(text)) + text + bytes(payload)
+
+
+def test_mutated_tensor_file_exits_0_or_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    base = tp_inputs(tmp_path)
+    mutated = tmp_path / "mutated.tp"
+    codes = {0: 0, 2: 0}
+    for case in range(TP_CASES):
+        rng = random.Random(f"tp-{case}")
+        target = rng.choice(sorted(base))
+        kind, data = mutate_tp(rng, base[target], target != "params")
+        mutated.write_bytes(data)
+        argv = ["fuse", "--out", str(tmp_path / "fused.tp")]
+        for name in base:
+            argv += [f"--{name}", str(mutated if name == target else
+                                      tmp_path / f"{name}.tp")]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+        except Exception as e:  # report the case, then fail on it
+            pytest.fail(f"case {case} ({kind} of {target}) raised {e!r}")
+        assert code in codes, f"case {case} ({kind} of {target}) exit {code}"
+        codes[code] += 1
+        capsys.readouterr()
+    assert min(codes.values()) >= TP_CASES // 20
