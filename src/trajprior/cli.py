@@ -29,31 +29,38 @@ def _dump_json(path, obj) -> None:
         encoding="utf-8")
 
 
-def _parse_roi(text: str) -> tuple:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ContractError("--roi expects x0,x1,y0,y1")
-    return tuple(parts)
+# argparse types: a bad value exits 2 before any file is written, naming its flag
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
-def _parse_cell(text: str) -> tuple:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) == 1:
-        return (parts[0], parts[0])
-    if len(parts) == 2:
-        return (parts[0], parts[1])
-    raise ContractError("--cell expects DX or DX,DY")
+def _floats(text: str, counts, form: str) -> tuple:
+    try:
+        parts = tuple(float(v) for v in text.split(","))
+        if len(parts) in counts:
+            return parts
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
 
 
-def _spec_from_args(args) -> GridSpec:
-    x0, x1, y0, y1 = _parse_roi(args.roi)
-    dx, dy = _parse_cell(args.cell)
-    return GridSpec(x0, x1, y0, y1, dx, dy)
+def _roi(text: str) -> tuple:
+    return _floats(text, (4,), "x0,x1,y0,y1")
+
+
+def _cell(text: str) -> tuple:
+    parts = _floats(text, (1, 2), "DX or DX,DY")
+    return parts if len(parts) == 2 else parts * 2
 
 
 def _add_grid_args(p) -> None:
-    p.add_argument("--roi", default="-50,50,-25,25", help="x0,x1,y0,y1 in meters")
-    p.add_argument("--cell", default="0.5", help="cell size DX or DX,DY in meters")
+    p.add_argument("--roi", type=_roi, default="-50,50,-25,25",
+                   help="x0,x1,y0,y1 in meters")
+    p.add_argument("--cell", type=_cell, default="0.5",
+                   help="cell size DX or DX,DY in meters")
 
 
 def _load_set(path, fmt="jsonl") -> TrajectorySet:
@@ -68,8 +75,7 @@ def cmd_ingest(args) -> int:
     ts = ingest.filter_by_length(ts, cfg)
     ts = ingest.smooth_set(ts, cfg)
     retained = ingest.retention_check(ts)
-    Path(args.out).write_text(ingest.serialize_trajectories(ts, "jsonl"),
-                              encoding="utf-8")
+    Path(args.out).write_text(ingest.serialize_trajectories(ts), encoding="utf-8")
     print(f"ingested {m_before} trajectories, kept {len(ts)} "
           f"(min_length={cfg.min_length_m}, smooth_window={cfg.smooth_window})")
     print(f"retention_check: {'pass' if retained else 'fail'} "
@@ -78,7 +84,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rasterize(args) -> int:
-    spec = _spec_from_args(args)
+    spec = GridSpec(*args.roi, *args.cell)
     ts = _load_set(args.input)
     if len(ts) == 0:
         print("warning: no trajectories; writing all-zero heatmap", file=sys.stderr)
@@ -103,12 +109,11 @@ def cmd_cluster(args) -> int:
         "inertia": result.inertia,
         "inertia_trace": result.inertia_trace,
         "iterations": result.iterations,
-        "centers": [{"points": c.points.tolist()} for c in result.centers],
+        "centers": [{"points": c.tolist()} for c in result.centers],
     }
     _dump_json(args.out, doc)
     if args.queries_out:
-        _dump_json(args.queries_out, _query_seed(
-            [c.points for c in result.centers], args.resample))
+        _dump_json(args.queries_out, _query_seed(result.centers, args.resample))
     print(f"kmeans k={args.k} iterations={result.iterations} "
           f"inertia={result.inertia:.6g}")
     return EXIT_OK
@@ -125,11 +130,13 @@ def cmd_sample(args) -> int:
         "min_dists": result.min_dists,
         "selected": [ingest.to_record(ts.trajectories[i]) for i in result.indices],
     }
+    # build both documents first, so a bad --resample writes neither
+    if args.queries_out:
+        queries = _query_seed([selection.resample(ts.trajectories[i], args.resample)
+                               for i in result.indices], args.resample)
     _dump_json(args.out, doc)
     if args.queries_out:
-        pts = [selection.resample(ts.trajectories[i], args.resample).points
-               for i in result.indices]
-        _dump_json(args.queries_out, _query_seed(pts, args.resample))
+        _dump_json(args.queries_out, queries)
     print(f"fps count={args.count} start={result.indices[0]}")
     return EXIT_OK
 
@@ -167,18 +174,18 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spec = _spec_from_args(args)
+    spec = GridSpec(*args.roi, *args.cell)
     pred = _load_set(args.pred)
-    gt = ingest.parse_centerlines(Path(args.gt).read_text(encoding="utf-8"), spec)
+    gt = ingest.parse_centerlines(Path(args.gt).read_text(encoding="utf-8"))
     report = {
-        "iou": metrics.prior_iou(pred, gt, spec, args.width),
+        "iou": metrics.prior_iou(pred.trajectories, gt, spec, args.width),
         "ae_dist": metrics.ae_dist(
             metrics.sample_polyline_points(pred.trajectories, args.sample_step),
-            metrics.sample_polyline_points(gt.polylines, args.sample_step)),
+            metrics.sample_polyline_points(gt, args.sample_step)),
         "width_m": args.width,
     }
     pred_types = [t.label for t in pred.trajectories]
-    gt_types = [p.label for p in gt.polylines]
+    gt_types = [p.label for p in gt]
     # records pair by position; an unlabelled record counts as None
     if (len(pred_types) == len(gt_types)
             and any(x is not None for x in pred_types)
@@ -194,14 +201,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    ts, cmap = ingest.synth_scene(args.seed, args.lanes, args.per_lane, args.noise)
+    ts, gt = ingest.synth_scene(args.seed, args.lanes, args.per_lane, args.noise)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trajectories.jsonl").write_text(
         ingest.serialize_trajectories(ts), encoding="utf-8")
     (out_dir / "centerlines.jsonl").write_text(
-        ingest.serialize_centerlines(cmap), encoding="utf-8")
-    print(f"synth scene: {len(ts)} trajectories, {len(cmap)} centerlines "
+        ingest.serialize_centerlines(gt), encoding="utf-8")
+    print(f"synth scene: {len(ts)} trajectories, {len(gt)} centerlines "
           f"-> {out_dir}")
     return EXIT_OK
 
@@ -234,7 +241,7 @@ def _cluster_args(p) -> None:
     p.add_argument("--resample", type=int, default=selection.DEFAULT_RESAMPLE)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--queries-out", default=None,
                    help="also write a query-seed JSON for detector integration")
@@ -243,7 +250,7 @@ def _cluster_args(p) -> None:
 def _sample_args(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--start-index", type=int, default=None)
     p.add_argument("--resample", type=int, default=selection.DEFAULT_RESAMPLE)
     p.add_argument("--out", required=True)
@@ -255,7 +262,7 @@ def _fuse_args(p) -> None:
     p.add_argument("--prior", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--check-grads", action="store_true",
                    help="verify analytic gradients against finite differences")
 
@@ -271,7 +278,7 @@ def _eval_args(p) -> None:
 
 
 def _synth_args(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lanes", type=int, default=3)
     p.add_argument("--per-lane", type=int, default=10)
     p.add_argument("--noise", type=float, default=0.0)
@@ -279,7 +286,7 @@ def _synth_args(p) -> None:
 
 
 def _gen_params_args(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--channels", type=int, default=2)
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--out", required=True)

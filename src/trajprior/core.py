@@ -7,7 +7,7 @@ half-open [low, high) so every in-ROI point maps to exactly one cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -71,9 +71,6 @@ class Trajectory:
     def arc_length(self) -> float:
         """Total polyline length (sum of segment norms)."""
         return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
-
-    def reversed(self) -> "Trajectory":
-        return replace(self, points=self.points[::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -196,16 +193,3 @@ class FeatureMap:
     def channels(self) -> int:
         return self.data.shape[2]
 
-
-@dataclass(frozen=True)
-class CenterlineMap:
-    """Ground-truth lane centerlines as polylines on a grid."""
-
-    polylines: Tuple[Trajectory, ...]
-    spec: GridSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "polylines", tuple(self.polylines))
-
-    def __len__(self) -> int:
-        return len(self.polylines)

@@ -94,14 +94,14 @@ class OffsetParams:
         _check_input_channels("offset conv", self.w1.shape[1])
 
 
-def random_params(seed: int, channels: int, hidden: int = 8,
-                  scale: float = 0.1) -> Tuple[OffsetParams, FusionParams]:
+def random_params(seed: int, channels: int,
+                  hidden: int = 8) -> Tuple[OffsetParams, FusionParams]:
     """Seeded random parameters for tests and synthetic pipelines."""
     if channels < 1 or hidden < 1:
         raise ContractError(f"channels and hidden must be >= 1, got "
                             f"channels={channels} hidden={hidden}")
     rng = np.random.default_rng(seed)
-    c2 = 2 * channels
+    c2, scale = 2 * channels, 0.1
     op = OffsetParams(
         rng.normal(0, scale, (hidden, c2, 3, 3)),
         rng.normal(0, scale, hidden),
@@ -372,10 +372,9 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return err if math.isfinite(err) else sys.float_info.max
 
 
-def _safe_offsets(rng: np.random.Generator, shape: Tuple[int, int],
-                  reach: int = 2) -> np.ndarray:
+def _safe_offsets(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
     """Random offsets whose fractional part stays >= 0.05 from any integer."""
-    whole = rng.integers(-reach, reach + 1, size=shape + (2,)).astype(np.float64)
+    whole = rng.integers(-2, 3, size=shape + (2,)).astype(np.float64)
     frac = 0.05 + 0.9 * rng.random(size=shape + (2,))
     return whole + frac
 

@@ -6,10 +6,10 @@ File formats (coordinates in meters, ego/BEV frame):
   ``{"frame_id": str, "centerline_count": int}``, where ``centerline_count``
   is a non-negative JSON integer; each following line
   ``{"id": str, "points": [[x, y], ...]}``.
-* CSV trajectories: columns ``traj_id,seq,x,y``; rows grouped by traj_id,
-  ordered by seq.
+* CSV trajectories, an input format only: columns ``traj_id,seq,x,y``; rows
+  grouped by traj_id, ordered by seq.
 * JSONL centerlines: one ``{"id": str, "centerlines": [[x, y], ...]}`` per
-  line, each record a single polyline.
+  line, each record a single polyline; parsed to a tuple of ``Trajectory``.
 
 Records of both JSONL kinds may carry an optional ``"type"`` field, the
 discrete lane label that ``Trajectory.label`` holds and the attribute-error
@@ -31,12 +31,11 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .core import (MAX_COORD, CenterlineMap, ContractError, GridSpec, Trajectory,
-                   TrajectorySet)
+from .core import MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet
 
 # A frame passes the retention check with more than this many trajectories
 # per centerline. An int, so the check stays exact for any integer count.
@@ -164,32 +163,21 @@ def _parse_csv(text: str) -> TrajectorySet:
     return TrajectorySet(tuple(trajectories))
 
 
-def serialize_trajectories(ts: TrajectorySet, fmt: str = "jsonl") -> str:
-    if fmt == "jsonl":
-        lines = [_dumps({"frame_id": ts.frame_id,
-                         "centerline_count": ts.centerline_count})]
-        lines += [_dumps(to_record(t)) for t in ts.trajectories]
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["traj_id", "seq", "x", "y"])
-        for t in ts.trajectories:
-            for seq, (x, y) in enumerate(t.points):
-                w.writerow([t.id, seq, repr(float(x)), repr(float(y))])
-        return out.getvalue()
-    raise ContractError(f"unknown format {fmt!r}")
+def serialize_trajectories(ts: TrajectorySet) -> str:
+    lines = [_dumps({"frame_id": ts.frame_id,
+                     "centerline_count": ts.centerline_count})]
+    lines += [_dumps(to_record(t)) for t in ts.trajectories]
+    return "\n".join(lines) + "\n"
 
 
-def parse_centerlines(text: str, spec: Optional[GridSpec] = None) -> CenterlineMap:
-    polylines = tuple(_from_record(line_no, rec, "centerlines")
-                      for line_no, rec in _records(text))
-    return CenterlineMap(polylines, spec or GridSpec())
+def parse_centerlines(text: str) -> Tuple[Trajectory, ...]:
+    return tuple(_from_record(line_no, rec, "centerlines")
+                 for line_no, rec in _records(text))
 
 
-def serialize_centerlines(cmap: CenterlineMap) -> str:
+def serialize_centerlines(polylines: Tuple[Trajectory, ...]) -> str:
     return "\n".join(_dumps(to_record(p, "centerlines"))
-                     for p in cmap.polylines) + "\n"
+                     for p in polylines) + "\n"
 
 
 def filter_by_length(ts: TrajectorySet, cfg: IngestConfig) -> TrajectorySet:
@@ -272,11 +260,10 @@ def retention_check(ts: TrajectorySet) -> bool:
 
 
 def synth_scene(seed: int, lanes: int, per_lane: int,
-                noise_sigma: float,
-                spec: Optional[GridSpec] = None) -> Tuple[TrajectorySet, CenterlineMap]:
-    """Deterministic synthetic scene: lane centerlines plus jittered trajectories.
+                noise_sigma: float) -> Tuple[TrajectorySet, Tuple[Trajectory, ...]]:
+    """Deterministic synthetic scene: trajectories and their lane centerlines.
 
-    Lanes are laid out as parallel polylines spanning the ROI in x; every
+    Lanes are laid out as parallel polylines spanning the default ROI in x; every
     other lane carries a gentle sine curve. Each trajectory samples its
     centerline vertices and adds iid Gaussian jitter of scale noise_sigma.
     """
@@ -284,7 +271,7 @@ def synth_scene(seed: int, lanes: int, per_lane: int,
         raise ContractError("lanes and per_lane must be >= 1")
     if not (0 <= noise_sigma < math.inf):
         raise ContractError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    spec = spec or GridSpec()
+    spec = GridSpec()
     rng = np.random.default_rng(seed)
     margin_x = 0.02 * (spec.x_max - spec.x_min)
     xs = np.arange(spec.x_min + margin_x, spec.x_max - margin_x + 1e-9, 2.0)
@@ -305,4 +292,4 @@ def synth_scene(seed: int, lanes: int, per_lane: int,
             trajectories.append(Trajectory(f"lane{lane}_traj{j}", pts + jitter))
     ts = TrajectorySet(tuple(trajectories), frame_id=f"synth-{seed}",
                        centerline_count=lanes)
-    return ts, CenterlineMap(tuple(centerlines), spec)
+    return ts, tuple(centerlines)

@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .core import (MAX_SAMPLES, CenterlineMap, ContractError, GridSpec, Trajectory,
-                   TrajectorySet)
+from .core import MAX_SAMPLES, ContractError, GridSpec, Trajectory
 from .raster import chunked_repeat, rasterize_polylines
 
 DEFAULT_LINE_WIDTH = 0.75  # meters
@@ -26,13 +25,11 @@ def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum()) / union
 
 
-def prior_iou(pred: Union[TrajectorySet, Sequence[Trajectory]],
-              gt: CenterlineMap, spec: GridSpec,
-              width_m: float = DEFAULT_LINE_WIDTH) -> float:
+def prior_iou(pred: Sequence[Trajectory], gt: Sequence[Trajectory],
+              spec: GridSpec, width_m: float = DEFAULT_LINE_WIDTH) -> float:
     """IoU of the rasterized prior polylines against rasterized centerlines."""
-    polylines = pred.trajectories if isinstance(pred, TrajectorySet) else tuple(pred)
-    mask_pred = rasterize_polylines(polylines, spec, width_m)
-    mask_gt = rasterize_polylines(gt.polylines, spec, width_m)
+    mask_pred = rasterize_polylines(pred, spec, width_m)
+    mask_gt = rasterize_polylines(gt, spec, width_m)
     return iou(mask_pred, mask_gt)
 
 

@@ -1,7 +1,7 @@
 """Representative-trajectory extraction: resampling, distances, K-means, FPS."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -11,30 +11,13 @@ from .core import ContractError, Trajectory, TrajectorySet
 DEFAULT_RESAMPLE = 20
 
 
-@dataclass(frozen=True)
-class ResampledTrajectory:
-    """Fixed-width arc-length-uniform embedding of a trajectory."""
-
-    points: np.ndarray  # (R, 2) float64
-
-    def __post_init__(self):
-        arr = np.asarray(self.points, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
-            raise ContractError(f"resampled points must be (R>=2, 2), got {arr.shape}")
-        object.__setattr__(self, "points", arr)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.points.ravel()
-
-
 @dataclass
 class ClusterResult:
-    centers: List[ResampledTrajectory]
+    centers: np.ndarray  # (k, R, 2) float64
     assignment: np.ndarray  # (m,) int64
     inertia: float
     iterations: int
-    inertia_trace: List[float] = field(default_factory=list)
+    inertia_trace: List[float]
 
 
 @dataclass
@@ -43,10 +26,11 @@ class SampleResult:
     min_dists: List[float]  # one per selection after the first
 
 
-def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> ResampledTrajectory:
+def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> np.ndarray:
     """R points at arc-length fractions k/(R-1) by linear interpolation.
 
-    A zero-length polyline collapses to R copies of its first point.
+    Returns an (R, 2) array; a zero-length polyline gives R copies of its
+    first point.
     """
     if r < 2:
         raise ContractError("resample count must be >= 2")
@@ -55,7 +39,7 @@ def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> ResampledTrajectory:
     s = np.concatenate([[0.0], np.cumsum(seg)])
     total = s[-1]
     if total == 0.0:
-        return ResampledTrajectory(np.repeat(pts[:1], r, axis=0))
+        return np.repeat(pts[:1], r, axis=0)
     targets = np.linspace(0.0, total, r)
     x = np.interp(targets, s, pts[:, 0])
     y = np.interp(targets, s, pts[:, 1])
@@ -63,7 +47,7 @@ def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> ResampledTrajectory:
     # np.interp is exact at the ends, but pin them anyway
     out[0] = pts[0]
     out[-1] = pts[-1]
-    return ResampledTrajectory(out)
+    return out
 
 
 def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,10 +104,6 @@ def frechet_dist(a: Union[Trajectory, np.ndarray],
     return float(frechet_dp(pa, [pb])[0])
 
 
-def _embed(ts: TrajectorySet, r: int) -> np.ndarray:
-    return np.stack([resample(t, r).flat for t in ts.trajectories])
-
-
 def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
            max_iter: int = 100, tol: float = 1e-4, seed: int = 0) -> ClusterResult:
     """Lloyd iterations on arc-length-resampled, flattened trajectories.
@@ -132,6 +112,7 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
     shuffle. Assignment ties break toward the lowest center index; stopping
     is max per-center displacement < tol or max_iter. A cluster that loses
     all members is reseeded with the point farthest from its own center.
+    The K centers are returned as one (K, R, 2) array.
     """
     m = len(ts)
     if k <= 0 or k > m:
@@ -139,7 +120,7 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
     if not tol > 0 or max_iter < 1:
         raise ContractError(
             f"tol must be > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
-    x = _embed(ts, r)
+    x = np.stack([resample(t, r).ravel() for t in ts.trajectories])
     rng = np.random.default_rng(seed)
     centers = x[rng.permutation(m)[:k]].copy()
 
@@ -177,8 +158,8 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
     assignment = d2.argmin(axis=1)
     inertia = float(d2[np.arange(m), assignment].sum())
     trace.append(inertia)
-    result_centers = [ResampledTrajectory(c.reshape(-1, 2)) for c in centers]
-    return ClusterResult(result_centers, assignment, inertia, iterations, trace)
+    return ClusterResult(centers.reshape(k, r, 2), assignment, inertia,
+                         iterations, trace)
 
 
 def fps(ts: TrajectorySet, count: int, seed: int = 0,

@@ -97,7 +97,7 @@ def test_criterion_3_kmeans_contract():
                                      base + rng.normal(0, 0.3, base.shape)))
     tiny = TrajectorySet(tuple(bundle))
     res6 = kmeans(tiny, 2, r=6, seed=0)
-    x = np.stack([resample(t, 6).flat for t in tiny.trajectories])
+    x = np.stack([resample(t, 6).ravel() for t in tiny.trajectories])
     want_labels, want_inertia = best_two_partition(x)
     match = (np.array_equal(res6.assignment == res6.assignment[0],
                             want_labels == want_labels[0])
@@ -140,7 +140,8 @@ def test_criterion_5_heatmap_invariants():
             hp = rasterize_trajectories(perm, spec)
             assert np.array_equal(hm.density, hp.density)
             assert np.array_equal(hm.direction, hp.direction)
-            rev = TrajectorySet(tuple(t.reversed() for t in ts.trajectories),
+            rev = TrajectorySet(tuple(Trajectory(t.id, t.points[::-1])
+                                      for t in ts.trajectories),
                                 ts.frame_id, ts.centerline_count)
             hr = rasterize_trajectories(rev, spec)
             assert np.array_equal(hm.count, hr.count)
@@ -256,9 +257,9 @@ def test_criterion_10_end_to_end_pipeline(tmp_path):
     ious = {s: [] for s in sigmas}
     for seed in range(20):
         for sigma in sigmas:
-            ts, cmap = synth_scene(seed, 3, 6, sigma)
+            ts, centerlines = synth_scene(seed, 3, 6, sigma)
             ts = smooth_set(filter_by_length(ts, cfg), cfg)
-            ious[sigma].append(prior_iou(ts, cmap, spec))
+            ious[sigma].append(prior_iou(ts.trajectories, centerlines, spec))
     means = [float(np.mean(ious[s])) for s in sigmas]
     decreasing = means[0] > means[1] > means[2]
     p_values = []

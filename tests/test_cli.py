@@ -418,6 +418,44 @@ def test_bad_generator_arg_exit_2_names_value(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command",
+                         ["synth", "gen-params", "cluster", "sample", "fuse"])
+def test_negative_seed_exit_2_at_parse_time(command, scene, fused_inputs,
+                                            tmp_path, capsys):
+    bev, prior, params = fused_inputs
+    trajectories = scene / "trajectories.jsonl"
+    inputs = {"synth": ["--out-dir"], "gen-params": ["--out"],
+              "cluster": ["--input", trajectories, "--k", 2, "--out"],
+              "sample": ["--input", trajectories, "--count", 2, "--out"],
+              "fuse": ["--bev", bev, "--prior", prior, "--params", params,
+                       "--check-grads", "--out"]}
+    assert run(command, "--seed", -1, *inputs[command], tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "'-1'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command,size", [("cluster", "--k"), ("sample", "--count")])
+def test_resample_below_2_writes_nothing(command, size, scene, tmp_path, capsys):
+    out, queries = tmp_path / "out.json", tmp_path / "q.json"
+    assert run(command, "--input", scene / "trajectories.jsonl", size, 2,
+               "--resample", 1, "--out", out, "--queries-out", queries) == 2
+    assert "resample count must be >= 2" in capsys.readouterr().err
+    assert not out.exists() and not queries.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--roi", "a,b,c,d"), ("--roi", "1,2,3"),
+                                        ("--cell", "x"), ("--cell", "1,2,3")])
+def test_bad_grid_flag_exit_2_names_flag(flag, value, scene, tmp_path, capsys):
+    assert run("rasterize", "--input", scene / "trajectories.jsonl",
+               flag, value, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestGridCap:
     @pytest.mark.parametrize("command", ["eval", "rasterize"])
     def test_oversized_grid_exit_2(self, command, scene, tmp_path, capsys):

@@ -146,8 +146,8 @@ class TestAeDist:
 
 class TestPriorIou:
     def test_exact_trajectories_give_one(self):
-        ts, cmap = synth_scene(0, 3, 2, 0.0)
-        assert prior_iou(ts, cmap, GridSpec()) == 1.0
+        ts, centerlines = synth_scene(0, 3, 2, 0.0)
+        assert prior_iou(ts.trajectories, centerlines, GridSpec()) == 1.0
 
     def test_noise_degrades(self):
         spec = GridSpec()
@@ -155,8 +155,8 @@ class TestPriorIou:
         for sigma in (0.0, 1.5):
             ious = []
             for seed in range(5):
-                ts, cmap = synth_scene(seed, 3, 5, sigma)
-                ious.append(prior_iou(ts, cmap, spec))
+                ts, centerlines = synth_scene(seed, 3, 5, sigma)
+                ious.append(prior_iou(ts.trajectories, centerlines, spec))
             vals.append(np.mean(ious))
         assert vals[0] > vals[1]
         assert 0.0 < vals[1] < 1.0

@@ -1,0 +1,45 @@
+"""The package's public surface, and imports that no module uses.
+
+No linter ships with the project, so the import check is a plain ``ast`` walk.
+"""
+import ast
+import pathlib
+
+import trajprior
+
+PACKAGE = pathlib.Path(trajprior.__file__).resolve().parent
+
+
+def parse(name):
+    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+
+def imported(tree):
+    """Name -> line of each module-level import, ``__future__`` left out."""
+    return {(alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names}
+
+
+def test_all_is_every_public_binding():
+    tree = parse("__init__.py")
+    assigned = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    public = (set(imported(tree)) | assigned) - {"__version__", "__all__"}
+    assert len(trajprior.__all__) == len(set(trajprior.__all__))
+    assert set(trajprior.__all__) == public
+    assert [n for n in trajprior.__all__ if not hasattr(trajprior, n)] == []
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path.name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported(tree).items() if name not in used]
+    assert not unused, f"imported but never referenced: {unused}"

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trajprior.core import (CenterlineMap, ContractError, GridSpec, Trajectory,
-                            TrajectorySet)
+from trajprior.core import ContractError, GridSpec, Trajectory, TrajectorySet
 from trajprior.ingest import synth_scene
 from trajprior.raster import (heatmap_to_feature, rasterize_polylines,
                               rasterize_trajectories)
@@ -70,7 +69,8 @@ class TestRasterizeTrajectories:
         ts, _ = synth_scene(6, 2, 3, 0.3)
         spec = GridSpec()
         fwd = rasterize_trajectories(ts, spec)
-        rev = TrajectorySet(tuple(t.reversed() for t in ts.trajectories),
+        rev = TrajectorySet(tuple(Trajectory(t.id, t.points[::-1])
+                                  for t in ts.trajectories),
                             ts.frame_id, ts.centerline_count)
         back = rasterize_trajectories(rev, spec)
         assert np.array_equal(fwd.count, back.count)
@@ -91,23 +91,23 @@ class TestRasterizeTrajectories:
 
 class TestRasterizeCenterlines:
     def test_empty_map(self):
-        mask = rasterize_polylines(CenterlineMap((), GridSpec()).polylines, GridSpec())
+        mask = rasterize_polylines((), GridSpec())
         assert not mask.any()
 
     def test_width_cutoff_single_row(self):
         # horizontal line through cell centers: own row in, neighbors out
         spec = GridSpec(0, 5, 0, 5, 0.5, 0.5)
         y_line = 2.25  # center of row 4
-        cmap = CenterlineMap((Trajectory("c", [[0.0, y_line], [5.0, y_line]]),), spec)
-        mask = rasterize_polylines(cmap.polylines, spec, width_m=0.75)
+        centerlines = (Trajectory("c", [[0.0, y_line], [5.0, y_line]]),)
+        mask = rasterize_polylines(centerlines, spec, width_m=0.75)
         rows = set(np.nonzero(mask)[0])
         assert rows == {4}  # adjacent centers at 0.5 m > 0.375 m
 
     def test_deterministic(self):
-        _, cmap = synth_scene(3, 3, 1, 0.0)
+        _, centerlines = synth_scene(3, 3, 1, 0.0)
         spec = GridSpec()
-        a = rasterize_polylines(cmap.polylines, spec)
-        b = rasterize_polylines(cmap.polylines, spec)
+        a = rasterize_polylines(centerlines, spec)
+        b = rasterize_polylines(centerlines, spec)
         assert np.array_equal(a, b)
 
     def test_matches_cell_loop_oracle(self):
