@@ -102,9 +102,11 @@ class GridSpec:
     cell_dy: float = 0.5
 
     def __post_init__(self):
-        _require(self.x_min < self.x_max, "require x_min < x_max")
-        _require(self.y_min < self.y_max, "require y_min < y_max")
-        _require(self.cell_dx > 0 and self.cell_dy > 0, "cell sizes must be > 0")
+        _require(self.x_min < self.x_max and self.y_min < self.y_max,
+                 f"require x_min < x_max and y_min < y_max, got x_min={self.x_min} "
+                 f"x_max={self.x_max} y_min={self.y_min} y_max={self.y_max}")
+        _require(self.cell_dx > 0 and self.cell_dy > 0, f"cell sizes must be "
+                 f"> 0, got cell_dx={self.cell_dx} cell_dy={self.cell_dy}")
         _require(math.isfinite((self.x_max - self.x_min) / self.cell_dx
                                * ((self.y_max - self.y_min) / self.cell_dy)),
                  "grid extent must be finite")

@@ -25,10 +25,10 @@ the finite-difference check.
 `_gather`, one `take` of whole channel rows from the flattened grids.
 
 `finite_difference_check` compares all 16 adjoint outputs with central
-differences. For each checked input x of n values it stacks the 2n points
-x ± step·eᵢ on a leading axis, at most `_FD_CHUNK_VALUES` values per stack,
-and evaluates a stack with one call of the stage, so the CLI's forward pass
-and the check run the same code.
+differences on one fixed instance: a 5x6 grid, 3 channels, 4 hidden channels
+and step 1e-6. For each checked input x of n values it stacks the 2n points
+x ± step·eᵢ on a leading axis and evaluates the stack with one call of the
+stage, so the CLI's forward pass and the check run the same code.
 """
 from __future__ import annotations
 
@@ -117,12 +117,6 @@ def _check_same_grid(a: FeatureMap, b: FeatureMap) -> None:
         raise ContractError(
             f"feature maps differ: {a.spec.shape}x{a.channels} vs "
             f"{b.spec.shape}x{b.channels}")
-
-
-def add_prior(bev: FeatureMap, prior: FeatureMap) -> FeatureMap:
-    """Elementwise sum of two feature maps on the same grid."""
-    _check_same_grid(bev, prior)
-    return FeatureMap(bev.spec, bev.data + prior.data)
 
 
 def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -334,31 +328,22 @@ def fuse_pipeline(bev: FeatureMap, prior: FeatureMap,
     return fused, stats
 
 
-# float64 values per stack of perturbed inputs that `_fd_grad` passes to one
-# forward call; it bounds the check's memory on large instances.
-_FD_CHUNK_VALUES = 2 ** 17
-
-
 def _fd_grad(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
              step: float) -> np.ndarray:
     """Central differences of f at x, coordinate by coordinate.
 
-    `f` maps a stack of shape (B, *x.shape) to B losses. Each call gets a
-    chunk of k coordinates: rows 0..k-1 hold x + step·eᵢ, rows k..2k-1 hold
+    `f` maps a stack of shape (B, *x.shape) to B losses. One call gets all
+    n coordinates: rows 0..n-1 hold x + step·eᵢ, rows n..2n-1 hold
     x - step·eᵢ.
     """
     flat = x.ravel()
-    g = np.empty(flat.size)
-    per_chunk = max(1, _FD_CHUNK_VALUES // max(1, 2 * flat.size))
-    for lo in range(0, flat.size, per_chunk):
-        idx = np.arange(lo, min(lo + per_chunk, flat.size))
-        k = len(idx)
-        stack = np.tile(flat, (2 * k, 1))
-        stack[np.arange(k), idx] = flat[idx] + step
-        stack[np.arange(k, 2 * k), idx] = flat[idx] - step
-        loss = f(stack.reshape((2 * k,) + x.shape))
-        g[idx] = (loss[:k] - loss[k:]) / (2.0 * step)
-    return g.reshape(x.shape)
+    n = flat.size
+    idx = np.arange(n)
+    stack = np.tile(flat, (2 * n, 1))
+    stack[idx, idx] = flat + step
+    stack[idx + n, idx] = flat - step
+    loss = f(stack.reshape((2 * n,) + x.shape))
+    return ((loss[:n] - loss[n:]) / (2.0 * step)).reshape(x.shape)
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -379,11 +364,10 @@ def _safe_offsets(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarra
     return whole + frac
 
 
-def _grad_check_instance(seed: int, height: int, width: int, channels: int,
-                         hidden: int) -> Dict[str, object]:
+def _grad_check_instance(seed: int) -> Dict[str, object]:
     """Seeded inputs, parameters and upstream gradients of one check."""
     rng = np.random.default_rng(seed)
-    shape = (height, width)
+    shape, channels, hidden = (5, 6), 3, 4
     bev = rng.normal(0, 1, shape + (channels,))
     prior = rng.normal(0, 1, shape + (channels,))
     off = _safe_offsets(rng, shape)
@@ -447,11 +431,9 @@ def _grad_check_table(inst: Dict[str, object]) -> list:
     ]
 
 
-def finite_difference_check(seed: int, height: int = 5, width: int = 6,
-                            channels: int = 3, hidden: int = 4,
-                            step: float = 1e-6) -> Dict[str, float]:
+def finite_difference_check(seed: int) -> Dict[str, float]:
     """Relative error of each analytic adjoint output against central
-    differences, keyed by name (e.g. ``"fuse.d_lb"``)."""
-    inst = _grad_check_instance(seed, height, width, channels, hidden)
-    return {name: _rel_err(analytic, _fd_grad(f, x, step))
+    differences of step 1e-6, keyed by name (e.g. ``"fuse.d_lb"``)."""
+    inst = _grad_check_instance(seed)
+    return {name: _rel_err(analytic, _fd_grad(f, x, 1e-6))
             for name, analytic, f, x in _grad_check_table(inst)}

@@ -18,11 +18,10 @@ raises a ``ParseError`` that names its line.
 
 Smoothing is a centered moving average whose window shrinks symmetrically
 at a polyline's ends. ``smooth_set`` runs it for a whole set in one pass:
-the points of all trajectories are concatenated, the full-radius windows
-are summed as shifted contiguous slices and the shrunken end windows by
-gathers, and the result is split back per trajectory. Each mean is summed in
-the order ``np.mean`` sums, so the output is bit-identical to averaging
-every window on its own.
+the points of all trajectories are concatenated, every window is summed by
+one ``take`` of rows per window offset, and the result is split back per
+trajectory. Each mean is summed in the order ``np.mean`` sums, so the output
+is bit-identical to averaging every window on its own.
 """
 from __future__ import annotations
 
@@ -59,7 +58,7 @@ class IngestConfig:
         if not self.min_length_m >= 0:
             raise ContractError(f"min_length_m must be >= 0, got {self.min_length_m}")
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
-            raise ContractError("smooth_window must be odd and >= 1")
+            raise ContractError(f"smooth_window must be odd and >= 1, got {self.smooth_window}")
 
 
 def _records(text: str) -> Iterator[Tuple[int, dict]]:
@@ -197,7 +196,8 @@ def smooth(points: np.ndarray, lengths, window: int) -> np.ndarray:
 
     Each window is summed from +0.0 in window order and divided by its size,
     the arithmetic of ``np.mean`` over axis 0, so every point is
-    bit-identical to averaging its own window.
+    bit-identical to averaging its own window. Offset k of every window of
+    radius r >= k/2 is added by one ``take`` of rows.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     n = np.repeat(lengths, lengths)
@@ -206,36 +206,21 @@ def smooth(points: np.ndarray, lengths, window: int) -> np.ndarray:
     # clip changes nothing but bounds the work for any window.
     radius = min(window // 2, (int(lengths.max(initial=1)) - 1) // 2)
     r = np.minimum(np.minimum(j, n - 1 - j), radius)
-
-    # Full-radius points (r == R): 2R+1 shifted slices over the polylines
-    # long enough to have any. Rows whose window would cross into another
-    # polyline are points nearer an end and are overwritten below.
-    long = n >= 2 * radius + 1
-    sub = points.compress(long, axis=0)
-    m = len(sub) - 2 * radius
-    acc = sub[:m] + 0.0
-    for k in range(1, 2 * radius + 1):
-        acc += sub[k:k + m]
-    sub[radius:radius + m] = acc / (2 * radius + 1)
-    out = np.empty_like(points)
-    # a row mask on the flat view scatters several times faster than in 2-D
-    out.reshape(-1)[np.repeat(long, 2)] = sub.reshape(-1)
-
-    # Points nearer an end: gather their clipped windows. Sorted by radius,
-    # descending, the points whose window still reaches offset k (2r >= k)
-    # are a prefix that shrinks as k grows. ``take`` gathers rows several
-    # times faster than fancy indexing.
-    near = np.flatnonzero(r < radius)
-    near = near[np.argsort(-r[near], kind="stable")]
-    r_near = r[near]
-    start = near - r_near
+    # Sorted by radius, descending, the points whose window still reaches
+    # offset k (2r >= k) are a prefix that shrinks as k grows.
+    order = np.argsort(-r, kind="stable")
+    r = r[order]
+    start = order - r
     acc = points.take(start, axis=0) + 0.0
-    offsets = np.arange(1, 2 * int(r_near.max(initial=0)) + 1)
-    active = np.searchsorted(-r_near, -((offsets + 1) // 2), side="right")
+    offsets = np.arange(1, 2 * radius + 1)
+    active = np.searchsorted(-r, -((offsets + 1) // 2), side="right")
     for k, a in zip(offsets, active):
         acc[:a] += points.take(start[:a] + k, axis=0)
-    out[near] = acc / (2 * r_near + 1)[:, None]
-    return out
+    # ``take`` gathers rows several times faster than fancy indexing, and
+    # restores input order several times faster than a 2-D scatter
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return (acc / (2 * r + 1)[:, None]).take(inverse, axis=0)
 
 
 def smooth_set(ts: TrajectorySet, cfg: IngestConfig) -> TrajectorySet:
@@ -268,7 +253,8 @@ def synth_scene(seed: int, lanes: int, per_lane: int,
     centerline vertices and adds iid Gaussian jitter of scale noise_sigma.
     """
     if lanes < 1 or per_lane < 1:
-        raise ContractError("lanes and per_lane must be >= 1")
+        raise ContractError(f"lanes and per_lane must be >= 1, got "
+                            f"lanes={lanes} per_lane={per_lane}")
     if not (0 <= noise_sigma < math.inf):
         raise ContractError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     spec = GridSpec()

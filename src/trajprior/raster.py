@@ -160,7 +160,7 @@ def _window(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
 
 
 def rasterize_polylines(polylines: Sequence[Trajectory], spec: GridSpec,
-                        width_m: float = 0.75) -> np.ndarray:
+                        width_m: float) -> np.ndarray:
     """Binary mask: cell is 1 iff its center lies within width_m/2 of a polyline.
 
     Each segment tests the cells of its bounding box grown by the radius, with
@@ -168,7 +168,7 @@ def rasterize_polylines(polylines: Sequence[Trajectory], spec: GridSpec,
     All segments are processed together, in chunks of candidate cells.
     """
     if not (math.isfinite(width_m) and width_m > 0):
-        raise ContractError("width_m must be finite and > 0")
+        raise ContractError(f"width_m must be finite and > 0, got {width_m}")
     mask = np.zeros(spec.shape, dtype=bool)
     if not polylines:
         return mask

@@ -33,7 +33,7 @@ def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> np.ndarray:
     first point.
     """
     if r < 2:
-        raise ContractError("resample count must be >= 2")
+        raise ContractError(f"resample count must be >= 2, got {r}")
     pts = t.points
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -178,7 +178,7 @@ def fps(ts: TrajectorySet, count: int, seed: int = 0,
         start = int(np.random.default_rng(seed).integers(m))
     else:
         if not (0 <= start_index < m):
-            raise ContractError(f"start_index out of range [0, {m})")
+            raise ContractError(f"start_index must be in [0, {m}), got {start_index}")
         start = start_index
 
     pts = [t.points for t in ts.trajectories]

@@ -418,6 +418,40 @@ def test_bad_generator_arg_exit_2_names_value(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# (command, argv before the output flag, the error naming the value given)
+RANGE_ERRORS = {
+    "sample-start-index": ("sample", ["--count", 2, "--start-index", -1],
+                           "start_index must be in [0, 15), got -1"),
+    "synth-lanes": ("synth", ["--lanes", 0], "got lanes=0 per_lane=10"),
+    "synth-per-lane": ("synth", ["--per-lane", 0], "got lanes=3 per_lane=0"),
+    "ingest-smooth-window": ("ingest", ["--smooth-window", 2],
+                             "smooth_window must be odd and >= 1, got 2"),
+    "eval-width": ("eval", ["--width", 0], "width_m must be finite and > 0, got 0.0"),
+    "cluster-resample": ("cluster", ["--k", 2, "--resample", 1],
+                         "resample count must be >= 2, got 1"),
+    "rasterize-roi": ("rasterize", ["--roi", "1,0,0,1"],
+                      "got x_min=1.0 x_max=0.0 y_min=0.0 y_max=1.0"),
+    "rasterize-cell": ("rasterize", ["--cell", 0],
+                       "cell sizes must be > 0, got cell_dx=0.0 cell_dy=0.0"),
+}
+
+
+@pytest.mark.parametrize("command,argv,message", RANGE_ERRORS.values(),
+                         ids=RANGE_ERRORS.keys())
+def test_range_error_exit_2_names_value(command, argv, message, scene, tmp_path,
+                                        capsys):
+    trajectories = scene / "trajectories.jsonl"
+    inputs = {"synth": ["--out-dir"],
+              "eval": ["--pred", trajectories, "--gt", scene / "centerlines.jsonl",
+                       "--out"]}
+    assert run(command, *argv,
+               *inputs.get(command, ["--input", trajectories, "--out"]),
+               tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command",
                          ["synth", "gen-params", "cluster", "sample", "fuse"])
 def test_negative_seed_exit_2_at_parse_time(command, scene, fused_inputs,

@@ -1,6 +1,7 @@
-"""The package's public surface, and imports that no module uses.
+"""The package's public surface, and imports and private names that no
+module uses.
 
-No linter ships with the project, so the import check is a plain ``ast`` walk.
+No linter ships with the project, so both checks are plain ``ast`` walks.
 """
 import ast
 import pathlib
@@ -43,3 +44,29 @@ def test_no_unused_module_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported(tree).items() if name not in used]
     assert not unused, f"imported but never referenced: {unused}"
+
+
+def private_bindings(tree):
+    """Name -> line of each module-level private function, class or assigned
+    name; dunders such as ``__all__`` left out."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        found.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in found.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_unreferenced_private_names():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path.name)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in private_bindings(tree).items()
+                   if name not in loaded]
+    assert not unused, f"private but never referenced in its module: {unused}"

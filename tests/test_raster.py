@@ -91,7 +91,7 @@ class TestRasterizeTrajectories:
 
 class TestRasterizeCenterlines:
     def test_empty_map(self):
-        mask = rasterize_polylines((), GridSpec())
+        mask = rasterize_polylines((), GridSpec(), 0.75)
         assert not mask.any()
 
     def test_width_cutoff_single_row(self):
@@ -106,8 +106,8 @@ class TestRasterizeCenterlines:
     def test_deterministic(self):
         _, centerlines = synth_scene(3, 3, 1, 0.0)
         spec = GridSpec()
-        a = rasterize_polylines(centerlines, spec)
-        b = rasterize_polylines(centerlines, spec)
+        a = rasterize_polylines(centerlines, spec, 0.75)
+        b = rasterize_polylines(centerlines, spec, 0.75)
         assert np.array_equal(a, b)
 
     def test_matches_cell_loop_oracle(self):
