@@ -132,8 +132,8 @@ def cmd_sample(args) -> int:
     }
     # build both documents first, so a bad --resample writes neither
     if args.queries_out:
-        queries = _query_seed([selection.resample(ts.trajectories[i], args.resample)
-                               for i in result.indices], args.resample)
+        queries = _query_seed(selection.resample_all(
+            [ts.trajectories[i] for i in result.indices], args.resample), args.resample)
     _dump_json(args.out, doc)
     if args.queries_out:
         _dump_json(args.queries_out, queries)
@@ -192,10 +192,6 @@ def cmd_eval(args) -> int:
             and any(x is not None for x in gt_types)):
         report["ae_type"] = metrics.ae_type(pred_types, gt_types)
     _dump_json(args.out, report)
-    if args.csv:
-        row = ",".join(f"{k}={report[k]}" for k in sorted(report))
-        with open(args.csv, "a", encoding="utf-8") as f:
-            f.write(row + "\n")
     print(f"iou={report['iou']:.4f} ae_dist={report['ae_dist']:.4f}")
     return EXIT_OK
 
@@ -274,7 +270,6 @@ def _eval_args(p) -> None:
     p.add_argument("--width", type=float, default=metrics.DEFAULT_LINE_WIDTH)
     p.add_argument("--sample-step", type=float, default=metrics.DEFAULT_SAMPLE_STEP)
     p.add_argument("--out", required=True)
-    p.add_argument("--csv", default=None, help="append a CSV row to this file")
 
 
 def _synth_args(p) -> None:

@@ -20,8 +20,10 @@ MAX_CELLS = 10_000_000
 # and arc lengths of such points stay far from float64 overflow.
 MAX_COORD = 1e7
 
-# Most points one `metrics.sample_polyline_points` call may return: 16 bytes
-# each, and `eval` samples each of its two inputs once.
+# Most values one request may allocate: the points one
+# `metrics.sample_polyline_points` call returns (16 bytes each; `eval` samples
+# each of its two inputs once), the points of one `selection.resample_all`
+# (`cluster`, `sample --queries-out`) and the w1 weights of `random_params`.
 MAX_SAMPLES = 10_000_000
 
 

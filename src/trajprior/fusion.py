@@ -2,12 +2,12 @@
 and the analytic adjoint of each.
 
 Each stage is one function on float64 arrays laid out (..., H, W, C) that
-broadcasts over leading axes: `predict_offsets`, `warp`, `compute_logits`,
-`confidence_weights` and `confidence_fuse`. Its adjoint
-`<stage>_grad(*args, upstream)` takes the same arguments (also those, like
-an output bias, that the gradient does not depend on) plus the gradient
-w.r.t. the stage's output, for one (H, W, C) instance. The stages do not
-validate: `fuse_pipeline` is the one checked boundary.
+broadcasts over leading axes: `predict_offsets(bev, prior, w1, b1, w2, b2)`,
+`warp(data, off)`, `compute_logits(bev, prior, weight, bias)` and
+`confidence_fuse(bev, prior, la, lb)`. Its adjoint `<stage>_grad(*args,
+upstream)` takes the same arguments plus the gradient w.r.t. the output, for
+one (H, W, C) instance, and returns one gradient per argument, in order. The
+stages do not validate: `fuse_pipeline` is the one checked boundary.
 
 `predict_offsets` is two 3x3 convolutions. `_conv3x3` copies x (..., H, W, C)
 once into a zeroed buffer with one row above, two below and one column
@@ -24,11 +24,12 @@ the finite-difference check.
 `warp` and `warp_grad` read each of the four bilinear neighbours with
 `_gather`, one `take` of whole channel rows from the flattened grids.
 
-`finite_difference_check` compares all 16 adjoint outputs with central
+`finite_difference_check` checks every stage argument by central
 differences on one fixed instance: a 5x6 grid, 3 channels, 4 hidden channels
-and step 1e-6. For each checked input x of n values it stacks the 2n points
-x ± step·eᵢ on a leading axis and evaluates the stack with one call of the
-stage, so the CLI's forward pass and the check run the same code.
+and step 1e-6. Row `<stage>.d_<argument>` holds the adjoint's i-th output;
+its loss is <stage output with argument i perturbed, upstream>. For each
+input of n values one stage call evaluates the stack of all 2n perturbed
+points, so the CLI's forward pass and the check run the same code.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .core import ContractError, FeatureMap
+from .core import MAX_SAMPLES, ContractError, FeatureMap
 
 
 def _finite(name: str, arr) -> np.ndarray:
@@ -100,14 +101,13 @@ def random_params(seed: int, channels: int,
     if channels < 1 or hidden < 1:
         raise ContractError(f"channels and hidden must be >= 1, got "
                             f"channels={channels} hidden={hidden}")
-    rng = np.random.default_rng(seed)
     c2, scale = 2 * channels, 0.1
-    op = OffsetParams(
-        rng.normal(0, scale, (hidden, c2, 3, 3)),
-        rng.normal(0, scale, hidden),
-        rng.normal(0, scale, (2, hidden, 3, 3)),
-        rng.normal(0, scale, 2),
-    )
+    if 9 * c2 * hidden > MAX_SAMPLES:  # w1 is the largest array
+        raise ContractError(f"w1 needs {9 * c2 * hidden} values, more than MAX_SAMPLES="
+                            f"{MAX_SAMPLES}, got channels={channels} hidden={hidden}")
+    rng = np.random.default_rng(seed)
+    op = OffsetParams(rng.normal(0, scale, (hidden, c2, 3, 3)), rng.normal(0, scale, hidden),
+                      rng.normal(0, scale, (2, hidden, 3, 3)), rng.normal(0, scale, 2))
     fp = FusionParams(rng.normal(0, scale, (2, c2)), rng.normal(0, scale, 2))
     return op, fp
 
@@ -179,19 +179,19 @@ def _conv3x3_grad(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     return d_x, d_w, d_out.sum(axis=(0, 1))
 
 
-def predict_offsets(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
-                    w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """(..., H, W, 2) offsets from the concatenated channels x (..., H, W, 2C)."""
-    return _conv3x3(np.tanh(_conv3x3(x, w1, b1)), w2, b2)
+def predict_offsets(bev: np.ndarray, prior: np.ndarray, w1: np.ndarray,
+                    b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """(..., H, W, 2) offsets from the channels [bev, prior] (..., H, W, 2C)."""
+    return _conv3x3(np.tanh(_conv3x3(_concat(bev, prior), w1, b1)), w2, b2)
 
 
-def predict_offsets_grad(x, w1, b1, w2, b2, upstream):
-    """Adjoint of predict_offsets: (d_x, d_w1, d_b1, d_w2, d_b2)."""
+def predict_offsets_grad(bev, prior, w1, b1, w2, b2, upstream):
+    """Adjoint of predict_offsets: (d_bev, d_prior, d_w1, d_b1, d_w2, d_b2)."""
+    x = _concat(bev, prior)
     a1 = np.tanh(_conv3x3(x, w1, b1))
     d_a1, d_w2, d_b2 = _conv3x3_grad(a1, w2, upstream)
-    d_h1 = d_a1 * (1.0 - a1 * a1)
-    d_x, d_w1, d_b1 = _conv3x3_grad(x, w1, d_h1)
-    return d_x, d_w1, d_b1, d_w2, d_b2
+    d_x, d_w1, d_b1 = _conv3x3_grad(x, w1, d_a1 * (1.0 - a1 * a1))
+    return (*np.split(d_x, [bev.shape[-1]], axis=-1), d_w1, d_b1, d_w2, d_b2)
 
 
 def _gather(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -256,16 +256,18 @@ def warp_grad(data, off, upstream):
     return d_data, d_off
 
 
-def compute_logits(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(..., H, W, 2) logits (la, lb) of the concatenated channels x (..., H, W, 2C)."""
-    return np.einsum("...hwc,...kc->...hwk", x, weight) + bias[..., None, None, :]
+def compute_logits(bev: np.ndarray, prior: np.ndarray, weight: np.ndarray,
+                   bias: np.ndarray) -> np.ndarray:
+    """(..., H, W, 2) logits (la, lb) of the channels [bev, prior] (..., H, W, 2C)."""
+    return (np.einsum("...hwc,...kc->...hwk", _concat(bev, prior), weight)
+            + bias[..., None, None, :])
 
 
-def compute_logits_grad(x, weight, bias, upstream):
-    """Adjoint of compute_logits: (d_x, d_weight, d_bias)."""
+def compute_logits_grad(bev, prior, weight, bias, upstream):
+    """Adjoint of compute_logits: (d_bev, d_prior, d_weight, d_bias)."""
     d_x = np.einsum("hwk,kc->hwc", upstream, weight)
-    d_w = np.einsum("hwk,hwc->kc", upstream, x)
-    return d_x, d_w, upstream.sum(axis=(0, 1))
+    d_w = np.einsum("hwk,hwc->kc", upstream, _concat(bev, prior))
+    return (*np.split(d_x, [bev.shape[-1]], axis=-1), d_w, upstream.sum(axis=(0, 1)))
 
 
 def confidence_weights(la: np.ndarray, lb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -308,12 +310,11 @@ def fuse_pipeline(bev: FeatureMap, prior: FeatureMap,
         raise ContractError(f"fusion weight expects {fp.weight.shape[1]} channels, got {c2}")
     # huge finite parameters may overflow; `_finite` reports that as the error
     with np.errstate(over="ignore", invalid="ignore"):
-        off = predict_offsets(_concat(bev.data, prior.data),
-                              op.w1, op.b1, op.w2, op.b2)
+        off = predict_offsets(bev.data, prior.data, op.w1, op.b1, op.w2, op.b2)
     off = _finite("offsets", off)
     aligned = warp(prior.data, off)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = compute_logits(_concat(bev.data, aligned), fp.weight, fp.bias)
+        logits = compute_logits(bev.data, aligned, fp.weight, fp.bias)
     logits = _finite("logits", logits)
     la, lb = logits[..., 0], logits[..., 1]
     fused = FeatureMap(bev.spec, confidence_fuse(bev.data, aligned, la, lb))
@@ -381,54 +382,38 @@ def _grad_check_instance(seed: int) -> Dict[str, object]:
             "up_l": rng.normal(0, 1, shape)}
 
 
+def _stage_loss(stage, args: list, i: int, upstream: np.ndarray):
+    """Batched loss <stage(args with argument i replaced by the stack), upstream>."""
+    def loss(stack: np.ndarray) -> np.ndarray:
+        out = stage(*args[:i], stack, *args[i + 1:])
+        return (out * upstream).reshape(len(out), -1).sum(axis=1)
+    return loss
+
+
 def _grad_check_table(inst: Dict[str, object]) -> list:
-    """(name, analytic gradient, batched loss f, input x) for all 16 adjoint
-    outputs. Each loss is <forward output, upstream>, so its gradient is the
-    adjoint applied to the upstream array. The upstream of both logits is
+    """(name, analytic gradient, batched loss f, input x) for every argument of
+    every stage. Each loss is <stage output, upstream>, so its gradient is the
+    adjoint applied to the upstream array. The upstream of the two logits is
     (up_l, -up_l)."""
-    b, p, off, la, lb = (inst[k] for k in ("bev", "prior", "off", "la", "lb"))
-    op, fp = inst["op"], inst["fp"]
-    up_fm, up_off, up_l = inst["up_fm"], inst["up_off"], inst["up_l"]
-    c = b.shape[-1]
-    x = _concat(b, p)
-    d_prior, d_off = warp_grad(p, off, up_fm)
-    d_bev, d_pr, d_la, d_lb = confidence_fuse_grad(b, p, la, lb, up_fm)
-    d_x2, d_w, d_b = compute_logits_grad(x, fp.weight, fp.bias,
-                                         np.stack([up_l, -up_l], axis=-1))
-    d_x3, d_w1, d_b1, d_w2, d_b2 = predict_offsets_grad(
-        x, op.w1, op.b1, op.w2, op.b2, up_off)
-
-    def dot(out, up):
-        return (out * up).reshape(len(out), -1).sum(axis=1)
-
-    def fuse_loss(*args):
-        return dot(confidence_fuse(*args), up_fm)
-
-    def logit_loss(x_s, weight=fp.weight, bias=fp.bias):
-        lg = compute_logits(x_s, weight, bias)
-        return dot(lg[..., 0], up_l) - dot(lg[..., 1], up_l)
-
-    def off_loss(x_s, w1=op.w1, b1=op.b1, w2=op.w2, b2=op.b2):
-        return dot(predict_offsets(x_s, w1, b1, w2, b2), up_off)
-
-    return [
-        ("warp.d_prior", d_prior, lambda s: dot(warp(s, off), up_fm), p),
-        ("warp.d_off", d_off, lambda s: dot(warp(p, s), up_fm), off),
-        ("fuse.d_bev", d_bev, lambda s: fuse_loss(s, p, la, lb), b),
-        ("fuse.d_prior", d_pr, lambda s: fuse_loss(b, s, la, lb), p),
-        ("fuse.d_la", d_la, lambda s: fuse_loss(b, p, s, lb), la),
-        ("fuse.d_lb", d_lb, lambda s: fuse_loss(b, p, la, s), lb),
-        ("logits.d_bev", d_x2[..., :c], lambda s: logit_loss(_concat(s, p)), b),
-        ("logits.d_prior", d_x2[..., c:], lambda s: logit_loss(_concat(b, s)), p),
-        ("logits.d_weight", d_w, lambda s: logit_loss(x, weight=s), fp.weight),
-        ("logits.d_bias", d_b, lambda s: logit_loss(x, bias=s), fp.bias),
-        ("offsets.d_bev", d_x3[..., :c], lambda s: off_loss(_concat(s, p)), b),
-        ("offsets.d_prior", d_x3[..., c:], lambda s: off_loss(_concat(b, s)), p),
-        ("offsets.d_w1", d_w1, lambda s: off_loss(x, w1=s), op.w1),
-        ("offsets.d_b1", d_b1, lambda s: off_loss(x, b1=s), op.b1),
-        ("offsets.d_w2", d_w2, lambda s: off_loss(x, w2=s), op.w2),
-        ("offsets.d_b2", d_b2, lambda s: off_loss(x, b2=s), op.b2),
+    b, p, op, fp = inst["bev"], inst["prior"], inst["op"], inst["fp"]
+    stages = [  # (row prefix, stage, adjoint, named arguments, upstream)
+        ("warp", warp, warp_grad, {"prior": p, "off": inst["off"]}, inst["up_fm"]),
+        ("fuse", confidence_fuse, confidence_fuse_grad,
+         {"bev": b, "prior": p, "la": inst["la"], "lb": inst["lb"]}, inst["up_fm"]),
+        ("logits", compute_logits, compute_logits_grad,
+         {"bev": b, "prior": p, "weight": fp.weight, "bias": fp.bias},
+         np.stack([inst["up_l"], -inst["up_l"]], axis=-1)),
+        ("offsets", predict_offsets, predict_offsets_grad,
+         {"bev": b, "prior": p, "w1": op.w1, "b1": op.b1, "w2": op.w2, "b2": op.b2},
+         inst["up_off"]),
     ]
+    rows = []
+    for prefix, stage, adjoint, named, up in stages:
+        args = list(named.values())
+        for i, (arg, grad) in enumerate(zip(named, adjoint(*args, up))):
+            rows.append((f"{prefix}.d_{arg}", grad, _stage_loss(stage, args, i, up),
+                         args[i]))
+    return rows
 
 
 def finite_difference_check(seed: int) -> Dict[str, float]:

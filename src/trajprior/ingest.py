@@ -63,7 +63,9 @@ class IngestConfig:
 
 def _records(text: str) -> Iterator[Tuple[int, dict]]:
     """(line number, object) for every nonblank JSONL line."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # "\n" alone ends a record: JSON strings may hold U+0085, U+2028 and U+2029
+    # raw, and a trailing "\r" is JSON whitespace
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -6,7 +6,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContractError, Trajectory, TrajectorySet
+from .core import MAX_SAMPLES, ContractError, Trajectory, TrajectorySet
 
 DEFAULT_RESAMPLE = 20
 
@@ -48,6 +48,15 @@ def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> np.ndarray:
     out[0] = pts[0]
     out[-1] = pts[-1]
     return out
+
+
+def resample_all(trajectories: Sequence[Trajectory], r: int) -> np.ndarray:
+    """(n, R, 2) resamples of n trajectories, refused before any is computed
+    when they would hold more than MAX_SAMPLES points."""
+    if len(trajectories) * r > MAX_SAMPLES:
+        raise ContractError(f"resample count {r} for {len(trajectories)} trajectories "
+                            f"needs more than MAX_SAMPLES={MAX_SAMPLES} points")
+    return np.stack([resample(t, r) for t in trajectories])
 
 
 def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,7 +129,7 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
     if not tol > 0 or max_iter < 1:
         raise ContractError(
             f"tol must be > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
-    x = np.stack([resample(t, r).ravel() for t in ts.trajectories])
+    x = resample_all(ts.trajectories, r).reshape(m, -1)
     rng = np.random.default_rng(seed)
     centers = x[rng.permutation(m)[:k]].copy()
 

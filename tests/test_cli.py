@@ -433,15 +433,25 @@ RANGE_ERRORS = {
                       "got x_min=1.0 x_max=0.0 y_min=0.0 y_max=1.0"),
     "rasterize-cell": ("rasterize", ["--cell", 0],
                        "cell sizes must be > 0, got cell_dx=0.0 cell_dy=0.0"),
+    # each asks for far more than memory holds; the cap refuses it first
+    "cluster-resample-size": ("cluster", ["--k", 2, "--resample", 10 ** 13],
+                              "resample count 10000000000000 for 15 trajectories"),
+    "sample-resample-size": ("sample", ["--count", 2, "--resample", 10 ** 13,
+                                        "--queries-out", "q.json"],
+                             "resample count 10000000000000 for 2 trajectories"),
+    "gen-params-size": ("gen-params", ["--channels", 3 * 10 ** 6,
+                                       "--hidden", 3 * 10 ** 6],
+                        "got channels=3000000 hidden=3000000"),
 }
 
 
 @pytest.mark.parametrize("command,argv,message", RANGE_ERRORS.values(),
                          ids=RANGE_ERRORS.keys())
 def test_range_error_exit_2_names_value(command, argv, message, scene, tmp_path,
-                                        capsys):
+                                        capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative output path lands in tmp_path
     trajectories = scene / "trajectories.jsonl"
-    inputs = {"synth": ["--out-dir"],
+    inputs = {"synth": ["--out-dir"], "gen-params": ["--out"],
               "eval": ["--pred", trajectories, "--gt", scene / "centerlines.jsonl",
                        "--out"]}
     assert run(command, *argv,
@@ -449,7 +459,7 @@ def test_range_error_exit_2_names_value(command, argv, message, scene, tmp_path,
                tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
 @pytest.mark.parametrize("command",

@@ -1,3 +1,4 @@
+import inspect
 import sys
 import tracemalloc
 import warnings
@@ -8,10 +9,11 @@ import pytest
 from trajprior import fusion
 from trajprior.core import ContractError, FeatureMap, GridSpec
 from trajprior.fusion import (FusionParams, OffsetParams, compute_logits,
-                              confidence_fuse, confidence_fuse_grad,
-                              confidence_weights, finite_difference_check,
-                              fuse_pipeline, predict_offsets, random_params, warp,
-                              warp_grad)
+                              compute_logits_grad, confidence_fuse,
+                              confidence_fuse_grad, confidence_weights,
+                              finite_difference_check, fuse_pipeline,
+                              predict_offsets, predict_offsets_grad,
+                              random_params, warp, warp_grad)
 
 from oracles import (conv3x3_grad_taps, conv3x3_sliding_window, conv3x3_taps,
                      fd_grad_loop, gather_by_fancy_index)
@@ -193,8 +195,7 @@ class TestConfidenceFuse:
 class TestComputeLogits:
     def test_zero_params(self):
         rng = np.random.default_rng(12)
-        x = concat(feats(rng), feats(rng))
-        logits = compute_logits(x, np.zeros((2, 6)), np.zeros(2))
+        logits = compute_logits(feats(rng), feats(rng), np.zeros((2, 6)), np.zeros(2))
         assert logits.shape == SHAPE + (2,) and not logits.any()
         alpha, _ = confidence_weights(logits[..., 0], logits[..., 1])
         assert np.all(alpha == 0.5)
@@ -205,15 +206,16 @@ class TestComputeLogits:
         w = np.zeros((2, 6))
         w[0, 1] = 1.0  # lambda_a = bev channel 1
         w[1, 5] = 1.0  # lambda_b = prior channel 2
-        logits = compute_logits(concat(bev, prior), w, np.zeros(2))
+        logits = compute_logits(bev, prior, w, np.zeros(2))
         assert np.array_equal(logits[..., 0], bev[:, :, 1])
         assert np.array_equal(logits[..., 1], prior[:, :, 2])
 
     def test_matches_per_cell_oracle(self):
         rng = np.random.default_rng(14)
-        x = concat(feats(rng, (4, 5), 2), feats(rng, (4, 5), 2))
+        bev, prior = feats(rng, (4, 5), 2), feats(rng, (4, 5), 2)
+        x = concat(bev, prior)
         weight, bias = rng.normal(0, 1, (2, 4)), rng.normal(0, 1, 2)
-        logits = compute_logits(x, weight, bias)
+        logits = compute_logits(bev, prior, weight, bias)
         for r in range(4):
             for c in range(5):
                 for k in range(2):
@@ -234,7 +236,7 @@ class TestPredictOffsets:
         rng = np.random.default_rng(16)
         bev, prior = feats(rng), feats(rng)
         op = zero_offset_params(6)
-        off = predict_offsets(concat(bev, prior), op.w1, op.b1, op.w2, op.b2)
+        off = predict_offsets(bev, prior, op.w1, op.b1, op.w2, op.b2)
         assert off.shape == SHAPE + (2,) and not off.any()
         assert np.array_equal(warp(prior, off), prior)
 
@@ -243,17 +245,18 @@ class TestPredictOffsets:
         bev, prior = feats(rng, (8, 8), 2), feats(rng, (8, 8), 2)
         op, _ = random_params(0, 2, hidden=3)
         params = (op.w1, op.b1, op.w2, op.b2)
-        out = predict_offsets(concat(bev, prior), *params)
+        out = predict_offsets(bev, prior, *params)
         shift = lambda d: np.roll(d, 1, axis=0) * (np.arange(8) > 0)[:, None, None]
-        out_s = predict_offsets(concat(shift(bev), shift(prior)), *params)
+        out_s = predict_offsets(shift(bev), shift(prior), *params)
         # rows whose 5x5 receptive field avoids both borders in both images
         assert np.allclose(out_s[3:6], out[2:5], atol=1e-12)
 
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(18)
-        x = concat(feats(rng, (4, 5), 2), feats(rng, (4, 5), 2))
+        bev, prior = feats(rng, (4, 5), 2), feats(rng, (4, 5), 2)
+        x = concat(bev, prior)
         op, _ = random_params(7, 2, hidden=3)
-        got = predict_offsets(x, op.w1, op.b1, op.w2, op.b2)
+        got = predict_offsets(bev, prior, op.w1, op.b1, op.w2, op.b2)
         h1 = np.tanh(conv3x3_sliding_window(x, op.w1, op.b1))
         want = conv3x3_sliding_window(h1, op.w2, op.b2)
         assert np.allclose(got, want, atol=1e-12)
@@ -387,6 +390,27 @@ ADJOINT_OUTPUTS = [
 ]
 
 
+def test_adjoint_returns_one_gradient_per_stage_argument():
+    """Each adjoint takes its stage's arguments plus `upstream` and returns one
+    gradient of each argument's shape, so the check's rows cover them all."""
+    inst = fusion._grad_check_instance(0)
+    op, fp = inst["op"], inst["fp"]
+    arrays = {"bev": inst["bev"], "prior": inst["prior"], "data": inst["prior"],
+              "off": inst["off"], "la": inst["la"], "lb": inst["lb"],
+              "weight": fp.weight, "bias": fp.bias,
+              "w1": op.w1, "b1": op.b1, "w2": op.w2, "b2": op.b2}
+    for stage, adjoint in [(warp, warp_grad), (confidence_fuse, confidence_fuse_grad),
+                           (compute_logits, compute_logits_grad),
+                           (predict_offsets, predict_offsets_grad)]:
+        names = list(inspect.signature(stage).parameters)
+        assert list(inspect.signature(adjoint).parameters) == names + ["upstream"]
+        args = [arrays[name] for name in names]
+        upstream = np.ones_like(stage(*args))
+        grads = adjoint(*args, upstream)
+        assert [g.shape for g in grads] == [a.shape for a in args], stage.__name__
+    assert [row[0] for row in fusion._grad_check_table(inst)] == ADJOINT_OUTPUTS
+
+
 def wrong_d_lb(bev, prior, la, lb, upstream):
     """confidence_fuse_grad with the sign of d_lambda_b flipped."""
     d_bev, d_prior, d_la, _ = confidence_fuse_grad(bev, prior, la, lb, upstream)
@@ -404,12 +428,11 @@ def scalar_losses(inst):
         return float((out * up).sum())
 
     def logit_loss(bev_s=bev, weight=fp.weight):
-        lg = compute_logits(concat(bev_s, prior), weight, fp.bias)
-        return float((lg[..., 0] * up_l).sum() - (lg[..., 1] * up_l).sum())
+        return total(compute_logits(bev_s, prior, weight, fp.bias),
+                     np.stack([up_l, -up_l], axis=-1))
 
     def off_loss(bev_s=bev, w1=op.w1):
-        return total(predict_offsets(concat(bev_s, prior), w1, op.b1, op.w2, op.b2),
-                     up_off)
+        return total(predict_offsets(bev_s, prior, w1, op.b1, op.w2, op.b2), up_off)
 
     return {
         "warp.d_prior": lambda x: total(warp(x, off), up_fm),
@@ -488,9 +511,9 @@ class TestPipeline:
         bev, prior = random_fm(rng, spec, 2), random_fm(rng, spec, 2)
         op, fp = random_params(3, 2)
         fused, stats = fuse_pipeline(bev, prior, op, fp)
-        off = predict_offsets(concat(bev.data, prior.data), op.w1, op.b1, op.w2, op.b2)
+        off = predict_offsets(bev.data, prior.data, op.w1, op.b1, op.w2, op.b2)
         aligned = warp(prior.data, off)
-        lg = compute_logits(concat(bev.data, aligned), fp.weight, fp.bias)
+        lg = compute_logits(bev.data, aligned, fp.weight, fp.bias)
         assert np.array_equal(fused.data, confidence_fuse(bev.data, aligned,
                                                           lg[..., 0], lg[..., 1]))
         assert stats["offset_abs_max"] == np.abs(off).max()

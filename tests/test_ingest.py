@@ -46,6 +46,30 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_trajectories(text, "jsonl")
 
+    @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029"],
+                             ids=["NEL", "LS", "PS"])
+    def test_unicode_line_separator_inside_string(self, sep):
+        # JSON allows these raw in a string, so they do not end a record
+        text = (f'{{"id": "a{sep}b", "points": [[0, 0], [1, 0]]}}\n'
+                f'{{"id": "c", "points": [[0, 1], [1, 1]], "type": "x{sep}"}}\n')
+        ts = parse_trajectories(text, "jsonl")
+        assert [(t.id, t.label) for t in ts.trajectories] == \
+            [(f"a{sep}b", None), ("c", f"x{sep}")]
+        with pytest.raises(ParseError, match="^line 3: invalid JSON"):
+            parse_trajectories(text + "{oops\n", "jsonl")
+        cl = text.replace('"points"', '"centerlines"')
+        assert [p.id for p in parse_centerlines(cl)] == [f"a{sep}b", "c"]
+        with pytest.raises(ParseError, match="^line 3: record missing"):
+            parse_centerlines(cl + '{"id": "d"}\n')
+
+    def test_crlf_lines_parse(self):
+        text = make_jsonl([{"id": "a", "points": [[0, 0], [1, 0]]},
+                           {"id": "b", "points": [[0, 1], [1, 1]]}])
+        ts = parse_trajectories(text.replace("\n", "\r\n"), "jsonl")
+        assert [t.id for t in ts.trajectories] == ["a", "b"]
+        with pytest.raises(ParseError, match="^line 3:"):
+            parse_trajectories(text.replace("\n", "\r\n") + "{oops\r\n", "jsonl")
+
     def test_csv_fixture(self, fixtures_dir):
         text = (fixtures_dir / "straight3.csv").read_text()
         ts = parse_trajectories(text, "csv")

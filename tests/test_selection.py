@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from trajprior.core import ContractError, Trajectory, TrajectorySet
-from trajprior.selection import fps, frechet_dist, kmeans, resample
+from trajprior import selection
+from trajprior.selection import fps, frechet_dist, kmeans, resample, resample_all
 
 from conftest import random_set, random_trajectory
 from oracles import best_two_partition, fps_by_full_matrix, frechet_by_enumeration
@@ -206,3 +207,13 @@ class TestFps:
     def test_count_too_large_rejected(self):
         with pytest.raises(ContractError):
             fps(self.triangle_set(), 4, seed=0)
+
+
+def test_resample_all_stacks_and_caps(monkeypatch):
+    ts = random_set(np.random.default_rng(17), 3)
+    got = resample_all(ts.trajectories, 7)
+    assert np.array_equal(got, np.stack([resample(t, 7) for t in ts.trajectories]))
+    monkeypatch.setattr(selection, "MAX_SAMPLES", 20)
+    assert resample_all(ts.trajectories[:2], 10).shape == (2, 10, 2)
+    with pytest.raises(ContractError, match="resample count 7 for 3 trajectories"):
+        resample_all(ts.trajectories, 7)
