@@ -136,7 +136,9 @@ def _parse_csv(text: str) -> TrajectorySet:
     reader = csv.reader(io.StringIO(text))
     groups: dict = {}
     order: List[str] = []
-    for line_no, row in enumerate(reader, start=1):
+    end = 0  # a record's line number is its first physical line
+    for row in reader:
+        line_no, end = end + 1, reader.line_num
         if not row or (line_no == 1 and row[0] == "traj_id"):
             continue
         if len(row) != 4:

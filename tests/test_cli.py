@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -608,3 +612,21 @@ def test_one_command_parser_matches_full_parser(argv, tmp_path, capsys,
 def test_dump_json_refuses_nonfinite(bad, tmp_path):
     with pytest.raises(ValueError):
         cli._dump_json(tmp_path / "r.json", {"stats": [1.0, bad]})
+
+
+def test_cluster_and_sample_do_not_import_numpy_random(scene, tmp_path):
+    """Importing numpy.random costs more than either stage's draws."""
+    script = (
+        "import sys\n"
+        "from trajprior.cli import main\n"
+        f"inp, out = {str(scene / 'trajectories.jsonl')!r}, {str(tmp_path)!r}\n"
+        "assert main(['cluster', '--input', inp, '--k', '3', '--seed', '5',\n"
+        "             '--out', out + '/c.json', '--queries-out', out + '/cq.json']) == 0\n"
+        "assert main(['sample', '--input', inp, '--count', '3', '--seed', '5',\n"
+        "             '--out', out + '/s.json', '--queries-out', out + '/sq.json']) == 0\n"
+        "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -97,6 +97,16 @@ class TestParse:
         for a, b in zip(csv_ts.trajectories, jsonl_ts.trajectories):
             assert a.points.tobytes() == b.points.tobytes()
 
+    def test_csv_error_names_first_physical_line(self):
+        """A quoted newline does not shift later line numbers."""
+        text = 'traj_id,seq,x,y\n"a\nb",0,0,0\n"a\nb",1,nan,1\n'
+        with pytest.raises(ParseError, match="^line 4: points must be finite"):
+            parse_trajectories(text, "csv")
+        with pytest.raises(ParseError, match="^line 6: trajectory shorter"):
+            parse_trajectories(text.replace("nan", "1") + "c,0,0,0\n", "csv")
+        ts = parse_trajectories(text.replace("nan", "1"), "csv")
+        assert [t.id for t in ts.trajectories] == ["a\nb"]
+
     def test_centerlines(self):
         text = make_jsonl([{"id": "c0", "centerlines": [[0, 0], [5, 0]]}])
         centerlines = parse_centerlines(text)

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,67 @@ def test_resample_all_stacks_and_caps(monkeypatch):
     assert resample_all(ts.trajectories[:2], 10).shape == (2, 10, 2)
     with pytest.raises(ContractError, match="resample count 7 for 3 trajectories"):
         resample_all(ts.trajectories, 7)
+
+
+def test_kmeans_peak_memory_bounded():
+    """Distances are taken one center at a time, never as an (m, k, 2R) block,
+    and the sums are bit-identical to that block's."""
+    rng = np.random.default_rng(18)
+    x, c = rng.normal(0, 10, (60, 40)), rng.normal(0, 10, (7, 40))
+    d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+    assignment, costs = selection._assign(x, c)
+    assert np.array_equal(assignment, d2.argmin(axis=1))
+    assert np.array_equal(costs, d2.min(axis=1))
+    ts = random_set(rng, 500, n_points=12)
+    tracemalloc.start()
+    try:
+        res = kmeans(ts, 50, r=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.centers.shape == (50, 200, 2)
+    assert peak < 16 * 2**20, f"kmeans peaked at {peak / 2**20:.1f} MiB"
+
+
+SEEDS = list(range(60)) + [2**32, 2**40 + 7, 12345678901234567890, 10**40, 10**100,
+                           2**128 - 1, 2**128, 2**160 + 3]
+SIZES = [1, 2, 3, 5, 7, 15, 16, 17, 100, 192, 1000, 65537]
+
+
+class TestPcg64:
+    """selection._Pcg64 draws what np.random.default_rng draws."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_numpy(self, seed):
+        # the 65537-element shuffle takes 0.1 s in Python: five seeds run it
+        long = seed in (0, 1, 2**32, 10**40, 2**160 + 3)
+        for m in SIZES:
+            want = np.random.default_rng(seed)
+            assert selection._Pcg64(seed).integers(m) == want.integers(m)
+            if m < 2**16 or long:
+                assert np.array_equal(selection._Pcg64(seed).permutation(m),
+                                      np.random.default_rng(seed).permutation(m))
+        # one generator, many draws: the buffered half-words carry over
+        got, want = selection._Pcg64(seed), np.random.default_rng(seed)
+        for m in SIZES + [2**31, 2**31 + 1, 3 * 10**9, 2**32 - 1]:
+            assert got.integers(m) == want.integers(m)
+        assert np.array_equal(got.permutation(50), want.permutation(50))
+
+    def test_full_32_bit_range_matches_numpy(self):
+        for seed in range(200):
+            for m in (2**31 + 1, 3 * 10**9, 2**32 - 1):
+                assert selection._Pcg64(seed).integers(m) == \
+                    np.random.default_rng(seed).integers(m)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            selection._Pcg64(seed)
+
+    @pytest.mark.parametrize("m", [0, 2**32, 2**32 + 1])
+    def test_range_outside_32_bits_rejected(self, m):
+        rng = selection._Pcg64(0)
+        with pytest.raises(ContractError, match="range must be in"):
+            rng.integers(m)
+        with pytest.raises(ContractError, match="range must be in"):
+            rng.permutation(m)
