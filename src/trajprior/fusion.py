@@ -26,7 +26,9 @@ the finite-difference check.
 
 `finite_difference_check` checks every stage argument by central
 differences on one fixed instance: a 5x6 grid, 3 channels, 4 hidden channels
-and step 1e-6. Row `<stage>.d_<argument>` holds the adjoint's i-th output;
+and step 1e-6. The instance is uniform draws in [-1, 1) from
+`core.Pcg64(seed)`, parameters scaled by 0.1, so the check does not import
+numpy.random. Row `<stage>.d_<argument>` holds the adjoint's i-th output;
 its loss is <stage output with argument i perturbed, upstream>. For each
 input of n values one stage call evaluates the stack of all 2n perturbed
 points, so the CLI's forward pass and the check run the same code.
@@ -40,7 +42,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .core import MAX_SAMPLES, ContractError, FeatureMap
+from .core import MAX_SAMPLES, ContractError, FeatureMap, Pcg64
 
 
 def _finite(name: str, arr) -> np.ndarray:
@@ -358,28 +360,35 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return err if math.isfinite(err) else sys.float_info.max
 
 
-def _safe_offsets(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
-    """Random offsets whose fractional part stays >= 0.05 from any integer."""
-    whole = rng.integers(-2, 3, size=shape + (2,)).astype(np.float64)
-    frac = 0.05 + 0.9 * rng.random(size=shape + (2,))
-    return whole + frac
+def _safe_offsets(rng: Pcg64, shape: Tuple[int, int]) -> np.ndarray:
+    """Random offsets in [-2, 3) whose fractional part stays >= 0.05 from any
+    integer."""
+    n = math.prod(shape) * 2
+    whole = np.floor(5.0 * rng.random(n)) - 2.0
+    return (whole + 0.05 + 0.9 * rng.random(n)).reshape(shape + (2,))
 
 
 def _grad_check_instance(seed: int) -> Dict[str, object]:
-    """Seeded inputs, parameters and upstream gradients of one check."""
-    rng = np.random.default_rng(seed)
-    shape, channels, hidden = (5, 6), 3, 4
-    bev = rng.normal(0, 1, shape + (channels,))
-    prior = rng.normal(0, 1, shape + (channels,))
-    off = _safe_offsets(rng, shape)
-    op, fp = random_params(seed + 1, channels, hidden)
-    la = rng.normal(0, 1, shape)
-    lb = rng.normal(0, 1, shape)
+    """Seeded inputs, parameters and upstream gradients of one check: uniform
+    in [-1, 1), parameters scaled by 0.1, drawn in a fixed order."""
+    rng = Pcg64(seed)
+
+    def uniform(*shape: int, scale: float = 1.0) -> np.ndarray:
+        return scale * (2.0 * rng.random(math.prod(shape)).reshape(shape) - 1.0)
+
+    (h, w), channels, hidden = (5, 6), 3, 4
+    c2 = 2 * channels
+    bev = uniform(h, w, channels)
+    prior = uniform(h, w, channels)
+    off = _safe_offsets(rng, (h, w))
+    op = OffsetParams(uniform(hidden, c2, 3, 3, scale=0.1), uniform(hidden, scale=0.1),
+                      uniform(2, hidden, 3, 3, scale=0.1), uniform(2, scale=0.1))
+    fp = FusionParams(uniform(2, c2, scale=0.1), uniform(2, scale=0.1))
     return {"bev": bev, "prior": prior, "off": off, "op": op, "fp": fp,
-            "la": la, "lb": lb,
-            "up_fm": rng.normal(0, 1, shape + (channels,)),
-            "up_off": rng.normal(0, 1, shape + (2,)),
-            "up_l": rng.normal(0, 1, shape)}
+            "la": uniform(h, w), "lb": uniform(h, w),
+            "up_fm": uniform(h, w, channels),
+            "up_off": uniform(h, w, 2),
+            "up_l": uniform(h, w)}
 
 
 def _stage_loss(stage, args: list, i: int, upstream: np.ndarray):

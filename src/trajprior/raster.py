@@ -36,10 +36,14 @@ def traverse_cells(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
 
     A cell is touched iff it contains some point of the segment under the
     half-open cell convention. Each segment is split at its grid-line
-    crossings, with parameters t = (k - p0) / (p1 - p0) sorted per segment,
-    and its two endpoints plus the midpoint of every nonempty piece are
-    mapped to cells. Returns ``(seg, row, col)`` arrays with every touched
-    cell once per segment, sorted by segment and then cell.
+    crossings, with parameters t = (k - p0) / (p1 - p0). The t of each
+    segment are put in ascending order by one stable sort of complex keys
+    seg + i*t: numpy orders complex numbers by real and then imaginary part,
+    and both parts hold seg and t exactly, so the values equal those of a
+    lexicographic (seg, t) sort. The two endpoints plus the midpoint of every
+    nonempty piece are then mapped to cells. Returns ``(seg, row, col)``
+    arrays with every touched cell once per segment, sorted by segment and
+    then cell.
     """
     h, w = spec.shape
     (u0, du, kx, nx), (v0, dv, ky, ny) = _crossings(x0, y0, x1, y1, spec)
@@ -52,7 +56,9 @@ def traverse_cells(x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
     sx, sy = seg[on_x], seg[on_y]
     t[on_x] = (kx[sx] + (rank[on_x] - 2) - u0[sx]) / du[sx]
     t[on_y] = (ky[sy] + (rank[on_y] - 2 - nx[sy]) - v0[sy]) / dv[sy]
-    t = t[np.lexsort((t, seg))]
+    key = np.empty(len(t), dtype=np.complex128)
+    key.real, key.imag = seg, t
+    t = np.sort(key, kind="stable").imag
     # samples: each segment's first and last t, and the midpoint of every
     # pair of consecutive distinct t
     inner = (seg[1:] == seg[:-1]) & (t[1:] > t[:-1])

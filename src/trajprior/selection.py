@@ -6,75 +6,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import MAX_SAMPLES, ContractError, Trajectory, TrajectorySet
+from .core import MAX_SAMPLES, ContractError, Pcg64, Trajectory, TrajectorySet
 
 DEFAULT_RESAMPLE = 20
-
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class _Pcg64:
-    """np.random.default_rng(seed) bit for bit for integers(m) and permutation(m),
-    m < 2**32, without importing numpy.random (which pulls in OpenSSL): SeedSequence
-    mixing into generate_state(4, uint64), the 128-bit LCG with XSL-RR output
-    (O'Neill, 2014), Lemire's bounded integers (2019) and a masked-rejection shuffle."""
-
-    def __init__(self, seed: int):
-        if not hasattr(seed, "__index__") or seed < 0:
-            raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
-        seed = int(seed)  # entropy as 32-bit words, low word first
-        words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
-        h = [0x43B0D7E5, 0x931E8875]  # hash constant and its multiplier
-
-        def hashmix(value: int) -> int:
-            value ^= h[0]
-            h[0] = h[0] * h[1] & _M32
-            value = value * h[0] & _M32
-            return value ^ value >> 16
-
-        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
-        for src in range(max(4, len(words))):
-            for dst in range(4):
-                if dst != src:
-                    v = hashmix(pool[src] if src < 4 else words[src])
-                    v = (0xCA01F9DD * pool[dst] - 0x4973F715 * v) & _M32
-                    pool[dst] = v ^ v >> 16
-        h[:] = [0x8B51F9DD, 0x58F38DED]  # generate_state(4, uint64) as w0:w1:w2:w3
-        state = sum(hashmix(pool[i % 4]) << (64 * (3 - i // 2) + 32 * (i % 2))
-                    for i in range(8))
-        self._inc = (state << 1 | 1) & _M128
-        self._state = ((self._inc + (state >> 128)) * _PCG_MULT + self._inc) & _M128
-        self._buf: List[int] = []
-
-    def _next32(self) -> int:
-        if not self._buf:  # one 64-bit output feeds two draws, low half first
-            s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-            x, rot = (s >> 64 ^ s) & _M64, s >> 122
-            out = (x >> rot | x << (64 - rot)) & _M64
-            self._buf = [out >> 32, out & _M32]
-        return self._buf.pop()
-
-    def integers(self, m: int) -> int:
-        """One draw from [0, m)."""
-        if not 1 <= m <= _M32:
-            raise ContractError(f"range must be in [1, 2**32), got {m}")
-        if m == 1:
-            return 0
-        while (prod := self._next32() * m) & _M32 < (1 << 32) % m:
-            pass
-        return prod >> 32
-
-    def permutation(self, m: int) -> List[int]:
-        """A shuffle of range(m), swapping i = m-1 down to 1."""
-        if not 1 <= m <= _M32:
-            raise ContractError(f"range must be in [1, 2**32), got {m}")
-        out = list(range(m))
-        for i in range(m - 1, 0, -1):
-            while (j := self._next32() & (1 << i.bit_length()) - 1) > i:
-                pass
-            out[i], out[j] = out[j], out[i]
-        return out
 
 
 @dataclass
@@ -204,7 +138,7 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
         raise ContractError(
             f"tol must be > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     x = resample_all(ts.trajectories, r).reshape(m, -1)
-    centers = x[_Pcg64(seed).permutation(m)[:k]]
+    centers = x[Pcg64(seed).permutation(m)[:k]]
     trace: List[float] = []
     for iterations in range(1, max_iter + 1):
         assignment, costs = _assign(x, centers)
@@ -247,7 +181,7 @@ def fps(ts: TrajectorySet, count: int, seed: int = 0,
         raise ContractError(f"count must be in [1, {m}], got {count}")
     if start_index is not None and not 0 <= start_index < m:
         raise ContractError(f"start_index must be in [0, {m}), got {start_index}")
-    start = _Pcg64(seed).integers(m) if start_index is None else start_index
+    start = Pcg64(seed).integers(m) if start_index is None else start_index
 
     pts = [t.points for t in ts.trajectories]
     heads = np.array([p[0] for p in pts])

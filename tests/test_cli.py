@@ -614,8 +614,10 @@ def test_dump_json_refuses_nonfinite(bad, tmp_path):
         cli._dump_json(tmp_path / "r.json", {"stats": [1.0, bad]})
 
 
-def test_cluster_and_sample_do_not_import_numpy_random(scene, tmp_path):
-    """Importing numpy.random costs more than either stage's draws."""
+def test_cluster_and_sample_do_not_import_numpy_random(scene, fused_inputs, tmp_path):
+    """Importing numpy.random costs more than the draws of `cluster`, `sample`
+    or the gradient check of `fuse --check-grads`."""
+    bev, prior, params = map(str, fused_inputs)
     script = (
         "import sys\n"
         "from trajprior.cli import main\n"
@@ -624,6 +626,9 @@ def test_cluster_and_sample_do_not_import_numpy_random(scene, tmp_path):
         "             '--out', out + '/c.json', '--queries-out', out + '/cq.json']) == 0\n"
         "assert main(['sample', '--input', inp, '--count', '3', '--seed', '5',\n"
         "             '--out', out + '/s.json', '--queries-out', out + '/sq.json']) == 0\n"
+        f"assert main(['fuse', '--bev', {bev!r}, '--prior', {prior!r},\n"
+        f"             '--params', {params!r}, '--out', out + '/f.tp',\n"
+        "             '--check-grads']) == 0\n"
         "print('numpy.random' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 
-from trajprior import selection
+from trajprior import raster, selection
 from trajprior.core import GridSpec, Trajectory, TrajectorySet
 from trajprior.ingest import synth_scene
 from trajprior.raster import rasterize_trajectories, traverse_cells
@@ -47,7 +47,16 @@ def test_traverse_exact_on_grid_aligned_cases():
     assert cells(0.0, 0.0, 2.0, 2.0) == {(0, 0), (1, 1), (2, 2)}
 
 
-def test_traverse_batch_matches_per_segment_oracle():
+def assert_traverse_matches_oracle(p0, p1, spec):
+    seg, row, col = traverse_cells(p0[:, 0], p0[:, 1], p1[:, 0], p1[:, 1], spec)
+    for k in range(len(p0)):
+        want = oracles.traverse_cells(*p0[k], *p1[k], spec)
+        mine = seg == k
+        assert sorted(zip(row[mine].tolist(), col[mine].tolist())) == \
+            sorted(map(tuple, want.tolist())), (p0[k], p1[k])
+
+
+def test_traverse_batch_matches_per_segment_oracle(monkeypatch):
     # segments reaching far past the grid, on grid lines, and of zero length
     rng = np.random.default_rng(13)
     spec = GridSpec(-6.0, 6.0, -4.0, 5.0, 0.4, 0.7)
@@ -56,12 +65,51 @@ def test_traverse_batch_matches_per_segment_oracle():
     p1[::7] = p0[::7]
     p0[1::9, 1] = p1[1::9, 1] = 0.9  # on a row boundary: (0.9 + 4) / 0.7 = 7
     p1[2::11] = p0[2::11] * 300.0
-    seg, row, col = traverse_cells(p0[:, 0], p0[:, 1], p1[:, 0], p1[:, 1], spec)
-    for k in range(len(p0)):
-        want = oracles.traverse_cells(*p0[k], *p1[k], spec)
-        mine = seg == k
-        assert sorted(zip(row[mine].tolist(), col[mine].tolist())) == \
-            sorted(map(tuple, want.tolist()))
+    assert_traverse_matches_oracle(p0, p1, spec)
+
+    # tied crossings: slope 1 and 2 diagonals from lattice corners, in every
+    # direction, cross an x- and a y-line at one t; nudging the end by one
+    # ulp puts many of those crossings an ulp apart
+    lattice = GridSpec(-4.0, 4.0, -4.0, 4.0, 0.5, 0.5)
+    corners = np.stack(np.meshgrid(np.arange(-5.0, 5.0, 2.5),
+                                   np.arange(-4.5, 5.0, 2.0)), -1).reshape(-1, 2)
+    steps = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1],
+                      [2, 1], [-2, 1], [1, -2], [-1, -2]], dtype=np.float64)
+    moves = (steps[:, None, :] * np.array([1.0, 3.5, 9.0])[:, None]).reshape(-1, 2)
+    p0 = np.repeat(corners, len(moves), axis=0)
+    p1 = p0 + np.tile(moves, (len(corners), 1))
+    up, down = p1.copy(), p1.copy()
+    up[:, 1] = np.nextafter(p1[:, 1], np.inf)
+    down[:, 0] = np.nextafter(p1[:, 0], -np.inf)
+    # long runs in -x and -y, on and off the grid lines
+    ys = np.array([-4.0, -2.5, 0.0, 0.3, 3.5, 4.0])
+    run_x0 = np.column_stack([np.full(6, 60.0), ys])
+    run_x1 = np.column_stack([np.full(6, -60.0), ys[::-1] + 0.25])
+    run_y0, run_y1 = run_x0[:, ::-1], run_x1[:, ::-1]
+    assert_traverse_matches_oracle(np.concatenate([p0, p0, p0, run_x0, run_y0]),
+                                   np.concatenate([p1, up, down, run_x1, run_y1]),
+                                   lattice)
+
+    # through rasterize: zigzags through lattice corners (slope 8 on 0.5 m
+    # cells ties every x-crossing with a y-crossing), every other one in -x;
+    # about 44k segment parameters, so more than one traversal chunk
+    trajs = []
+    for j in range(24):
+        x = np.arange(-50.0, 51.0, 5.0)
+        y = np.where(np.arange(len(x)) % 2, 20.0, -20.0) + 0.5 * (j % 10)
+        pts = np.column_stack([x, y])
+        trajs.append(Trajectory(f"z{j}", pts[::-1] if j % 2 else pts))
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))  # segments in the chunk
+        return traverse_cells(*args)
+
+    monkeypatch.setattr(raster, "traverse_cells", counting)
+    spec = GridSpec()
+    assert_same_heatmap(rasterize_trajectories(TrajectorySet(tuple(trajs)), spec),
+                        trajs, spec)
+    assert len(calls) >= 2
 
 
 def test_frechet_batch_bit_identical_to_oracle():

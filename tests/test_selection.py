@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajprior.core import ContractError, Trajectory, TrajectorySet
+from trajprior.core import ContractError, Pcg64, Trajectory, TrajectorySet
 from trajprior import selection
 from trajprior.selection import fps, frechet_dist, kmeans, resample, resample_all
 
@@ -247,7 +247,7 @@ SIZES = [1, 2, 3, 5, 7, 15, 16, 17, 100, 192, 1000, 65537]
 
 
 class TestPcg64:
-    """selection._Pcg64 draws what np.random.default_rng draws."""
+    """core.Pcg64 draws what np.random.default_rng draws."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_numpy(self, seed):
@@ -255,30 +255,45 @@ class TestPcg64:
         long = seed in (0, 1, 2**32, 10**40, 2**160 + 3)
         for m in SIZES:
             want = np.random.default_rng(seed)
-            assert selection._Pcg64(seed).integers(m) == want.integers(m)
+            assert Pcg64(seed).integers(m) == want.integers(m)
             if m < 2**16 or long:
-                assert np.array_equal(selection._Pcg64(seed).permutation(m),
+                assert np.array_equal(Pcg64(seed).permutation(m),
                                       np.random.default_rng(seed).permutation(m))
         # one generator, many draws: the buffered half-words carry over
-        got, want = selection._Pcg64(seed), np.random.default_rng(seed)
+        got, want = Pcg64(seed), np.random.default_rng(seed)
         for m in SIZES + [2**31, 2**31 + 1, 3 * 10**9, 2**32 - 1]:
             assert got.integers(m) == want.integers(m)
         assert np.array_equal(got.permutation(50), want.permutation(50))
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_matches_numpy(self, seed):
+        for n in (0, 1, 7, 1000):
+            got = Pcg64(seed).random(n)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.random.default_rng(seed).random(n).tobytes()
+        # 64-bit draws between 32-bit ones: the buffered half-word survives them
+        got, want = Pcg64(seed), np.random.default_rng(seed)
+        for m in (7, 2**31 + 1, 1, 100):
+            assert got.integers(m) == want.integers(m)
+            assert got.random(3).tobytes() == want.random(3).tobytes()
+            assert np.array_equal(got.permutation(m % 17 + 1),
+                                  want.permutation(m % 17 + 1))
+            assert got.random(1).tobytes() == want.random(1).tobytes()
+
     def test_full_32_bit_range_matches_numpy(self):
         for seed in range(200):
             for m in (2**31 + 1, 3 * 10**9, 2**32 - 1):
-                assert selection._Pcg64(seed).integers(m) == \
+                assert Pcg64(seed).integers(m) == \
                     np.random.default_rng(seed).integers(m)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ContractError, match="seed must be an integer"):
-            selection._Pcg64(seed)
+            Pcg64(seed)
 
     @pytest.mark.parametrize("m", [0, 2**32, 2**32 + 1])
     def test_range_outside_32_bits_rejected(self, m):
-        rng = selection._Pcg64(0)
+        rng = Pcg64(0)
         with pytest.raises(ContractError, match="range must be in"):
             rng.integers(m)
         with pytest.raises(ContractError, match="range must be in"):
