@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import fusion, ingest, metrics, raster, selection, tensorio
-from .core import ContractError, GridSpec, TrajectorySet
+from .core import GridSpec, TrajectorySet
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,10 +150,10 @@ def _query_seed(point_arrays, r) -> dict:
 def cmd_fuse(args) -> int:
     bev = tensorio.load_feature_map(args.bev)
     prior = tensorio.load_feature_map(args.prior)
-    op, fp = tensorio.load_params(args.params)
-    fused, stats = fusion.fuse_pipeline(bev, prior, op, fp)
+    fused, stats = fusion.fuse_pipeline(bev, prior, tensorio.load_params(args.params))
     tensorio.save_feature_map(args.out, fused)
     sidecar = dict(stats)
+    failed = False
     if args.check_grads:
         errs = {}  # adjoint output -> worst relative error over both seeds
         for seed in (args.seed, args.seed + 1):
@@ -163,12 +163,12 @@ def cmd_fuse(args) -> int:
         sidecar["grad_check_rel_err"] = errs
         sidecar["grad_check_max_rel_err"] = errs[worst]
         print(f"gradient check: max relative error {errs[worst]:.3e} ({worst})")
-        if errs[worst] > GRAD_CHECK_TOL:
-            _dump_json(str(args.out) + ".json", sidecar)
-            print(f"gradient check failed: {worst} relative error "
-                  f"{errs[worst]:.3e} > {GRAD_CHECK_TOL}", file=sys.stderr)
-            return EXIT_VERIFY
+        failed = errs[worst] > GRAD_CHECK_TOL
     _dump_json(str(args.out) + ".json", sidecar)
+    if failed:
+        print(f"gradient check failed: {worst} relative error "
+              f"{errs[worst]:.3e} > {GRAD_CHECK_TOL}", file=sys.stderr)
+        return EXIT_VERIFY
     print(f"fused C={fused.channels} mean_alpha={stats['mean_alpha']:.4f}")
     return EXIT_OK
 
@@ -210,8 +210,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gen_params(args) -> int:
-    op, fp = fusion.random_params(args.seed, args.channels, args.hidden)
-    tensorio.save_params(args.out, op, fp)
+    params = fusion.random_params(args.seed, args.channels, args.hidden)
+    tensorio.save_params(args.out, params)
     print(f"params: channels={args.channels} hidden={args.hidden} seed={args.seed}")
     return EXIT_OK
 
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ingest.ParseError, ContractError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # ParseError and ContractError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,10 @@ broadcasts over leading axes: `predict_offsets(bev, prior, w1, b1, w2, b2)`,
 `confidence_fuse(bev, prior, la, lb)`. Its adjoint `<stage>_grad(*args,
 upstream)` takes the same arguments plus the gradient w.r.t. the output, for
 one (H, W, C) instance, and returns one gradient per argument, in order. The
-stages do not validate: `fuse_pipeline` is the one checked boundary.
+stages do not validate: `fuse_pipeline(bev, prior, params)` is the one
+checked boundary. `params` is a plain dict of the six parameter arrays keyed
+by stage argument, `w1, b1, w2, b2, weight, bias`; `_param_shapes` is the one
+place their shapes are written, and `fuse_pipeline` checks them once.
 
 `predict_offsets` is two 3x3 convolutions. `_conv3x3` copies x (..., H, W, C)
 once into a zeroed buffer with one row above, two below and one column
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -52,66 +54,27 @@ def _finite(name: str, arr) -> np.ndarray:
     return arr
 
 
-def _check_input_channels(what: str, c2: int) -> None:
-    if c2 < 2 or c2 % 2:
-        raise ContractError(f"{what} needs 2C input channels with C >= 1, got {c2}")
+def _param_shapes(channels: int, hidden: int) -> Dict[str, Tuple[int, ...]]:
+    """Shape of each parameter array for C = `channels`, keyed by its stage
+    argument, in draw order: the offset net's two 3x3 convolutions (2C ->
+    hidden -> 2 channels) and the logits' 1x1 convolution (2C -> 2)."""
+    c2 = 2 * channels
+    return {"w1": (hidden, c2, 3, 3), "b1": (hidden,), "w2": (2, hidden, 3, 3),
+            "b2": (2,), "weight": (2, c2), "bias": (2,)}
 
 
-@dataclass(frozen=True)
-class FusionParams:
-    """1x1-convolution parameters mapping 2C concatenated channels to 2 logits."""
-
-    weight: np.ndarray  # (2, 2C)
-    bias: np.ndarray    # (2,)
-
-    def __post_init__(self):
-        w = _finite("fusion weight", self.weight)
-        b = _finite("fusion bias", self.bias)
-        if w.ndim != 2 or w.shape[0] != 2 or b.shape != (2,):
-            raise ContractError(f"bad fusion params: weight {w.shape}, bias {b.shape}")
-        _check_input_channels("fusion weight", w.shape[1])
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
-
-
-@dataclass(frozen=True)
-class OffsetParams:
-    """Two 3x3 conv layers (tanh between) mapping 2C channels to 2 offsets."""
-
-    w1: np.ndarray  # (hidden, 2C, 3, 3)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (2, hidden, 3, 3)
-    b2: np.ndarray  # (2,)
-
-    def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
-            object.__setattr__(self, name,
-                               _finite(f"offset {name}", getattr(self, name)))
-        if self.w1.shape[2:] != (3, 3) or self.w2.shape[2:] != (3, 3):
-            raise ContractError("offset conv kernels must be 3x3")
-        hidden = self.w1.shape[0]
-        if hidden < 1 or self.w2.shape[:2] != (2, hidden) or \
-                self.b1.shape != (hidden,) or self.b2.shape != (2,):
-            raise ContractError(f"offset conv layers empty or inconsistent: w1 "
-                                f"{self.w1.shape}, w2 {self.w2.shape}")
-        _check_input_channels("offset conv", self.w1.shape[1])
-
-
-def random_params(seed: int, channels: int,
-                  hidden: int = 8) -> Tuple[OffsetParams, FusionParams]:
+def random_params(seed: int, channels: int, hidden: int = 8) -> Dict[str, np.ndarray]:
     """Seeded random parameters for tests and synthetic pipelines."""
     if channels < 1 or hidden < 1:
         raise ContractError(f"channels and hidden must be >= 1, got "
                             f"channels={channels} hidden={hidden}")
-    c2, scale = 2 * channels, 0.1
-    if 9 * c2 * hidden > MAX_SAMPLES:  # w1 is the largest array
-        raise ContractError(f"w1 needs {9 * c2 * hidden} values, more than MAX_SAMPLES="
+    shapes = _param_shapes(channels, hidden)
+    size = math.prod(shapes["w1"])  # w1 is the largest array
+    if size > MAX_SAMPLES:
+        raise ContractError(f"w1 needs {size} values, more than MAX_SAMPLES="
                             f"{MAX_SAMPLES}, got channels={channels} hidden={hidden}")
     rng = np.random.default_rng(seed)
-    op = OffsetParams(rng.normal(0, scale, (hidden, c2, 3, 3)), rng.normal(0, scale, hidden),
-                      rng.normal(0, scale, (2, hidden, 3, 3)), rng.normal(0, scale, 2))
-    fp = FusionParams(rng.normal(0, scale, (2, c2)), rng.normal(0, scale, 2))
-    return op, fp
+    return {name: rng.normal(0, 0.1, shape) for name, shape in shapes.items()}
 
 
 def _check_same_grid(a: FeatureMap, b: FeatureMap) -> None:
@@ -297,26 +260,33 @@ def confidence_fuse_grad(bev, prior, la, lb, upstream):
     return d_bev, d_prior, d_la, -d_la
 
 
-def fuse_pipeline(bev: FeatureMap, prior: FeatureMap,
-                  offset_params: OffsetParams, fusion_params: FusionParams
+def fuse_pipeline(bev: FeatureMap, prior: FeatureMap, params: Dict[str, np.ndarray]
                   ) -> Tuple[FeatureMap, Dict[str, float]]:
     """predict_offsets -> warp -> compute_logits -> confidence_fuse, behind the
-    module's input checks: one grid, parameters for 2C channels, and finite
-    offsets and logits; a violation raises `ContractError`."""
+    module's one input check: one grid of C >= 1 channels for both maps, the
+    six `params` arrays finite and shaped as `_param_shapes(C, hidden)`, and
+    finite offsets and logits; a violation raises `ContractError`."""
     _check_same_grid(bev, prior)
-    c2 = 2 * bev.channels
-    op, fp = offset_params, fusion_params
-    if op.w1.shape[1] != c2:
-        raise ContractError(f"offset conv expects {op.w1.shape[1]} channels, got {c2}")
-    if fp.weight.shape[1] != c2:
-        raise ContractError(f"fusion weight expects {fp.weight.shape[1]} channels, got {c2}")
+    c = bev.channels
+    names = _param_shapes(c, 0).keys()
+    if params.keys() != names:
+        raise ContractError(f"params need the arrays {', '.join(names)}, "
+                            f"got {', '.join(map(str, params))}")
+    p = {name: _finite(name, params[name]) for name in names}
+    shapes = {name: a.shape for name, a in p.items()}
+    hidden = shapes["w1"][0] if len(shapes["w1"]) == 4 else 0
+    if min(c, hidden) < 1 or shapes != _param_shapes(c, hidden):
+        raise ContractError(
+            f"params do not fit maps of C={c} channels (need C >= 1 and w1 of shape "
+            f"(hidden >= 1, 2C, 3, 3)): "
+            + ", ".join(f"{n} {s}" for n, s in shapes.items()))
     # huge finite parameters may overflow; `_finite` reports that as the error
     with np.errstate(over="ignore", invalid="ignore"):
-        off = predict_offsets(bev.data, prior.data, op.w1, op.b1, op.w2, op.b2)
+        off = predict_offsets(bev.data, prior.data, p["w1"], p["b1"], p["w2"], p["b2"])
     off = _finite("offsets", off)
     aligned = warp(prior.data, off)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = compute_logits(bev.data, aligned, fp.weight, fp.bias)
+        logits = compute_logits(bev.data, aligned, p["weight"], p["bias"])
     logits = _finite("logits", logits)
     la, lb = logits[..., 0], logits[..., 1]
     fused = FeatureMap(bev.spec, confidence_fuse(bev.data, aligned, la, lb))
@@ -377,14 +347,12 @@ def _grad_check_instance(seed: int) -> Dict[str, object]:
         return scale * (2.0 * rng.random(math.prod(shape)).reshape(shape) - 1.0)
 
     (h, w), channels, hidden = (5, 6), 3, 4
-    c2 = 2 * channels
     bev = uniform(h, w, channels)
     prior = uniform(h, w, channels)
     off = _safe_offsets(rng, (h, w))
-    op = OffsetParams(uniform(hidden, c2, 3, 3, scale=0.1), uniform(hidden, scale=0.1),
-                      uniform(2, hidden, 3, 3, scale=0.1), uniform(2, scale=0.1))
-    fp = FusionParams(uniform(2, c2, scale=0.1), uniform(2, scale=0.1))
-    return {"bev": bev, "prior": prior, "off": off, "op": op, "fp": fp,
+    params = {name: uniform(*shape, scale=0.1)
+              for name, shape in _param_shapes(channels, hidden).items()}
+    return {"bev": bev, "prior": prior, "off": off, "params": params,
             "la": uniform(h, w), "lb": uniform(h, w),
             "up_fm": uniform(h, w, channels),
             "up_off": uniform(h, w, 2),
@@ -404,16 +372,16 @@ def _grad_check_table(inst: Dict[str, object]) -> list:
     every stage. Each loss is <stage output, upstream>, so its gradient is the
     adjoint applied to the upstream array. The upstream of the two logits is
     (up_l, -up_l)."""
-    b, p, op, fp = inst["bev"], inst["prior"], inst["op"], inst["fp"]
+    b, p, w = inst["bev"], inst["prior"], inst["params"]
     stages = [  # (row prefix, stage, adjoint, named arguments, upstream)
         ("warp", warp, warp_grad, {"prior": p, "off": inst["off"]}, inst["up_fm"]),
         ("fuse", confidence_fuse, confidence_fuse_grad,
          {"bev": b, "prior": p, "la": inst["la"], "lb": inst["lb"]}, inst["up_fm"]),
         ("logits", compute_logits, compute_logits_grad,
-         {"bev": b, "prior": p, "weight": fp.weight, "bias": fp.bias},
+         {"bev": b, "prior": p, "weight": w["weight"], "bias": w["bias"]},
          np.stack([inst["up_l"], -inst["up_l"]], axis=-1)),
         ("offsets", predict_offsets, predict_offsets_grad,
-         {"bev": b, "prior": p, "w1": op.w1, "b1": op.b1, "w2": op.w2, "b2": op.b2},
+         {"bev": b, "prior": p, "w1": w["w1"], "b1": w["b1"], "w2": w["w2"], "b2": w["b2"]},
          inst["up_off"]),
     ]
     rows = []

@@ -135,24 +135,23 @@ def load_feature_map(path) -> FeatureMap:
     return FeatureMap(_spec(path, meta), tensors["data"])
 
 
-def save_params(path, offset_params, fusion_params) -> None:
-    meta = {"kind": "params",
-            "channels": int(offset_params.w1.shape[1]) // 2,
-            "hidden": int(offset_params.w1.shape[0])}
-    save_tensors(path, {"off_w1": offset_params.w1, "off_b1": offset_params.b1,
-                        "off_w2": offset_params.w2, "off_b2": offset_params.b2,
-                        "logit_weight": fusion_params.weight,
-                        "logit_bias": fusion_params.bias}, meta)
+# fusion parameter (stage argument) -> tensor name in a params file
+_PARAM_TENSORS = {"w1": "off_w1", "b1": "off_b1", "w2": "off_w2", "b2": "off_b2",
+                  "weight": "logit_weight", "bias": "logit_bias"}
 
 
-def load_params(path):
-    from .fusion import FusionParams, OffsetParams
-    tensors, _ = _load_kind(path, "params", ("off_w1", "off_b1", "off_w2", "off_b2",
-                                             "logit_weight", "logit_bias"))
-    op = OffsetParams(tensors["off_w1"], tensors["off_b1"],
-                      tensors["off_w2"], tensors["off_b2"])
-    fp = FusionParams(tensors["logit_weight"], tensors["logit_bias"])
-    return op, fp
+def save_params(path, params: Dict[str, np.ndarray]) -> None:
+    """Write the six fusion parameter arrays; meta holds C and hidden from w1."""
+    w1 = params["w1"]
+    meta = {"kind": "params", "channels": int(w1.shape[1]) // 2,
+            "hidden": int(w1.shape[0])}
+    save_tensors(path, {t: params[name] for name, t in _PARAM_TENSORS.items()}, meta)
+
+
+def load_params(path) -> Dict[str, np.ndarray]:
+    """The six fusion parameter arrays, unchecked: `fuse_pipeline` checks them."""
+    tensors, _ = _load_kind(path, "params", _PARAM_TENSORS.values())
+    return {name: tensors[t] for name, t in _PARAM_TENSORS.items()}
 
 
 def write_pgm(path, values: np.ndarray) -> None:

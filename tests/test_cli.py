@@ -12,6 +12,7 @@ import pytest
 
 from trajprior import cli, fusion, tensorio
 from trajprior.cli import main
+from trajprior.core import FeatureMap, GridSpec
 from trajprior.raster import heatmap_to_feature
 
 
@@ -197,12 +198,9 @@ class TestFuse:
     def test_zero_params_midpoint(self, fused_inputs, tmp_path):
         bev, prior, _ = fused_inputs
         zp = tmp_path / "zero.tp"
-        from trajprior.fusion import FusionParams, OffsetParams
-        tensorio.save_params(
-            zp,
-            OffsetParams(np.zeros((4, 4, 3, 3)), np.zeros(4),
-                         np.zeros((2, 4, 3, 3)), np.zeros(2)),
-            FusionParams(np.zeros((2, 4)), np.zeros(2)))
+        tensorio.save_params(zp, {"w1": np.zeros((4, 4, 3, 3)), "b1": np.zeros(4),
+                                  "w2": np.zeros((2, 4, 3, 3)), "b2": np.zeros(2),
+                                  "weight": np.zeros((2, 4)), "bias": np.zeros(2)})
         out = tmp_path / "fused.tp"
         assert run("fuse", "--bev", bev, "--prior", prior, "--params", zp,
                    "--out", out) == 0
@@ -211,6 +209,24 @@ class TestFuse:
         assert np.allclose(fused.data, bev_fm.data)  # bev == prior here
         sidecar = json.loads((tmp_path / "fused.tp.json").read_text())
         assert sidecar["mean_alpha"] == pytest.approx(0.5)
+
+    def test_zero_channel_maps_exit_2(self, tmp_path, capsys):
+        # 0-channel maps with params built for them: C >= 1 is required
+        empty = tmp_path / "empty.tp"
+        tensorio.save_feature_map(empty, FeatureMap(GridSpec(0, 4, 0, 3, 1, 1),
+                                                    np.zeros((3, 4, 0))))
+        zp = tmp_path / "zero.tp"
+        tensorio.save_tensors(zp, {"off_w1": np.zeros((4, 0, 3, 3)), "off_b1": np.zeros(4),
+                                   "off_w2": np.zeros((2, 4, 3, 3)), "off_b2": np.zeros(2),
+                                   "logit_weight": np.zeros((2, 0)),
+                                   "logit_bias": np.zeros(2)},
+                              {"kind": "params", "channels": 0, "hidden": 4})
+        out = tmp_path / "fused.tp"
+        assert run("fuse", "--bev", empty, "--prior", empty, "--params", zp,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "C >= 1" in err and "channels" in err and "Traceback" not in err
+        assert not out.exists()
 
 
     def test_heatmap_as_bev_exit_2(self, fused_inputs, tmp_path, capsys):

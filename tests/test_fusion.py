@@ -1,4 +1,5 @@
 import inspect
+import re
 import sys
 import tracemalloc
 import warnings
@@ -8,8 +9,7 @@ import pytest
 
 from trajprior import fusion
 from trajprior.core import ContractError, FeatureMap, GridSpec
-from trajprior.fusion import (FusionParams, OffsetParams, compute_logits,
-                              compute_logits_grad, confidence_fuse,
+from trajprior.fusion import (compute_logits, compute_logits_grad, confidence_fuse,
                               confidence_fuse_grad, confidence_weights,
                               finite_difference_check, fuse_pipeline,
                               predict_offsets, predict_offsets_grad,
@@ -37,9 +37,9 @@ def concat(a, b):
     return np.concatenate([a, b], axis=-1)
 
 
-def zero_offset_params(c2, hidden=4):
-    return OffsetParams(np.zeros((hidden, c2, 3, 3)), np.zeros(hidden),
-                        np.zeros((2, hidden, 3, 3)), np.zeros(2))
+def zero_params(channels, hidden=4):
+    return {name: np.zeros(shape)
+            for name, shape in fusion._param_shapes(channels, hidden).items()}
 
 
 class TestWarp:
@@ -222,29 +222,21 @@ class TestComputeLogits:
                     assert logits[r, c, k] == pytest.approx(
                         float(weight[k] @ x[r, c] + bias[k]))
 
-    def test_dimension_mismatch_rejected(self):
-        rng = np.random.default_rng(15)
-        spec = small_spec()
-        op, _ = random_params(0, 2)
-        with pytest.raises(ContractError, match="fusion weight expects 6 channels, got 4"):
-            fuse_pipeline(random_fm(rng, spec, 2), random_fm(rng, spec, 2), op,
-                          FusionParams(np.zeros((2, 6)), np.zeros(2)))
-
 
 class TestPredictOffsets:
     def test_zero_params_zero_offsets(self):
         rng = np.random.default_rng(16)
         bev, prior = feats(rng), feats(rng)
-        op = zero_offset_params(6)
-        off = predict_offsets(bev, prior, op.w1, op.b1, op.w2, op.b2)
+        p = zero_params(3)
+        off = predict_offsets(bev, prior, p["w1"], p["b1"], p["w2"], p["b2"])
         assert off.shape == SHAPE + (2,) and not off.any()
         assert np.array_equal(warp(prior, off), prior)
 
     def test_translation_equivariance_interior(self):
         rng = np.random.default_rng(17)
         bev, prior = feats(rng, (8, 8), 2), feats(rng, (8, 8), 2)
-        op, _ = random_params(0, 2, hidden=3)
-        params = (op.w1, op.b1, op.w2, op.b2)
+        p = random_params(0, 2, hidden=3)
+        params = (p["w1"], p["b1"], p["w2"], p["b2"])
         out = predict_offsets(bev, prior, *params)
         shift = lambda d: np.roll(d, 1, axis=0) * (np.arange(8) > 0)[:, None, None]
         out_s = predict_offsets(shift(bev), shift(prior), *params)
@@ -255,19 +247,11 @@ class TestPredictOffsets:
         rng = np.random.default_rng(18)
         bev, prior = feats(rng, (4, 5), 2), feats(rng, (4, 5), 2)
         x = concat(bev, prior)
-        op, _ = random_params(7, 2, hidden=3)
-        got = predict_offsets(bev, prior, op.w1, op.b1, op.w2, op.b2)
-        h1 = np.tanh(conv3x3_sliding_window(x, op.w1, op.b1))
-        want = conv3x3_sliding_window(h1, op.w2, op.b2)
+        p = random_params(7, 2, hidden=3)
+        got = predict_offsets(bev, prior, p["w1"], p["b1"], p["w2"], p["b2"])
+        h1 = np.tanh(conv3x3_sliding_window(x, p["w1"], p["b1"]))
+        want = conv3x3_sliding_window(h1, p["w2"], p["b2"])
         assert np.allclose(got, want, atol=1e-12)
-
-    def test_param_mismatch_rejected(self):
-        rng = np.random.default_rng(19)
-        spec = small_spec()
-        op, _ = random_params(0, 5)
-        _, fp = random_params(0, 2)
-        with pytest.raises(ContractError, match="offset conv expects 10 channels, got 4"):
-            fuse_pipeline(random_fm(rng, spec, 2), random_fm(rng, spec, 2), op, fp)
 
 
 def rel_diff(got, want):
@@ -323,34 +307,49 @@ class TestConv3x3:
             assert np.array_equal(by_w[k], fusion._conv3x3(x[0], w[k], b))
 
 
+def malformed_params():
+    """(params, error pattern) for two C = 2 maps: each of the six arrays
+    non-finite, or of a wrong shape, or missing; hidden = 0; w1 for 2C + 1
+    input channels; and offset and logit layers built for different channel
+    counts."""
+    ok = random_params(0, 2, hidden=4)
+    cases = []
+    for name, arr in ok.items():
+        for bad in ("nan", "inf", "-inf"):
+            value = arr.copy()
+            value.flat[-1] = float(bad)
+            cases.append(pytest.param({**ok, name: value}, f"^{name} must be finite$",
+                                      id=f"{bad}-{name}"))
+        for kind, shape in (("longer", arr.shape[:-1] + (arr.shape[-1] + 1,)),
+                            ("extra-axis", arr.shape + (1,))):
+            cases.append(pytest.param({**ok, name: np.zeros(shape)},
+                                      re.escape(f"{name} {shape}"), id=f"{kind}-{name}"))
+        cases.append(pytest.param({k: v for k, v in ok.items() if k != name},
+                                  "params need the arrays w1, b1, w2, b2, weight, bias",
+                                  id=f"missing-{name}"))
+    offsets_5 = {**random_params(0, 5), "weight": ok["weight"], "bias": ok["bias"]}
+    logits_3 = {**ok, "weight": random_params(0, 3)["weight"]}
+    for case, params in (("hidden-0", zero_params(2, hidden=0)),
+                         ("odd-channels-w1", {**ok, "w1": np.zeros((4, 5, 3, 3))}),
+                         ("offsets-for-C5", offsets_5), ("logits-for-C3", logits_3)):
+        shapes = ", ".join(f"{n} {a.shape}" for n, a in params.items())
+        cases.append(pytest.param(params, "C=2 channels.*" + re.escape(shapes) + "$",
+                                  id=case))
+    return cases
+
+
 class TestParams:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_rejected(self, bad):
-        op, fp = random_params(0, 2)
-        w2 = op.w2.copy()
-        w2[1, 0, 2, 2] = bad
-        with pytest.raises(ContractError, match="offset w2 must be finite"):
-            OffsetParams(op.w1, op.b1, w2, op.b2)
-        weight = fp.weight.copy()
-        weight[0, 3] = bad
-        with pytest.raises(ContractError, match="fusion weight must be finite"):
-            FusionParams(weight, fp.bias)
+    @pytest.mark.parametrize("params,message", malformed_params())
+    def test_fuse_pipeline_rejects_malformed_params(self, params, message):
+        rng = np.random.default_rng(15)
+        spec = small_spec()
+        with pytest.raises(ContractError, match=message):
+            fuse_pipeline(random_fm(rng, spec, 2), random_fm(rng, spec, 2), params)
 
     @pytest.mark.parametrize("channels,hidden", [(0, 8), (2, 0)])
     def test_empty_dimension_rejected(self, channels, hidden):
         with pytest.raises(ContractError):
             random_params(0, channels, hidden)
-
-    def test_odd_input_channels_rejected(self):
-        with pytest.raises(ContractError, match="2C input channels"):
-            FusionParams(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ContractError, match="2C input channels"):
-            zero_offset_params(3)
-
-    def test_bias_shape_rejected(self):
-        op = zero_offset_params(4)
-        with pytest.raises(ContractError, match="inconsistent"):
-            OffsetParams(op.w1, np.zeros(3), op.w2, op.b2)
 
 
 class TestGradients:
@@ -394,11 +393,8 @@ def test_adjoint_returns_one_gradient_per_stage_argument():
     """Each adjoint takes its stage's arguments plus `upstream` and returns one
     gradient of each argument's shape, so the check's rows cover them all."""
     inst = fusion._grad_check_instance(0)
-    op, fp = inst["op"], inst["fp"]
     arrays = {"bev": inst["bev"], "prior": inst["prior"], "data": inst["prior"],
-              "off": inst["off"], "la": inst["la"], "lb": inst["lb"],
-              "weight": fp.weight, "bias": fp.bias,
-              "w1": op.w1, "b1": op.b1, "w2": op.w2, "b2": op.b2}
+              "off": inst["off"], "la": inst["la"], "lb": inst["lb"], **inst["params"]}
     for stage, adjoint in [(warp, warp_grad), (confidence_fuse, confidence_fuse_grad),
                            (compute_logits, compute_logits_grad),
                            (predict_offsets, predict_offsets_grad)]:
@@ -421,18 +417,18 @@ def scalar_losses(inst):
     """The eight losses the per-coordinate check evaluated, one input at a
     time through the public stage functions."""
     bev, prior, off, la, lb = (inst[k] for k in ("bev", "prior", "off", "la", "lb"))
-    op, fp = inst["op"], inst["fp"]
+    p = inst["params"]
     up_fm, up_off, up_l = inst["up_fm"], inst["up_off"], inst["up_l"]
 
     def total(out, up):
         return float((out * up).sum())
 
-    def logit_loss(bev_s=bev, weight=fp.weight):
-        return total(compute_logits(bev_s, prior, weight, fp.bias),
+    def logit_loss(bev_s=bev, weight=p["weight"]):
+        return total(compute_logits(bev_s, prior, weight, p["bias"]),
                      np.stack([up_l, -up_l], axis=-1))
 
-    def off_loss(bev_s=bev, w1=op.w1):
-        return total(predict_offsets(bev_s, prior, w1, op.b1, op.w2, op.b2), up_off)
+    def off_loss(bev_s=bev, w1=p["w1"]):
+        return total(predict_offsets(bev_s, prior, w1, p["b1"], p["w2"], p["b2"]), up_off)
 
     return {
         "warp.d_prior": lambda x: total(warp(x, off), up_fm),
@@ -486,7 +482,7 @@ def test_stages_reached_through_module_attributes(monkeypatch):
     rng = np.random.default_rng(23)
     spec = small_spec()
     fuse_pipeline(random_fm(rng, spec, 2), random_fm(rng, spec, 2),
-                  *random_params(0, 2))
+                  random_params(0, 2))
     assert calls == dict.fromkeys(STAGES, 1)
     calls.update(dict.fromkeys(STAGES, 0))
     finite_difference_check(0)
@@ -500,8 +496,7 @@ class TestPipeline:
         rng = np.random.default_rng(22)
         spec = small_spec()
         bev, prior = random_fm(rng, spec, 2), random_fm(rng, spec, 2)
-        fp = FusionParams(np.zeros((2, 4)), np.zeros(2))
-        fused, stats = fuse_pipeline(bev, prior, zero_offset_params(4), fp)
+        fused, stats = fuse_pipeline(bev, prior, zero_params(2))
         assert np.allclose(fused.data, 0.5 * (bev.data + prior.data))
         assert stats["mean_alpha"] == pytest.approx(0.5)
 
@@ -509,11 +504,11 @@ class TestPipeline:
         rng = np.random.default_rng(24)
         spec = small_spec()
         bev, prior = random_fm(rng, spec, 2), random_fm(rng, spec, 2)
-        op, fp = random_params(3, 2)
-        fused, stats = fuse_pipeline(bev, prior, op, fp)
-        off = predict_offsets(bev.data, prior.data, op.w1, op.b1, op.w2, op.b2)
+        p = random_params(3, 2)
+        fused, stats = fuse_pipeline(bev, prior, p)
+        off = predict_offsets(bev.data, prior.data, p["w1"], p["b1"], p["w2"], p["b2"])
         aligned = warp(prior.data, off)
-        lg = compute_logits(bev.data, aligned, fp.weight, fp.bias)
+        lg = compute_logits(bev.data, aligned, p["weight"], p["bias"])
         assert np.array_equal(fused.data, confidence_fuse(bev.data, aligned,
                                                           lg[..., 0], lg[..., 1]))
         assert stats["offset_abs_max"] == np.abs(off).max()
@@ -524,10 +519,10 @@ class TestPipeline:
         rng = np.random.default_rng(30)
         spec = GridSpec()
         bev, prior = random_fm(rng, spec, 2), random_fm(rng, spec, 2)
-        op, fp = random_params(0, 2, 8)
+        params = random_params(0, 2, 8)
         tracemalloc.start()
         try:
-            fuse_pipeline(bev, prior, op, fp)
+            fuse_pipeline(bev, prior, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -540,20 +535,20 @@ class TestPipeline:
             with pytest.raises(ContractError, match="feature maps differ"):
                 fuse_pipeline(random_fm(rng, small_spec(), 2),
                               random_fm(rng, prior_spec, prior_c),
-                              *random_params(0, 2))
+                              random_params(0, 2))
 
     def test_nonfinite_offsets_rejected(self):
         spec = small_spec()
         ones = FeatureMap(spec, np.ones(spec.shape + (1,)))
-        op = zero_offset_params(2)
-        huge = OffsetParams(op.w1, np.ones(4), np.full(op.w2.shape, 1e308), op.b2)
-        _, fp = random_params(0, 1)
+        logits = random_params(0, 1)
+        huge = {**zero_params(1), "b1": np.ones(4), "w2": np.full((2, 4, 3, 3), 1e308),
+                "weight": logits["weight"], "bias": logits["bias"]}
         with pytest.raises(ContractError, match="offsets must be finite"):
-            fuse_pipeline(ones, ones, huge, fp)
+            fuse_pipeline(ones, ones, huge)
 
     def test_nonfinite_logits_rejected(self):
         spec = small_spec()
         ones = FeatureMap(spec, np.ones(spec.shape + (1,)))
-        fp = FusionParams(np.full((2, 2), 1e308), np.zeros(2))
+        huge = {**zero_params(1), "weight": np.full((2, 2), 1e308)}
         with pytest.raises(ContractError, match="logits must be finite"):
-            fuse_pipeline(ones, ones, zero_offset_params(2), fp)
+            fuse_pipeline(ones, ones, huge)

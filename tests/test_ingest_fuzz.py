@@ -129,7 +129,7 @@ def tp_inputs(d):
     for name in ("bev", "prior"):
         tensorio.save_feature_map(d / f"{name}.tp",
                                   FeatureMap(spec, rng.normal(0, 1, (10, 10, 2))))
-    tensorio.save_params(d / "params.tp", *random_params(0, 2, hidden=4))
+    tensorio.save_params(d / "params.tp", random_params(0, 2, hidden=4))
     return {name: (d / f"{name}.tp").read_bytes() for name in ("bev", "prior", "params")}
 
 

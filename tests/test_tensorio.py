@@ -57,12 +57,19 @@ def test_feature_map_roundtrip(tmp_path):
 
 
 def test_params_roundtrip(tmp_path):
-    op, fp = random_params(3, channels=2, hidden=4)
+    params = random_params(3, channels=2, hidden=4)
     path = tmp_path / "p.tp"
-    save_params(path, op, fp)
-    op2, fp2 = load_params(path)
-    assert np.array_equal(op.w1, op2.w1) and np.array_equal(op.b2, op2.b2)
-    assert np.array_equal(fp.weight, fp2.weight)
+    save_params(path, params)
+    got = load_params(path)
+    assert list(got) == ["w1", "b1", "w2", "b2", "weight", "bias"]
+    assert all(np.array_equal(got[name], params[name]) for name in params)
+    tensors, meta = load_tensors(path)
+    assert sorted(tensors) == ["logit_bias", "logit_weight", "off_b1", "off_b2",
+                               "off_w1", "off_w2"]
+    assert meta == {"kind": "params", "channels": 2, "hidden": 4}
+    again = tmp_path / "again.tp"
+    save_params(again, got)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_pgm_header_and_size(tmp_path):
