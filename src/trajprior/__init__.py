@@ -15,8 +15,7 @@ from .ingest import (IngestConfig, ParseError, filter_by_length,
 from .metrics import ae_dist, ae_type, iou, prior_iou
 from .raster import (heatmap_to_feature, rasterize_polylines,
                      rasterize_trajectories)
-from .selection import (ClusterResult, SampleResult, fps, frechet_dist, kmeans,
-                        resample)
+from .selection import ClusterResult, SampleResult, fps, frechet_dist, kmeans
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "serialize_centerlines", "filter_by_length", "smooth", "smooth_set",
     "retention_check", "synth_scene", "rasterize_trajectories",
     "rasterize_polylines", "heatmap_to_feature",
-    "ClusterResult", "SampleResult", "resample",
+    "ClusterResult", "SampleResult",
     "frechet_dist", "kmeans", "fps",
     "iou", "prior_iou", "ae_type", "ae_dist",
 ]

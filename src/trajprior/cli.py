@@ -130,8 +130,9 @@ def cmd_sample(args) -> int:
         "min_dists": result.min_dists,
         "selected": [ingest.to_record(ts.trajectories[i]) for i in result.indices],
     }
-    # build both documents first, so a bad --resample writes neither
-    if args.queries_out:
+    # build both documents first, so a bad --resample writes neither; one
+    # below 2 is refused without --queries-out too, as cluster refuses it
+    if args.queries_out or args.resample < 2:
         queries = _query_seed(selection.resample_all(
             [ts.trajectories[i] for i in result.indices], args.resample), args.resample)
     _dump_json(args.out, doc)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +20,10 @@ MAX_CELLS = 10_000_000
 # and arc lengths of such points stay far from float64 overflow.
 MAX_COORD = 1e7
 
-# Most values one request may allocate: the points one
-# `metrics.sample_polyline_points` call returns (16 bytes each; `eval` samples
-# each of its two inputs once), the points of one `selection.resample_all`
-# (`cluster`, `sample --queries-out`) and the w1 weights of `random_params`.
+# Most values one request may allocate: the points one `sample_arc_length`
+# call returns (16 bytes each; `eval` samples each of its two inputs once,
+# `cluster` and `sample --queries-out` their curves) and the w1 weights of
+# `random_params`.
 MAX_SAMPLES = 10_000_000
 
 
@@ -166,6 +166,37 @@ class TrajectorySet:
 
     def __len__(self) -> int:
         return len(self.trajectories)
+
+
+
+def sample_arc_length(polylines: Sequence[Trajectory],
+                      count: Callable[[np.ndarray], np.ndarray],
+                      request: str) -> np.ndarray:
+    """Points evenly spaced in arc length along each polyline, its endpoints
+    included bit for bit, concatenated into one (N, 2) array.
+
+    ``count`` maps the arc lengths to float point counts, so no request can
+    overflow, and their total is checked against MAX_SAMPLES before any point
+    is interpolated. A zero-length polyline gives copies of its first point.
+    """
+    arcs = [np.concatenate([[0.0], np.cumsum(
+        np.linalg.norm(np.diff(t.points, axis=0), axis=1))]) for t in polylines]
+    counts = count(np.array([s[-1] for s in arcs]))
+    if counts.sum() > MAX_SAMPLES:
+        raise ContractError(f"{request} needs more than MAX_SAMPLES={MAX_SAMPLES} points")
+    counts = counts.astype(np.int64)
+    out = np.empty((counts.sum(), 2))
+    ends = np.cumsum(counts).tolist()
+    for t, s, start, end in zip(polylines, arcs, [0] + ends, ends):
+        pts, part = t.points, out[start:end]
+        if s[-1] == 0.0:
+            part[:] = pts[0]
+            continue
+        targets = np.linspace(0.0, s[-1], len(part))
+        part[:, 0] = np.interp(targets, s, pts[:, 0])
+        part[:, 1] = np.interp(targets, s, pts[:, 1])
+        part[0], part[-1] = pts[0], pts[-1]
+    return out
 
 
 @dataclass(frozen=True)

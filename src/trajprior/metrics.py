@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_SAMPLES, ContractError, GridSpec, Trajectory
+from .core import ContractError, GridSpec, Trajectory, sample_arc_length
 from .raster import chunked_repeat, rasterize_polylines
 
 DEFAULT_LINE_WIDTH = 0.75  # meters
@@ -155,25 +155,12 @@ def sample_polyline_points(polylines: Sequence[Trajectory],
     """Points along each polyline at a fixed arc-length step (endpoints included)."""
     if not step > 0:
         raise ContractError(f"step must be > 0, got {step}")
-    chunks = []
-    count = 0.0  # counted in float so an oversized request cannot overflow
-    for poly in polylines:
-        pts = poly.points
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        total = s[-1]
-        n = 1.0 if total == 0.0 else max(2.0, np.floor(total / step) + 1.0)
-        count += n
-        if count > MAX_SAMPLES:
-            raise ContractError(f"sampling at step {step} needs more than "
-                                f"MAX_SAMPLES={MAX_SAMPLES} points")
-        if total == 0.0:
-            chunks.append(pts[:1])
-            continue
-        targets = np.linspace(0.0, total, int(n))
-        x = np.interp(targets, s, pts[:, 0])
-        y = np.interp(targets, s, pts[:, 1])
-        chunks.append(np.column_stack([x, y]))
-    if not chunks:
+    if not polylines:
         raise ContractError("no polylines to sample")
-    return np.concatenate(chunks, axis=0)
+
+    def count(total: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a tiny step counts inf points
+            n = np.maximum(2.0, np.floor(total / step) + 1.0)
+        return np.where(total == 0.0, 1.0, n)
+
+    return sample_arc_length(polylines, count, f"sampling at step {step}")

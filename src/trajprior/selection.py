@@ -1,4 +1,4 @@
-"""Representative-trajectory extraction: resampling, distances, K-means, FPS."""
+"""Representative trajectories: arc-length resampling, Frechet FPS, K-means."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +6,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import MAX_SAMPLES, ContractError, Pcg64, Trajectory, TrajectorySet
+from .core import (ContractError, Pcg64, Trajectory, TrajectorySet,
+                   sample_arc_length)
 
 DEFAULT_RESAMPLE = 20
 
@@ -26,37 +27,16 @@ class SampleResult:
     min_dists: List[float]  # one per selection after the first
 
 
-def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> np.ndarray:
-    """R points at arc-length fractions k/(R-1) by linear interpolation.
-
-    Returns an (R, 2) array; a zero-length polyline gives R copies of its
-    first point.
-    """
+def resample_all(trajectories: Sequence[Trajectory], r: int) -> np.ndarray:
+    """(n, R, 2): R points of each trajectory at arc-length fractions k/(R-1),
+    refused before any is computed when they would hold more than MAX_SAMPLES
+    points."""
     if r < 2:
         raise ContractError(f"resample count must be >= 2, got {r}")
-    pts = t.points
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    if total == 0.0:
-        return np.repeat(pts[:1], r, axis=0)
-    targets = np.linspace(0.0, total, r)
-    x = np.interp(targets, s, pts[:, 0])
-    y = np.interp(targets, s, pts[:, 1])
-    out = np.column_stack([x, y])
-    # np.interp is exact at the ends, but pin them anyway
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    return out
-
-
-def resample_all(trajectories: Sequence[Trajectory], r: int) -> np.ndarray:
-    """(n, R, 2) resamples of n trajectories, refused before any is computed
-    when they would hold more than MAX_SAMPLES points."""
-    if len(trajectories) * r > MAX_SAMPLES:
-        raise ContractError(f"resample count {r} for {len(trajectories)} trajectories "
-                            f"needs more than MAX_SAMPLES={MAX_SAMPLES} points")
-    return np.stack([resample(t, r) for t in trajectories])
+    per = float(min(r, 2 ** 53))  # exact up to 2**53, far above the cap
+    points = sample_arc_length(trajectories, lambda total: np.full(len(total), per),
+                               f"resample count {r} for {len(trajectories)} trajectories")
+    return points.reshape(len(trajectories), r, 2)
 
 
 def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:

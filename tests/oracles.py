@@ -9,8 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from trajprior.core import Trajectory
+from trajprior.core import MAX_SAMPLES, ContractError, Trajectory
 from trajprior.ingest import IngestConfig
+from trajprior.metrics import DEFAULT_SAMPLE_STEP
+from trajprior.selection import DEFAULT_RESAMPLE
 
 
 def frechet_by_enumeration(a, b):
@@ -329,3 +331,55 @@ def smooth_by_point_loop(t: Trajectory, cfg: IngestConfig) -> Trajectory:
         r = min(radius, i, n - 1 - i)
         out[i] = pts[i - r:i + r + 1].mean(axis=0)
     return replace(t, points=out)
+
+
+def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> np.ndarray:
+    """R points at arc-length fractions k/(R-1) by linear interpolation.
+
+    Returns an (R, 2) array; a zero-length polyline gives R copies of its
+    first point.
+    """
+    if r < 2:
+        raise ContractError(f"resample count must be >= 2, got {r}")
+    pts = t.points
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    total = s[-1]
+    if total == 0.0:
+        return np.repeat(pts[:1], r, axis=0)
+    targets = np.linspace(0.0, total, r)
+    x = np.interp(targets, s, pts[:, 0])
+    y = np.interp(targets, s, pts[:, 1])
+    out = np.column_stack([x, y])
+    # np.interp is exact at the ends, but pin them anyway
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    return out
+
+
+def sample_polyline_points(polylines, step: float = DEFAULT_SAMPLE_STEP) -> np.ndarray:
+    """Points along each polyline at a fixed arc-length step (endpoints included)."""
+    if not step > 0:
+        raise ContractError(f"step must be > 0, got {step}")
+    chunks = []
+    count = 0.0  # counted in float so an oversized request cannot overflow
+    for poly in polylines:
+        pts = poly.points
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        s = np.concatenate([[0.0], np.cumsum(seg)])
+        total = s[-1]
+        n = 1.0 if total == 0.0 else max(2.0, np.floor(total / step) + 1.0)
+        count += n
+        if count > MAX_SAMPLES:
+            raise ContractError(f"sampling at step {step} needs more than "
+                                f"MAX_SAMPLES={MAX_SAMPLES} points")
+        if total == 0.0:
+            chunks.append(pts[:1])
+            continue
+        targets = np.linspace(0.0, total, int(n))
+        x = np.interp(targets, s, pts[:, 0])
+        y = np.interp(targets, s, pts[:, 1])
+        chunks.append(np.column_stack([x, y]))
+    if not chunks:
+        raise ContractError("no polylines to sample")
+    return np.concatenate(chunks, axis=0)

@@ -20,7 +20,7 @@ from trajprior.ingest import IngestConfig, filter_by_length, smooth_set, \
 from trajprior.metrics import ae_dist, ae_type, iou, prior_iou, \
     sample_polyline_points
 from trajprior.raster import heatmap_to_feature, rasterize_trajectories
-from trajprior.selection import fps, frechet_dist, kmeans, resample
+from trajprior.selection import fps, frechet_dist, kmeans, resample_all
 
 from conftest import random_set, random_trajectory
 from oracles import (best_two_partition, chamfer_mean_bruteforce,
@@ -97,7 +97,7 @@ def test_criterion_3_kmeans_contract():
                                      base + rng.normal(0, 0.3, base.shape)))
     tiny = TrajectorySet(tuple(bundle))
     res6 = kmeans(tiny, 2, r=6, seed=0)
-    x = np.stack([resample(t, 6).ravel() for t in tiny.trajectories])
+    x = np.stack([resample_all([t], 6)[0].ravel() for t in tiny.trajectories])
     want_labels, want_inertia = best_two_partition(x)
     match = (np.array_equal(res6.assignment == res6.assignment[0],
                             want_labels == want_labels[0])

@@ -500,11 +500,16 @@ def test_negative_seed_exit_2_at_parse_time(command, scene, fused_inputs,
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("command,size", [("cluster", "--k"), ("sample", "--count")])
-def test_resample_below_2_writes_nothing(command, size, scene, tmp_path, capsys):
+@pytest.mark.parametrize("command,size,with_queries",
+                         [("cluster", "--k", True), ("sample", "--count", True),
+                          ("sample", "--count", False)],
+                         ids=["cluster---k", "sample---count", "sample-no-queries-out"])
+def test_resample_below_2_writes_nothing(command, size, with_queries, scene,
+                                         tmp_path, capsys):
     out, queries = tmp_path / "out.json", tmp_path / "q.json"
     assert run(command, "--input", scene / "trajectories.jsonl", size, 2,
-               "--resample", 1, "--out", out, "--queries-out", queries) == 2
+               "--resample", 1, "--out", out,
+               *(["--queries-out", queries] if with_queries else [])) == 2
     assert "resample count must be >= 2" in capsys.readouterr().err
     assert not out.exists() and not queries.exists()
 
@@ -599,6 +604,16 @@ def test_oversized_sample_request_exit_2(step, tmp_path, capsys):
     assert code == 2 and peak < 16 * 2 ** 20
     err = capsys.readouterr().err
     assert "MAX_SAMPLES" in err and "Traceback" not in err
+
+
+def test_overflowing_sample_count_prints_only_the_error(scene, tmp_path, capsys):
+    # length / 1e-320 overflows float64; the count is inf and refused silently
+    assert run("eval", "--pred", scene / "trajectories.jsonl",
+               "--gt", scene / "centerlines.jsonl", "--sample-step", "1e-320",
+               "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == ("error: sampling at step 1e-320 needs more "
+                                       "than MAX_SAMPLES=10000000 points\n")
+    assert not (tmp_path / "out").exists()
 
 
 # the last case is complete but for a stray argument, which the top-level

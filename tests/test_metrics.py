@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajprior import metrics
+from trajprior import core
 from trajprior.core import ContractError, GridSpec, Trajectory
 from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
@@ -170,7 +170,7 @@ class TestSamplePolylines:
         assert np.allclose(pts[0], [0, 0]) and np.allclose(pts[-1], [10, 0])
 
     def test_sample_count_capped(self, monkeypatch):
-        monkeypatch.setattr(metrics, "MAX_SAMPLES", 21)
+        monkeypatch.setattr(core, "MAX_SAMPLES", 21)
         ten = Trajectory("p", [[0.0, 0.0], [10.0, 0.0]])
         assert len(sample_polyline_points([ten], step=0.5)) == 21
         point = Trajectory("q", [[1.0, 1.0], [1.0, 1.0]])

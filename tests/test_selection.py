@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from trajprior.core import ContractError, Pcg64, Trajectory, TrajectorySet
-from trajprior import selection
-from trajprior.selection import fps, frechet_dist, kmeans, resample, resample_all
+from trajprior import core, selection
+from trajprior.selection import fps, frechet_dist, kmeans, resample_all
 
 from conftest import random_set, random_trajectory
 from oracles import best_two_partition, fps_by_full_matrix, frechet_by_enumeration
@@ -14,27 +14,27 @@ from oracles import best_two_partition, fps_by_full_matrix, frechet_by_enumerati
 
 class TestResample:
     def test_uniform_on_segment(self):
-        r = resample(Trajectory("t", [[0, 0], [1, 0]]), 3)
+        r = resample_all([Trajectory("t", [[0, 0], [1, 0]])], 3)[0]
         assert np.allclose(r, [[0, 0], [0.5, 0], [1, 0]])
 
     def test_r2_keeps_endpoints(self):
         t = Trajectory("t", [[0, 0], [3, 1], [5, -2]])
-        r = resample(t, 2)
+        r = resample_all([t], 2)[0]
         assert np.array_equal(r, [t.points[0], t.points[-1]])
 
     def test_l_shape_midpoint_at_corner(self):
-        r = resample(Trajectory("t", [[0, 0], [1, 0], [1, 1]]), 3)
+        r = resample_all([Trajectory("t", [[0, 0], [1, 0], [1, 1]])], 3)[0]
         assert np.allclose(r[1], [1, 0])
 
     def test_zero_length_collapses(self):
-        r = resample(Trajectory("t", [[2, 3], [2, 3]]), 5)
+        r = resample_all([Trajectory("t", [[2, 3], [2, 3]])], 5)[0]
         assert np.all(r == [2, 3])
 
     def test_endpoints_and_monotone_arc_length(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             t = random_trajectory(rng, n_points=int(rng.integers(2, 12)))
-            r = resample(t, 20)
+            r = resample_all([t], 20)[0]
             assert np.allclose(r[0], t.points[0], atol=1e-9)
             assert np.allclose(r[-1], t.points[-1], atol=1e-9)
 
@@ -123,7 +123,7 @@ class TestKmeans:
         rng = np.random.default_rng(11)
         ts = self.bundles(rng, [(0, 0), (30, 10)], per=3, spread=0.3)
         res = kmeans(ts, 2, r=6, seed=0)
-        x = np.stack([resample(t, 6).ravel() for t in ts.trajectories])
+        x = np.stack([resample_all([t], 6)[0].ravel() for t in ts.trajectories])
         want_labels, want_inertia = best_two_partition(x)
         got = res.assignment
         same = np.array_equal(got == got[0], want_labels == want_labels[0])
@@ -214,8 +214,8 @@ class TestFps:
 def test_resample_all_stacks_and_caps(monkeypatch):
     ts = random_set(np.random.default_rng(17), 3)
     got = resample_all(ts.trajectories, 7)
-    assert np.array_equal(got, np.stack([resample(t, 7) for t in ts.trajectories]))
-    monkeypatch.setattr(selection, "MAX_SAMPLES", 20)
+    assert np.array_equal(got, np.stack([resample_all([t], 7)[0] for t in ts.trajectories]))
+    monkeypatch.setattr(core, "MAX_SAMPLES", 20)
     assert resample_all(ts.trajectories[:2], 10).shape == (2, 10, 2)
     with pytest.raises(ContractError, match="resample count 7 for 3 trajectories"):
         resample_all(ts.trajectories, 7)
