@@ -27,14 +27,15 @@ the finite-difference check.
 `warp` and `warp_grad` read each of the four bilinear neighbours with
 `_gather`, one `take` of whole channel rows from the flattened grids.
 
-`finite_difference_check` checks every stage argument by central
-differences on one fixed instance: a 5x6 grid, 3 channels, 4 hidden channels
-and step 1e-6. The instance is uniform draws in [-1, 1) from
-`core.Pcg64(seed)`, parameters scaled by 0.1, so the check does not import
-numpy.random. Row `<stage>.d_<argument>` holds the adjoint's i-th output;
-its loss is <stage output with argument i perturbed, upstream>. For each
-input of n values one stage call evaluates the stack of all 2n perturbed
-points, so the CLI's forward pass and the check run the same code.
+`finite_difference_check` checks every stage argument on one fixed instance:
+a 5x6 grid, 3 channels, 4 hidden channels and step 1e-6, drawn uniform in
+[-1, 1) from `core.Pcg64(seed)` (parameters scaled by 0.1), so the check does
+not import numpy.random. Row `<stage>.d_<argument>` compares the adjoint's
+i-th output, projected on _DIRECTIONS seeded unit directions v, with central
+differences of <stage output, upstream> along each v: vᵀJu for random v, as
+in torch.autograd.gradcheck's fast mode, which a wrong output passes with
+probability zero. One stage call evaluates all 2·_DIRECTIONS points, so the
+CLI's forward pass and the check run the same code.
 """
 from __future__ import annotations
 
@@ -301,22 +302,21 @@ def fuse_pipeline(bev: FeatureMap, prior: FeatureMap, params: Dict[str, np.ndarr
     return fused, stats
 
 
-def _fd_grad(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-             step: float) -> np.ndarray:
-    """Central differences of f at x, coordinate by coordinate.
+_DIRECTIONS = 4  # directions per checked argument; its stack holds twice as many rows
 
-    `f` maps a stack of shape (B, *x.shape) to B losses. One call gets all
-    n coordinates: rows 0..n-1 hold x + step·eᵢ, rows n..2n-1 hold
-    x - step·eᵢ.
-    """
-    flat = x.ravel()
-    n = flat.size
-    idx = np.arange(n)
-    stack = np.tile(flat, (2 * n, 1))
-    stack[idx, idx] = flat + step
-    stack[idx + n, idx] = flat - step
-    loss = f(stack.reshape((2 * n,) + x.shape))
-    return ((loss[:n] - loss[n:]) / (2.0 * step)).reshape(x.shape)
+
+def _directional_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                    rng: Pcg64, step: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(v, central differences at x along each row of v) for _DIRECTIONS unit
+    rows v_k[i] ∝ cos(theta_k·i + phi_k), theta_k and phi_k drawn uniform in
+    [0, 2pi): two draws per direction, not one per value. One call of f, which
+    maps a (B, *x.shape) stack to B losses, gets rows x + step·v_k then
+    x - step·v_k."""
+    theta, phi = 2.0 * math.pi * rng.random(2 * _DIRECTIONS).reshape(2, -1, 1)
+    v = np.cos(theta * np.arange(x.size) + phi)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    loss = f((x.ravel() + step * np.concatenate([v, -v])).reshape((-1,) + x.shape))
+    return v, (loss[:_DIRECTIONS] - loss[_DIRECTIONS:]) / (2.0 * step)
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -330,17 +330,10 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return err if math.isfinite(err) else sys.float_info.max
 
 
-def _safe_offsets(rng: Pcg64, shape: Tuple[int, int]) -> np.ndarray:
-    """Random offsets in [-2, 3) whose fractional part stays >= 0.05 from any
-    integer."""
-    n = math.prod(shape) * 2
-    whole = np.floor(5.0 * rng.random(n)) - 2.0
-    return (whole + 0.05 + 0.9 * rng.random(n)).reshape(shape + (2,))
-
-
 def _grad_check_instance(seed: int) -> Dict[str, object]:
     """Seeded inputs, parameters and upstream gradients of one check: uniform
-    in [-1, 1), parameters scaled by 0.1, drawn in a fixed order."""
+    in [-1, 1), parameters scaled by 0.1, drawn in a fixed order. `rng` is
+    the generator after those draws; the check draws its directions from it."""
     rng = Pcg64(seed)
 
     def uniform(*shape: int, scale: float = 1.0) -> np.ndarray:
@@ -349,14 +342,16 @@ def _grad_check_instance(seed: int) -> Dict[str, object]:
     (h, w), channels, hidden = (5, 6), 3, 4
     bev = uniform(h, w, channels)
     prior = uniform(h, w, channels)
-    off = _safe_offsets(rng, (h, w))
+    # offsets in [-2, 3) whose fractional part stays >= 0.05 from any integer
+    whole = np.floor(5.0 * rng.random(2 * h * w)) - 2.0
+    off = (whole + 0.05 + 0.9 * rng.random(2 * h * w)).reshape(h, w, 2)
     params = {name: uniform(*shape, scale=0.1)
               for name, shape in _param_shapes(channels, hidden).items()}
     return {"bev": bev, "prior": prior, "off": off, "params": params,
             "la": uniform(h, w), "lb": uniform(h, w),
             "up_fm": uniform(h, w, channels),
             "up_off": uniform(h, w, 2),
-            "up_l": uniform(h, w)}
+            "up_l": uniform(h, w), "rng": rng}
 
 
 def _stage_loss(stage, args: list, i: int, upstream: np.ndarray):
@@ -395,7 +390,11 @@ def _grad_check_table(inst: Dict[str, object]) -> list:
 
 def finite_difference_check(seed: int) -> Dict[str, float]:
     """Relative error of each analytic adjoint output against central
-    differences of step 1e-6, keyed by name (e.g. ``"fuse.d_lb"``)."""
+    differences of step 1e-6, both projected on the row's seeded directions,
+    keyed by name (e.g. ``"fuse.d_lb"``)."""
     inst = _grad_check_instance(seed)
-    return {name: _rel_err(analytic, _fd_grad(f, x, 1e-6))
-            for name, analytic, f, x in _grad_check_table(inst)}
+    errs = {}
+    for name, analytic, f, x in _grad_check_table(inst):
+        v, numeric = _directional_fd(f, x, inst["rng"], 1e-6)
+        errs[name] = _rel_err(v @ analytic.ravel(), numeric)
+    return errs

@@ -6,7 +6,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (ContractError, Pcg64, Trajectory, TrajectorySet,
+from .core import (MAX_SAMPLES, ContractError, Pcg64, Trajectory, TrajectorySet,
                    sample_arc_length)
 
 DEFAULT_RESAMPLE = 20
@@ -30,12 +30,13 @@ class SampleResult:
 def resample_all(trajectories: Sequence[Trajectory], r: int) -> np.ndarray:
     """(n, R, 2): R points of each trajectory at arc-length fractions k/(R-1),
     refused before any is computed when they would hold more than MAX_SAMPLES
-    points."""
+    points, or R alone exceeds it."""
     if r < 2:
         raise ContractError(f"resample count must be >= 2, got {r}")
-    per = float(min(r, 2 ** 53))  # exact up to 2**53, far above the cap
-    points = sample_arc_length(trajectories, lambda total: np.full(len(total), per),
-                               f"resample count {r} for {len(trajectories)} trajectories")
+    request = f"resample count {r} for {len(trajectories)} trajectories"
+    if r > MAX_SAMPLES:  # numpy cannot shape even an empty set's (0, r, 2) near 2**62
+        raise ContractError(f"{request} exceeds MAX_SAMPLES={MAX_SAMPLES} points each")
+    points = sample_arc_length(trajectories, lambda t: np.full(len(t), float(r)), request)
     return points.reshape(len(trajectories), r, 2)
 
 

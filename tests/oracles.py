@@ -291,23 +291,21 @@ def gather_by_fancy_index(data, rows, cols):
     return flat[base + rows * w + cols]
 
 
-def fd_grad_loop(f, x, step):
-    """Central differences, one coordinate and two scalar calls f(x) at a time.
+def fd_grad_by_coordinate(f, x, step):
+    """Central differences of f at x, coordinate by coordinate.
 
-    Perturbs x in place and restores each coordinate after use.
+    `f` maps a stack of shape (B, *x.shape) to B losses. One call gets all
+    n coordinates: rows 0..n-1 hold x + step·eᵢ, rows n..2n-1 hold
+    x - step·eᵢ.
     """
-    g = np.zeros_like(x, dtype=np.float64)
     flat = x.ravel()
-    gflat = g.ravel()
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + step
-        fp = f(x)
-        flat[i] = old - step
-        fm = f(x)
-        flat[i] = old
-        gflat[i] = (fp - fm) / (2.0 * step)
-    return g
+    n = flat.size
+    idx = np.arange(n)
+    stack = np.tile(flat, (2 * n, 1))
+    stack[idx, idx] = flat + step
+    stack[idx + n, idx] = flat - step
+    loss = f(stack.reshape((2 * n,) + x.shape))
+    return ((loss[:n] - loss[n:]) / (2.0 * step)).reshape(x.shape)
 
 
 def sign_test_p_value(wins, n):

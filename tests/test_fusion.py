@@ -1,4 +1,5 @@
 import inspect
+import json
 import re
 import sys
 import tracemalloc
@@ -7,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from trajprior import fusion
-from trajprior.core import ContractError, FeatureMap, GridSpec
+from trajprior import cli, fusion, tensorio
+from trajprior.core import ContractError, FeatureMap, GridSpec, Pcg64
 from trajprior.fusion import (compute_logits, compute_logits_grad, confidence_fuse,
                               confidence_fuse_grad, confidence_weights,
                               finite_difference_check, fuse_pipeline,
@@ -16,7 +17,7 @@ from trajprior.fusion import (compute_logits, compute_logits_grad, confidence_fu
                               random_params, warp, warp_grad)
 
 from oracles import (conv3x3_grad_taps, conv3x3_sliding_window, conv3x3_taps,
-                     fd_grad_loop, gather_by_fancy_index)
+                     fd_grad_by_coordinate, gather_by_fancy_index)
 
 SHAPE = (6, 7)
 
@@ -413,9 +414,72 @@ def wrong_d_lb(bev, prior, la, lb, upstream):
     return d_bev, d_prior, d_la, d_la
 
 
+def nan_d_lb(bev, prior, la, lb, upstream):
+    d_bev, d_prior, d_la, _ = confidence_fuse_grad(bev, prior, la, lb, upstream)
+    return d_bev, d_prior, d_la, np.full_like(d_la, np.nan)
+
+
+def conv_grad_without_last_tap(x, w, d_out, _right=fusion._conv3x3_grad):
+    """_conv3x3_grad leaving d_w's tap (2, 2) at zero."""
+    d_x, d_w, d_b = _right(x, w, d_out)
+    d_w[:, :, 2, 2] = 0.0
+    return d_x, d_w, d_b
+
+
+def offsets_grad_without_tanh_prime(bev, prior, w1, b1, w2, b2, upstream):
+    x = fusion._concat(bev, prior)
+    a1 = np.tanh(fusion._conv3x3(x, w1, b1))
+    d_a1, d_w2, d_b2 = fusion._conv3x3_grad(a1, w2, upstream)
+    d_x, d_w1, d_b1 = fusion._conv3x3_grad(x, w1, d_a1)
+    return (*np.split(d_x, [bev.shape[-1]], axis=-1), d_w1, d_b1, d_w2, d_b2)
+
+
+def warp_grad_row_col_swapped(data, off, upstream):
+    d_data, d_off = warp_grad(data, off, upstream)
+    return d_data, d_off[..., ::-1]
+
+
+# structural bug -> (module attribute, wrong function, the rows it breaks)
+WRONG_ADJOINTS = {
+    "d_lb-sign": ("confidence_fuse_grad", wrong_d_lb, {"fuse.d_lb"}),
+    "d_lb-nan": ("confidence_fuse_grad", nan_d_lb, {"fuse.d_lb"}),
+    "conv-tap-2-2": ("_conv3x3_grad", conv_grad_without_last_tap,
+                     {"offsets.d_w1", "offsets.d_w2"}),
+    "no-tanh-prime": ("predict_offsets_grad", offsets_grad_without_tanh_prime,
+                      {"offsets.d_bev", "offsets.d_prior", "offsets.d_w1",
+                       "offsets.d_b1"}),
+    "d_off-swapped": ("warp_grad", warp_grad_row_col_swapped, {"warp.d_off"}),
+}
+
+
+@pytest.mark.parametrize("attr,wrong,rows", WRONG_ADJOINTS.values(),
+                         ids=WRONG_ADJOINTS.keys())
+def test_wrong_adjoint_fails_exactly_its_rows(attr, wrong, rows, monkeypatch,
+                                              tmp_path, capsys):
+    """Directional checking still catches structural bugs: each pushes the
+    rows it breaks, and only those, above the test gate on every seed, and
+    the CLI exits 3 naming one of them."""
+    monkeypatch.setattr(fusion, attr, wrong)
+    for seed in range(5):
+        errs = finite_difference_check(seed)
+        assert {name for name, err in errs.items() if err > 1e-5} == rows, seed
+    spec = small_spec()
+    tensorio.save_feature_map(tmp_path / "map.tp",
+                              random_fm(np.random.default_rng(31), spec, 2))
+    tensorio.save_params(tmp_path / "params.tp", random_params(0, 2))
+    assert cli.main(["fuse", "--bev", str(tmp_path / "map.tp"),
+                     "--prior", str(tmp_path / "map.tp"),
+                     "--params", str(tmp_path / "params.tp"),
+                     "--out", str(tmp_path / "fused.tp"), "--check-grads"]) == 3
+    worst = re.search(r"gradient check failed: (\S+)", capsys.readouterr().err)[1]
+    assert worst in rows
+    sidecar = json.loads((tmp_path / "fused.tp.json").read_text())
+    assert min(sidecar["grad_check_rel_err"][row] for row in rows) > 1e-4
+
+
 def scalar_losses(inst):
-    """The eight losses the per-coordinate check evaluated, one input at a
-    time through the public stage functions."""
+    """Eight of the check's losses, one point at a time through the public
+    stage functions."""
     bev, prior, off, la, lb = (inst[k] for k in ("bev", "prior", "off", "la", "lb"))
     p = inst["params"]
     up_fm, up_off, up_l = inst["up_fm"], inst["up_off"], inst["up_l"]
@@ -443,20 +507,31 @@ def scalar_losses(inst):
 
 
 class TestBatchedFiniteDifferences:
-    def test_bit_identical_to_per_coordinate_loop(self):
+    def test_stacked_losses_bit_identical_to_per_direction_calls(self):
+        step = 1e-6
         for seed in range(20):
             inst = fusion._grad_check_instance(seed)
-            losses = scalar_losses(inst)
             rows = {name: (f, x) for name, _, f, x in fusion._grad_check_table(inst)}
-            for name, loss in losses.items():
+            for name, loss in scalar_losses(inst).items():
                 f, x = rows[name]
-                batched = fusion._fd_grad(f, x, 1e-6)
-                assert np.array_equal(batched, fd_grad_loop(loss, x.copy(), 1e-6)), \
-                    (seed, name)
+                v, stacked = fusion._directional_fd(f, x, Pcg64(seed), step)
+                want = [(loss((x.ravel() + step * vk).reshape(x.shape))
+                         - loss((x.ravel() + step * -vk).reshape(x.shape))) / (2.0 * step)
+                        for vk in v]
+                assert np.array_equal(stacked, want), (seed, name)
+                assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_coordinate_oracle_passes_the_same_gate(self):
+        # the coordinate-wise check the directional one replaced, as a reference
+        for seed in range(5):
+            inst = fusion._grad_check_instance(seed)
+            for name, analytic, f, x in fusion._grad_check_table(inst):
+                assert fusion._rel_err(analytic, fd_grad_by_coordinate(f, x, 1e-6)) \
+                    < 1e-5, (seed, name)
 
     def test_peak_memory_bounded(self):
-        # the largest stack is w1's 432 rows of 216 values (0.7 MiB); the
-        # whole check peaks at about 2.5 MiB
+        # every stack is 2 * _DIRECTIONS = 8 rows; the largest, w1's, holds
+        # 8x216 values (14 KiB), and the whole check peaks at about 0.1 MiB
         tracemalloc.start()
         try:
             errs = finite_difference_check(0)
@@ -464,31 +539,48 @@ class TestBatchedFiniteDifferences:
         finally:
             tracemalloc.stop()
         assert max(errs.values()) < 1e-5
-        assert peak < 4 * 2 ** 20
+        assert peak < 2 ** 19
 
 
 STAGES = ("predict_offsets", "warp", "compute_logits", "confidence_fuse")
 
 
+def wrap_stages(monkeypatch):
+    """Wrap the four stages on the module; returns the list of (stage, output
+    shape) that each call appends to."""
+    calls = []
+    for name in STAGES:
+        def recording(*args, _name=name, _stage=getattr(fusion, name)):
+            out = _stage(*args)
+            calls.append((_name, out.shape))
+            return out
+        monkeypatch.setattr(fusion, name, recording)
+    return calls
+
+
 def test_stages_reached_through_module_attributes(monkeypatch):
     """fuse_pipeline and the gradient check look every stage up on the module
     at call time, so a wrapper installed there (a tracer) sees every call."""
-    calls = dict.fromkeys(STAGES, 0)
-    for name in STAGES:
-        def counting(*args, _name=name, _stage=getattr(fusion, name)):
-            calls[_name] += 1
-            return _stage(*args)
-        monkeypatch.setattr(fusion, name, counting)
+    calls = wrap_stages(monkeypatch)
     rng = np.random.default_rng(23)
     spec = small_spec()
     fuse_pipeline(random_fm(rng, spec, 2), random_fm(rng, spec, 2),
                   random_params(0, 2))
-    assert calls == dict.fromkeys(STAGES, 1)
-    calls.update(dict.fromkeys(STAGES, 0))
+    assert sorted(name for name, _ in calls) == sorted(STAGES)
+    calls.clear()
     finite_difference_check(0)
     # one stacked call per checked output at this size
-    assert calls == {"predict_offsets": 6, "warp": 2, "compute_logits": 4,
-                     "confidence_fuse": 4}
+    assert {name: sum(1 for n, _ in calls if n == name) for name in STAGES} == \
+        {"predict_offsets": 6, "warp": 2, "compute_logits": 4, "confidence_fuse": 4}
+
+
+def test_check_stacks_two_rows_per_direction(monkeypatch):
+    """The check's cost does not grow with an argument's size: every stage
+    call it makes evaluates one stack of 2 * _DIRECTIONS points."""
+    calls = wrap_stages(monkeypatch)
+    finite_difference_check(0)
+    assert len(calls) == 16
+    assert {(len(shape), shape[0]) for _, shape in calls} == {(4, 2 * fusion._DIRECTIONS)}
 
 
 class TestPipeline:

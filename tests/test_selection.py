@@ -221,6 +221,18 @@ def test_resample_all_stacks_and_caps(monkeypatch):
         resample_all(ts.trajectories, 7)
 
 
+@pytest.mark.parametrize("r", [2 ** 62, 2 ** 63 - 1, 2 ** 63])
+@pytest.mark.parametrize("count", [0, 1])
+def test_resample_count_beyond_cap_refused_before_sampling(r, count, monkeypatch):
+    # numpy cannot even shape an empty set's (0, r, 2) result at these sizes
+    calls = []
+    monkeypatch.setattr(selection, "sample_arc_length", lambda *a: calls.append(a))
+    ts = [Trajectory("p", [[0.0, 0.0], [1.0, 0.0]])] * count
+    with pytest.raises(ContractError, match=f"resample count {r} for {count} "):
+        resample_all(ts, r)
+    assert calls == []
+
+
 def test_kmeans_peak_memory_bounded():
     """Distances are taken one center at a time, never as an (m, k, 2R) block,
     and the sums are bit-identical to that block's."""
