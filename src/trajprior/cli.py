@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import fusion, ingest, metrics, raster, selection, tensorio
-from .core import GridSpec, TrajectorySet
+from .core import ContractError, GridSpec, TrajectorySet
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -176,16 +176,20 @@ def cmd_fuse(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = GridSpec(*args.roi, *args.cell)
-    pred = _load_set(args.pred)
+    pred = _load_set(args.pred).trajectories
+    if not pred:
+        raise ContractError(f"--pred {args.pred} holds no trajectories to score")
     gt = ingest.parse_centerlines(Path(args.gt).read_text(encoding="utf-8"))
+    if not gt:
+        raise ContractError(f"--gt {args.gt} holds no centerlines to score against")
     report = {
-        "iou": metrics.prior_iou(pred.trajectories, gt, spec, args.width),
+        "iou": metrics.prior_iou(pred, gt, spec, args.width),
         "ae_dist": metrics.ae_dist(
-            metrics.sample_polyline_points(pred.trajectories, args.sample_step),
+            metrics.sample_polyline_points(pred, args.sample_step),
             metrics.sample_polyline_points(gt, args.sample_step)),
         "width_m": args.width,
     }
-    pred_types = [t.label for t in pred.trajectories]
+    pred_types = [t.label for t in pred]
     gt_types = [p.label for p in gt]
     # records pair by position; an unlabelled record counts as None
     if (len(pred_types) == len(gt_types)

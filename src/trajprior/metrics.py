@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import raster
 from .core import ContractError, GridSpec, Trajectory, sample_arc_length
 from .raster import chunked_repeat, rasterize_polylines
 
@@ -46,18 +47,35 @@ def ae_type(pred: Sequence, gt: Sequence) -> float:
 # Nearest-neighbour search for the Chamfer mean: the reference points are
 # bucketed in a sparse uniform grid and each query searches the Chebyshev rings
 # of cells around its own (Bentley, Weide & Yao, "Optimal expected-time
-# algorithms for closest point problems", ACM TOMS 1980).
+# algorithms for closest point problems", ACM TOMS 1980). Queries, reference
+# keys, ring cells, candidate pairs and brute-force pairs are all taken
+# raster._CHUNK at a time.
 _RINGS = 3         # rings searched before a query falls back to brute force
-_BLOCK = 1 << 16   # (query, reference) pairs, or ring cells, held at once
 _SLACK = 1e-6      # cells; absorbs rounding in cell indices and distances
 
 
-def _ring_offsets(ring: int) -> np.ndarray:
-    """(k, 2) cell offsets at Chebyshev distance exactly ``ring``."""
+def _ring_keys(ring: int, width: int) -> np.ndarray:
+    """Key offsets ``dy * width + dx`` of the cells at Chebyshev distance
+    exactly ``ring``, on a grid ``width`` cells wide."""
     side = np.arange(-ring, ring + 1)
     ox, oy = np.meshgrid(side, side)
     on_ring = np.maximum(np.abs(ox), np.abs(oy)) == ring
-    return np.column_stack([ox[on_ring], oy[on_ring]])
+    return oy[on_ring] * width + ox[on_ring]
+
+
+def _brute_sq(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Squared distance from each point of q to its nearest point of r, over
+    blocks of at most ``raster._CHUNK`` pairs with a running minimum."""
+    best = np.full(len(q), np.inf)
+    rs = min(len(r), raster._CHUNK)
+    qs = max(1, raster._CHUNK // rs)
+    for i in range(0, len(q), qs):
+        out = best[i:i + qs]
+        for j in range(0, len(r), rs):
+            dx = q[i:i + qs, 0, None] - r[j:j + rs, 0]
+            dy = q[i:i + qs, 1, None] - r[j:j + rs, 1]
+            np.minimum(out, (dx * dx + dy * dy).min(axis=1), out=out)
+    return best
 
 
 def _nearest_sq(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -67,67 +85,79 @@ def _nearest_sq(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     minimum equals the one over all pairs bit for bit; the sign of dx and dy
     does not matter, because IEEE negation is exact.
 
-    The cell side is derived from the density of r. After rings 0..k around
-    its cell are searched, a query's minimum is proven once it is no larger
-    than the distance from the query to the outside of the searched block. A
+    The cell side is derived from the density of r. Queries are searched one
+    block of ``raster._CHUNK`` at a time. After rings 0..k around its cell are
+    searched, a query's minimum is proven once it is no larger than the
+    distance from the query to the outside of the searched block of cells. A
     query still unproven after ``_RINGS`` rings (far from r, or in an empty
     region) is finished by blocked brute force. Memory is
-    O(len(q) + len(r) + _BLOCK), never O(len(q) * len(r)).
+    O(len(q) + len(r) + _CHUNK), never O(len(q) * len(r)).
     """
+    chunk = raster._CHUNK
     m = len(r)
-    qx, qy = q[:, 0], q[:, 1]
-    best = np.full(len(q), np.inf)
-    pending = np.arange(len(q))
     lo = r.min(axis=0)
     span = r.max(axis=0) - lo
     cell = 2.0 * max(math.sqrt(span[0] * span[1] / m), float(span.max()) / m)
     if cell == 0.0:
         cell = 1.0  # all reference points coincide
-    if math.isfinite(cell):
-        rc = np.floor((r - lo) / cell).astype(np.int64)
-        shape = rc.max(axis=0) + 1
-        keys = rc[:, 1] * shape[0] + rc[:, 0]
-        order = np.argsort(keys, kind="stable")
-        rx, ry = r[order, 0], r[order, 1]
-        cell_keys, cell_start, cell_count = np.unique(
-            keys[order], return_index=True, return_counts=True)
+    if not math.isfinite(cell):
+        return _brute_sq(q, r)
+    # floor((x - lo) / cell) never decreases with x, so the largest cell
+    # index on each axis is that of the span
+    shape = np.floor(span / cell).astype(np.int64) + 1
+    # Cells are keyed on the grid padded by _RINGS + 1 on every side. Queries
+    # are clipped to one cell beyond the grid, so every cell a ring reaches
+    # has its own key, and one outside the grid holds no reference point.
+    pad = _RINGS + 1
+    width = int(shape[0]) + 2 * pad
+    keys = np.empty(m, dtype=np.int64)
+    for s in range(0, m, chunk):
+        rc = np.floor((r[s:s + chunk] - lo) / cell).astype(np.int64) + pad
+        keys[s:s + chunk] = rc[:, 1] * width + rc[:, 0]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    rx, ry = r[order, 0], r[order, 1]
+    # runs of equal keys: each occupied cell's first point and point count
+    cell_start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    cell_keys = keys[cell_start]
+    cell_count = np.diff(cell_start, append=m)
+    rings = [_ring_keys(ring, width) for ring in range(_RINGS + 1)]
+    best = np.full(len(q), np.inf)
+    for s in range(0, len(q), chunk):
+        qb, out = q[s:s + chunk], best[s:s + chunk]
+        qx, qy = qb[:, 0], qb[:, 1]
         # A query beyond the grid is moved onto its border: only empty cells
         # lie between, so the moved query's proof bound is still a lower
         # bound on the distance to every unsearched point.
-        u = np.clip((q - lo) / cell, -1, shape)
+        u = np.clip((qb - lo) / cell, -1, shape)
         qc = np.floor(u)
         frac = u - qc
         edge = np.minimum(frac, 1.0 - frac).min(axis=1)
-        qc = qc.astype(np.int64)
-        for ring in range(_RINGS + 1):
-            offsets = _ring_offsets(ring)
-            step = max(1, _BLOCK // len(offsets))
-            for s in range(0, len(pending), step):
-                idx = pending[s:s + step]
-                cells = qc[idx, None, :] + offsets
-                key = cells[..., 1] * shape[0] + cells[..., 0]
+        qc = qc.astype(np.int64) + pad
+        qkey = qc[:, 1] * width + qc[:, 0]
+        pending = np.arange(len(out))
+        for ring, offsets in enumerate(rings):
+            step = max(1, chunk // len(offsets))
+            for t in range(0, len(pending), step):
+                idx = pending[t:t + step]
+                key = qkey[idx, None] + offsets
                 pos = np.minimum(np.searchsorted(cell_keys, key), len(cell_keys) - 1)
-                found = ((cells >= 0) & (cells < shape)).all(axis=2) \
-                    & (cell_keys[pos] == key)
+                found = cell_keys[pos] == key
                 owner = np.broadcast_to(idx[:, None], key.shape)[found]
                 pos = pos[found]
                 first = cell_start[pos]
-                for k, rank in chunked_repeat(cell_count[pos], _BLOCK):
+                for k, rank in chunked_repeat(cell_count[pos], chunk):
                     who = owner[k]
                     near = first[k] + rank
                     dx = qx[who] - rx[near]
                     dy = qy[who] - ry[near]
-                    np.minimum.at(best, who, dx * dx + dy * dy)
+                    np.minimum.at(out, who, dx * dx + dy * dy)
             bound = np.maximum(ring + edge[pending] - _SLACK, 0.0) * cell
-            pending = pending[best[pending] > bound * bound]
+            pending = pending[out[pending] > bound * bound]
             if len(pending) == 0:
-                return best
-    step = max(1, _BLOCK // m)
-    for s in range(0, len(pending), step):
-        idx = pending[s:s + step]
-        dx = qx[idx, None] - r[:, 0]
-        dy = qy[idx, None] - r[:, 1]
-        best[idx] = (dx * dx + dy * dy).min(axis=1)
+                break
+        else:
+            out[pending] = _brute_sq(qb[pending], r)
     return best
 
 

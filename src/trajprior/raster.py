@@ -135,6 +135,13 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
                    count.reshape(h, w), n_max)
 
 
+# Entries held at once by the blocked kernels (rasterize_polylines and
+# metrics._nearest_sq). At 32 KiB per float64 array their per-chunk
+# temporaries stay below the allocator's mmap threshold, so it recycles them
+# instead of mapping, and page-faulting, fresh pages every chunk.
+_CHUNK = 1 << 12
+
+
 def chunked_repeat(counts: np.ndarray, chunk: int):
     """Enumerate ``counts[i]`` entries of every item i, ``chunk`` entries at a time.
 
@@ -153,9 +160,6 @@ def chunked_repeat(counts: np.ndarray, chunk: int):
         take = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
         item = np.repeat(np.arange(a, b), take)
         yield item, np.arange(lo, hi) - starts[item]
-
-
-_MASK_CHUNK = 1 << 16  # candidate cells tested at once by rasterize_polylines
 
 
 def _window(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
@@ -191,7 +195,7 @@ def rasterize_polylines(polylines: Sequence[Trajectory], spec: GridSpec,
     # a zero-length segment gets tt = 0 / 1: its start point
     seg2[seg2 == 0.0] = 1.0
     ys, xs = spec.cell_centers()
-    for seg, rank in chunked_repeat(nrow * ncol, _MASK_CHUNK):
+    for seg, rank in chunked_repeat(nrow * ncol, _CHUNK):
         row = r0[seg] + rank // ncol[seg]
         col = c0[seg] + rank % ncol[seg]
         cx, cy = xs[col], ys[row]

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trajprior import cli, fusion, tensorio
+from trajprior import cli, fusion, metrics, tensorio
 from trajprior.cli import main
 from trajprior.core import FeatureMap, GridSpec
 from trajprior.raster import heatmap_to_feature
@@ -349,6 +349,26 @@ class TestEval:
         out = tmp_path / "report.json"
         assert run("eval", "--pred", pred, "--gt", gt, "--out", out) == 0
         assert json.loads(out.read_text())["ae_type"] == 0.0
+
+    @pytest.mark.parametrize("flag", ["--pred", "--gt"])
+    def test_empty_input_exit_2_names_flag(self, flag, scene, tmp_path,
+                                           monkeypatch, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        inputs = {"--pred": scene / "trajectories.jsonl",
+                  "--gt": scene / "centerlines.jsonl", flag: empty}
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("scored an empty input")
+
+        monkeypatch.setattr(metrics, "prior_iou", no_work)
+        monkeypatch.setattr(metrics, "sample_polyline_points", no_work)
+        out = tmp_path / "r.json"
+        assert run("eval", *(a for kv in inputs.items() for a in kv),
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {empty}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_exit_2(self, scene, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -3,13 +3,36 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajprior import core
+from trajprior import core, raster
 from trajprior.core import ContractError, GridSpec, Trajectory
 from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
                                sample_polyline_points)
+from trajprior.raster import rasterize_polylines, rasterize_trajectories
 
 from oracles import chamfer_mean_bruteforce, chamfer_mean_dense
+
+
+def chamfer_cases():
+    """Random point sets, plus duplicates, single points and far clusters."""
+    rng = np.random.default_rng(3)
+    cases = [(rng.normal(0, 10, (int(rng.integers(1, 40)), 2)),
+              rng.normal(0, 10, (int(rng.integers(1, 40)), 2)))
+             for _ in range(20)]
+    cases += [
+        (np.full((30, 2), 2.5), rng.normal(0, 10, (25, 2))),  # all duplicates
+        (np.full((12, 2), -1.0), np.full((7, 2), 4.0)),
+        (np.array([[1.0, 2.0]]), np.array([[-3.0, 0.5]])),    # one point each
+        (np.array([[1.0, 2.0]]), rng.normal(0, 10, (40, 2))),
+        # two clusters 1e4 m apart: far queries must not walk rings forever
+        (np.concatenate([rng.normal(0, 1, (50, 2)), rng.normal(1e4, 1, (50, 2))]),
+         rng.normal(0, 1, (50, 2))),
+        (rng.normal(0, 10, (60, 2)) + 1e6, rng.normal(0, 10, (45, 2)) + 1e6),
+        # a far query, finished by brute force, whose nearest point comes last
+        (np.array([[1e4, 1e4]]),
+         np.concatenate([rng.normal(0, 1, (40, 2)), [[5.0, 5.0]]])),
+    ]
+    return cases
 
 
 class TestIou:
@@ -97,21 +120,7 @@ class TestAeDist:
         assert ae_dist(a, b) == ae_dist(b, a)
 
     def test_matches_bruteforce(self):
-        rng = np.random.default_rng(3)
-        cases = [(rng.normal(0, 10, (int(rng.integers(1, 40)), 2)),
-                  rng.normal(0, 10, (int(rng.integers(1, 40)), 2)))
-                 for _ in range(20)]
-        cases += [
-            (np.full((30, 2), 2.5), rng.normal(0, 10, (25, 2))),  # all duplicates
-            (np.full((12, 2), -1.0), np.full((7, 2), 4.0)),
-            (np.array([[1.0, 2.0]]), np.array([[-3.0, 0.5]])),    # one point each
-            (np.array([[1.0, 2.0]]), rng.normal(0, 10, (40, 2))),
-            # two clusters 1e4 m apart: far queries must not walk rings forever
-            (np.concatenate([rng.normal(0, 1, (50, 2)), rng.normal(1e4, 1, (50, 2))]),
-             rng.normal(0, 1, (50, 2))),
-            (rng.normal(0, 10, (60, 2)) + 1e6, rng.normal(0, 10, (45, 2)) + 1e6),
-        ]
-        for a, b in cases:
+        for a, b in chamfer_cases():
             got = ae_dist(a, b)
             assert got == chamfer_mean_dense(a, b)
             assert got == pytest.approx(chamfer_mean_bruteforce(a, b), rel=1e-12)
@@ -127,7 +136,11 @@ class TestAeDist:
                 ae_dist(other, pts)
 
     def test_memory_grows_with_points_not_pairs(self):
-        # a dense 10k x 1k difference tensor alone would take 160 MB
+        # a dense 10k x 1k difference tensor alone would take 160 MB. What
+        # ae_dist holds is six 8-byte arrays per point (the reference keys,
+        # their order, the sorted keys, x, y and a result) and at most two
+        # dozen temporaries of raster._CHUNK entries: 1.25 MiB here, where
+        # it peaks near 1.0 MiB and its 1 << 16-entry chunks peaked at 8 MiB
         rng = np.random.default_rng(4)
         pred = rng.normal(0, 30, (10_000, 2))
         gt = rng.normal(0, 30, (1_000, 2))
@@ -137,11 +150,31 @@ class TestAeDist:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 6 * 8 * (len(pred) + len(gt)) + 24 * 8 * raster._CHUNK
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             ae_dist(np.empty((0, 2)), np.array([[0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("_CHUNK", 1), ("_CHUNK", 7), ("_CHUNK", 2**20),
+    ("_TRAVERSE_CHUNK", 1), ("_TRAVERSE_CHUNK", 7)])
+def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
+    ts, centerlines = synth_scene(5, 2, 3, 0.5)
+    spec = GridSpec()
+
+    def results():
+        hm = rasterize_trajectories(ts, spec)
+        return ([ae_dist(a, b).hex() for a, b in chamfer_cases()],
+                rasterize_polylines(ts.trajectories, spec, 0.75).tobytes(),
+                rasterize_polylines(centerlines, spec, 0.75).tobytes(),
+                hm.density.tobytes(), hm.direction.tobytes(), hm.count.tobytes(),
+                hm.n_max)
+
+    want = results()
+    monkeypatch.setattr(raster, name, value)
+    assert results() == want
 
 
 class TestPriorIou:

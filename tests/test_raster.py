@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trajprior import raster
 from trajprior.core import ContractError, GridSpec, Trajectory, TrajectorySet
 from trajprior.ingest import synth_scene
 from trajprior.raster import (heatmap_to_feature, rasterize_polylines,
@@ -132,6 +134,22 @@ class TestRasterizeCenterlines:
             got = rasterize_polylines(polys, spec, width)
             want = polyline_mask_by_cell_loop([p.points for p in polys], spec, width)
             assert np.array_equal(got, want), (dx, dy, width)
+
+    def test_memory_bounded_by_chunk(self):
+        # a score-sized frame: 132 trajectories, 6,336 segments, 209k
+        # candidate cells. It holds about 16 8-byte arrays per segment and at
+        # most two dozen temporaries of raster._CHUNK entries: 1.5 MiB here,
+        # where it peaks near 1.2 MiB and its 1 << 16-entry chunks peaked
+        # at 8.8 MiB
+        ts, _ = synth_scene(0, 6, 22, 0.4)
+        segments = sum(len(t.points) - 1 for t in ts.trajectories)
+        tracemalloc.start()
+        try:
+            rasterize_polylines(ts.trajectories, GridSpec(), 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * segments + 24 * 8 * raster._CHUNK
 
     def test_nonfinite_width_rejected(self):
         line = (Trajectory("c", [[0.0, 0.0], [1.0, 0.0]]),)
