@@ -113,6 +113,8 @@ class Pcg64:
 
 
 def _as_points(points) -> np.ndarray:
+    """The one check raw points pass: a finite float64 (n, 2) array with
+    |coordinate| <= MAX_COORD, else ContractError."""
     try:
         arr = np.asarray(points, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as e:

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from . import raster
-from .core import ContractError, GridSpec, Trajectory, sample_arc_length
+from .core import ContractError, GridSpec, Trajectory, _as_points, sample_arc_length
 from .raster import chunked_repeat, rasterize_polylines
 
 DEFAULT_LINE_WIDTH = 0.75  # meters
@@ -98,10 +98,8 @@ def _nearest_sq(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     lo = r.min(axis=0)
     span = r.max(axis=0) - lo
     cell = 2.0 * max(math.sqrt(span[0] * span[1] / m), float(span.max()) / m)
-    if cell == 0.0:
-        cell = 1.0  # all reference points coincide
-    if not math.isfinite(cell):
-        return _brute_sq(q, r)
+    if cell < 1e-290:  # also keeps (q - lo) / cell finite for |q - lo| <= 2 * MAX_COORD
+        cell = 1.0  # all reference points coincide, or nearly
     # floor((x - lo) / cell) never decreases with x, so the largest cell
     # index on each axis is that of the span
     shape = np.floor(span / cell).astype(np.int64) + 1
@@ -162,19 +160,17 @@ def _nearest_sq(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def ae_dist(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Symmetric Chamfer mean between two nonempty finite 2D point sets.
+    """Symmetric Chamfer mean between two point sets, each a finite (n, 2) array,
+    n >= 1, with |coordinate| <= MAX_COORD; anything else raises ContractError.
 
     0.5 * (mean over pred of min dist to gt + mean over gt of min dist to pred).
     Exact: every minimum is the one over all pairs, and both means run over the
     minima in the input order, so the result is bit-identical to the dense
     N x M computation while memory grows with N + M.
     """
-    p = np.asarray(pred, dtype=np.float64).reshape(-1, 2)
-    g = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
+    p, g = _as_points(pred), _as_points(gt)
     if len(p) == 0 or len(g) == 0:
         raise ContractError("point sets must be nonempty")
-    if not (np.isfinite(p).all() and np.isfinite(g).all()):
-        raise ContractError("point sets must be finite")
     fwd = np.sqrt(_nearest_sq(p, g))
     bwd = np.sqrt(_nearest_sq(g, p))
     return 0.5 * (float(fwd.mean()) + float(bwd.mean()))

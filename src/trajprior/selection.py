@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (MAX_SAMPLES, ContractError, Pcg64, Trajectory, TrajectorySet,
-                   sample_arc_length)
+                   _as_points, sample_arc_length)
 
 DEFAULT_RESAMPLE = 20
 
@@ -47,9 +47,9 @@ def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
     i + j = s at a time: cell (i, j) needs only diagonals s-1 and s-2, so
     memory is O(K * (n + M)) for K candidates of up to M points. Point
     distances use sqrt(dx*dx + dy*dy) and the recurrence only max and min,
-    so every result is the exact value of the row-by-row DP.
+    so every result is the exact value of the row-by-row DP. a and each b are
+    taken unchecked as nonempty float64 (n, 2) arrays; frechet_dist checks.
     """
-    a = np.asarray(a, dtype=np.float64)
     lens = np.array([len(b) for b in bs], dtype=np.int64)
     k = len(lens)
     if k == 0:
@@ -58,7 +58,7 @@ def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
     # candidates reversed, so diagonal s reads the contiguous columns
     # [m-1-s+i0, m-s+i1) for rows i0..i1; a short candidate is padded with
     # its last point, which only feeds columns past its own end
-    flat = np.concatenate([np.asarray(b, dtype=np.float64) for b in bs])
+    flat = np.concatenate(bs)
     starts = np.cumsum(lens) - lens
     idx = starts[:, None] + np.minimum(np.arange(m - 1, -1, -1), lens[:, None] - 1)
     rx, ry = flat[idx, 0], flat[idx, 1]
@@ -86,9 +86,10 @@ def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
 
 def frechet_dist(a: Union[Trajectory, np.ndarray],
                  b: Union[Trajectory, np.ndarray]) -> float:
-    """Discrete Frechet distance between two polylines."""
-    pa = a.points if isinstance(a, Trajectory) else np.asarray(a, dtype=np.float64)
-    pb = b.points if isinstance(b, Trajectory) else np.asarray(b, dtype=np.float64)
+    """Discrete Frechet distance between two polylines, each a Trajectory or a
+    finite (n, 2) array, n >= 1, with |coordinate| <= MAX_COORD; else ContractError."""
+    pa = a.points if isinstance(a, Trajectory) else _as_points(a)
+    pb = b.points if isinstance(b, Trajectory) else _as_points(b)
     if len(pa) < 1 or len(pb) < 1:
         raise ContractError("trajectories need at least one point")
     return float(frechet_dp(pa, [pb])[0])

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from trajprior.core import Trajectory, TrajectorySet
+from trajprior.core import MAX_COORD, Trajectory, TrajectorySet
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -21,3 +21,17 @@ def random_trajectory(rng, n_points=None, scale=10.0, tid="t"):
 def random_set(rng, m, **kw):
     return TrajectorySet(tuple(random_trajectory(rng, tid=f"t{i}", **kw)
                                for i in range(m)))
+
+
+# Point arrays core._as_points refuses, so every public function taking raw
+# points must raise ContractError for them: not finite, a coordinate beyond
+# MAX_COORD, or not shaped (n, 2).
+INVALID_POINTS = {
+    "nan": [[0.0, 0.0], [np.nan, 1.0]],
+    "inf": [[0.0, 0.0], [np.inf, 1.0]],
+    "-inf": [[0.0, 0.0], [1.0, -np.inf]],
+    "1e200": [[1e200, 1e200], [-1e200, -1e200]],
+    "above_max_coord": [[0.0, 0.0], [np.nextafter(MAX_COORD, np.inf), 1.0]],
+    "shape_3": np.zeros(3),
+    "shape_2x3": np.zeros((2, 3)),
+}

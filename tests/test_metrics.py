@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from trajprior import core, raster
-from trajprior.core import ContractError, GridSpec, Trajectory
+from trajprior.core import MAX_COORD, ContractError, GridSpec, Trajectory
 from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
                                sample_polyline_points)
 from trajprior.raster import rasterize_polylines, rasterize_trajectories
 
+from conftest import INVALID_POINTS
 from oracles import chamfer_mean_bruteforce, chamfer_mean_dense
 
 
@@ -31,6 +32,12 @@ def chamfer_cases():
         # a far query, finished by brute force, whose nearest point comes last
         (np.array([[1e4, 1e4]]),
          np.concatenate([rng.normal(0, 1, (40, 2)), [[5.0, 5.0]]])),
+        # the MAX_COORD corners, the widest sets the contract admits
+        (np.array([[-MAX_COORD, -MAX_COORD], [MAX_COORD, MAX_COORD], [0.0, 0.0]]),
+         np.array([[MAX_COORD, -MAX_COORD], [-MAX_COORD, MAX_COORD], [1.0, -2.0]])),
+        # a subnormal reference span: a query MAX_COORD away from it must not
+        # overflow its cell index
+        (np.array([[MAX_COORD, MAX_COORD], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e-320, 0.0]])),
     ]
     return cases
 
@@ -126,10 +133,9 @@ class TestAeDist:
             assert got == pytest.approx(chamfer_mean_bruteforce(a, b), rel=1e-12)
 
     def test_nonfinite_rejected(self):
+        # as well as non-finite points: beyond MAX_COORD, or not (n, 2)
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        for bad in (np.nan, np.inf, -np.inf):
-            other = pts.copy()
-            other[1, 0] = bad
+        for other in INVALID_POINTS.values():
             with pytest.raises(ContractError):
                 ae_dist(pts, other)
             with pytest.raises(ContractError):

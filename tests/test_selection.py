@@ -8,7 +8,7 @@ from trajprior.core import ContractError, Pcg64, Trajectory, TrajectorySet
 from trajprior import core, selection
 from trajprior.selection import fps, frechet_dist, kmeans, resample_all
 
-from conftest import random_set, random_trajectory
+from conftest import INVALID_POINTS, random_set, random_trajectory
 from oracles import best_two_partition, fps_by_full_matrix, frechet_by_enumeration
 
 
@@ -78,6 +78,13 @@ class TestFrechet:
             assert (frechet_dist(trajs[i], trajs[k]) <=
                     frechet_dist(trajs[i], trajs[j]) +
                     frechet_dist(trajs[j], trajs[k]) + 1e-9)
+
+    @pytest.mark.parametrize("bad", INVALID_POINTS.values(), ids=INVALID_POINTS.keys())
+    def test_invalid_points_rejected(self, bad):
+        good = np.array([[0.0, 0.0], [1.0, 1.0]])
+        for a, b in ((good, bad), (bad, good), (Trajectory("t", good), bad)):
+            with pytest.raises(ContractError):
+                frechet_dist(a, b)
 
     def test_bounds(self):
         rng = np.random.default_rng(8)
