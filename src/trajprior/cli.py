@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fusion, ingest, metrics, raster, selection, tensorio
-from .core import ContractError, GridSpec, TrajectorySet
+from .core import ContractError, GridSpec, Trajectory, TrajectorySet
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,6 +68,10 @@ def _load_set(path, fmt="jsonl") -> TrajectorySet:
     return ingest.parse_trajectories(Path(path).read_text(encoding="utf-8"), fmt)
 
 
+def _write_set(path, ts: TrajectorySet) -> None:
+    Path(path).write_text(ingest.serialize_trajectories(ts), encoding="utf-8")
+
+
 def cmd_ingest(args) -> int:
     cfg = ingest.IngestConfig(min_length_m=args.min_length,
                               smooth_window=args.smooth_window)
@@ -75,7 +80,7 @@ def cmd_ingest(args) -> int:
     ts = ingest.filter_by_length(ts, cfg)
     ts = ingest.smooth_set(ts, cfg)
     retained = ingest.retention_check(ts)
-    Path(args.out).write_text(ingest.serialize_trajectories(ts), encoding="utf-8")
+    _write_set(args.out, ts)
     print(f"ingested {m_before} trajectories, kept {len(ts)} "
           f"(min_length={cfg.min_length_m}, smooth_window={cfg.smooth_window})")
     print(f"retention_check: {'pass' if retained else 'fail'} "
@@ -112,8 +117,9 @@ def cmd_cluster(args) -> int:
         "centers": [{"points": c.tolist()} for c in result.centers],
     }
     _dump_json(args.out, doc)
-    if args.queries_out:
-        _dump_json(args.queries_out, _query_seed(result.centers, args.resample))
+    if args.queries_out:  # the centers as trajectories, under the input's header
+        _write_set(args.queries_out, replace(ts, trajectories=tuple(
+            Trajectory(f"cluster{j}", c) for j, c in enumerate(result.centers))))
     print(f"kmeans k={args.k} iterations={result.iterations} "
           f"inertia={result.inertia:.6g}")
     return EXIT_OK
@@ -123,29 +129,25 @@ def cmd_sample(args) -> int:
     ts = _load_set(args.input)
     result = selection.fps(ts, args.count, seed=args.seed,
                            start_index=args.start_index)
+    picked = [ts.trajectories[i] for i in result.indices]
     doc = {
         "count": args.count,
         "seed": args.seed,
         "indices": result.indices,
         "min_dists": result.min_dists,
-        "selected": [ingest.to_record(ts.trajectories[i]) for i in result.indices],
+        "selected": [ingest.to_record(t) for t in picked],
     }
-    # build both documents first, so a bad --resample writes neither; one
+    # build both outputs first, so a bad --resample writes neither; one
     # below 2 is refused without --queries-out too, as cluster refuses it
     if args.queries_out or args.resample < 2:
-        queries = _query_seed(selection.resample_all(
-            [ts.trajectories[i] for i in result.indices], args.resample), args.resample)
+        tokens = replace(ts, trajectories=tuple(
+            replace(t, points=p)
+            for t, p in zip(picked, selection.resample_all(picked, args.resample))))
     _dump_json(args.out, doc)
     if args.queries_out:
-        _dump_json(args.queries_out, queries)
+        _write_set(args.queries_out, tokens)
     print(f"fps count={args.count} start={result.indices[0]}")
     return EXIT_OK
-
-
-def _query_seed(point_arrays, r) -> dict:
-    """Query-seed export for downstream detector integration."""
-    return {"resample": r,
-            "queries": [pts.tolist() for pts in point_arrays]}
 
 
 def cmd_fuse(args) -> int:
@@ -205,8 +207,7 @@ def cmd_synth(args) -> int:
     ts, gt = ingest.synth_scene(args.seed, args.lanes, args.per_lane, args.noise)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trajectories.jsonl").write_text(
-        ingest.serialize_trajectories(ts), encoding="utf-8")
+    _write_set(out_dir / "trajectories.jsonl", ts)
     (out_dir / "centerlines.jsonl").write_text(
         ingest.serialize_centerlines(gt), encoding="utf-8")
     print(f"synth scene: {len(ts)} trajectories, {len(gt)} centerlines "
@@ -245,7 +246,7 @@ def _cluster_args(p) -> None:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--queries-out", default=None,
-                   help="also write a query-seed JSON for detector integration")
+                   help="also write the centers as trajectory JSONL, ids cluster<j>")
 
 
 def _sample_args(p) -> None:
@@ -255,7 +256,8 @@ def _sample_args(p) -> None:
     p.add_argument("--start-index", type=int, default=None)
     p.add_argument("--resample", type=int, default=selection.DEFAULT_RESAMPLE)
     p.add_argument("--out", required=True)
-    p.add_argument("--queries-out", default=None)
+    p.add_argument("--queries-out", default=None,
+                   help="also write the picks, resampled, as trajectory JSONL")
 
 
 def _fuse_args(p) -> None:

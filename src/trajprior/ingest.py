@@ -72,6 +72,8 @@ def _records(text: str) -> Iterator[Tuple[int, dict]]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(line_no, f"invalid JSON: {e.msg}") from e
+        except (ValueError, RecursionError) as e:  # too many digits, too deep
+            raise ParseError(line_no, f"invalid JSON: {e}") from e
         if not isinstance(rec, dict):
             raise ParseError(line_no, "record is not an object")
         yield line_no, rec
@@ -137,25 +139,28 @@ def _parse_csv(text: str) -> TrajectorySet:
     groups: dict = {}
     order: List[str] = []
     end = 0  # a record's line number is its first physical line
-    for row in reader:
-        line_no, end = end + 1, reader.line_num
-        if not row or (line_no == 1 and row[0] == "traj_id"):
-            continue
-        if len(row) != 4:
-            raise ParseError(line_no, f"expected 4 columns traj_id,seq,x,y, got {len(row)}")
-        tid = row[0]
-        try:
-            seq, x, y = int(row[1]), float(row[2]), float(row[3])
-        except ValueError as e:
-            raise ParseError(line_no, f"bad numeric field: {e}") from e
-        # NaN fails the comparison too
-        if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
-            raise ParseError(line_no, "points must be finite with |coordinate| "
-                             f"<= MAX_COORD={MAX_COORD:g}")
-        if tid not in groups:
-            groups[tid] = []
-            order.append(tid)
-        groups[tid].append((seq, x, y, line_no))
+    try:
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
+            if not row or (line_no == 1 and row[0] == "traj_id"):
+                continue
+            if len(row) != 4:
+                raise ParseError(line_no, f"expected 4 columns traj_id,seq,x,y, got {len(row)}")
+            tid = row[0]
+            try:
+                seq, x, y = int(row[1]), float(row[2]), float(row[3])
+            except ValueError as e:
+                raise ParseError(line_no, f"bad numeric field: {e}") from e
+            # NaN fails the comparison too
+            if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
+                raise ParseError(line_no, "points must be finite with |coordinate| "
+                                 f"<= MAX_COORD={MAX_COORD:g}")
+            if tid not in groups:
+                groups[tid] = []
+                order.append(tid)
+            groups[tid].append((seq, x, y, line_no))
+    except csv.Error as e:  # e.g. a field beyond csv.field_size_limit()
+        raise ParseError(end + 1, f"bad CSV record: {e}") from e
     trajectories = []
     for tid in order:
         rows = sorted(groups[tid], key=lambda r: r[0])

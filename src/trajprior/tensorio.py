@@ -59,9 +59,9 @@ def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
     if blob[:8] != MAGIC or len(blob) < 12:
         raise ContractError(f"{path}: not a tensor container (bad magic)")
     body = 12 + struct.unpack_from("<I", blob, 8)[0]
-    try:  # a truncated header fails to parse
+    try:  # a truncated header fails to parse, a deeply nested one recurses
         header = json.loads(blob[12:body].decode("utf-8"))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise ContractError(f"{path}: header is not JSON ({e})") from None
     payload = memoryview(blob)[body:]
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)

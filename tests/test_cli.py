@@ -6,11 +6,12 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trajprior import cli, fusion, metrics, tensorio
+from trajprior import cli, fusion, ingest, metrics, selection, tensorio
 from trajprior.cli import main
 from trajprior.core import FeatureMap, GridSpec
 from trajprior.raster import heatmap_to_feature
@@ -126,6 +127,43 @@ class TestClusterSample:
     def test_count_too_large_exit_2(self, scene, tmp_path):
         assert run("sample", "--input", scene / "trajectories.jsonl",
                    "--count", 99, "--out", tmp_path / "s.json") == 2
+
+    def test_cluster_tokens_are_the_centers(self, scene, tmp_path):
+        out, tokens = tmp_path / "c.json", tmp_path / "tokens.jsonl"
+        assert run("cluster", "--input", scene / "trajectories.jsonl", "--k", 3,
+                   "--resample", 7, "--out", out, "--queries-out", tokens) == 0
+        got = read_tokens(tokens, scene, tmp_path)
+        centers = json.loads(out.read_text())["centers"]
+        assert [(t.id, t.label) for t in got] == [("cluster0", None), ("cluster1", None),
+                                                  ("cluster2", None)]
+        for t, center in zip(got, centers):
+            assert t.points.tobytes() == np.array(center["points"]).tobytes()
+
+    def test_sample_tokens_are_the_resampled_picks(self, scene, tmp_path):
+        ts = ingest.parse_trajectories((scene / "trajectories.jsonl").read_text())
+        labelled = tmp_path / "labelled.jsonl"
+        labelled.write_text(ingest.serialize_trajectories(replace(ts, trajectories=tuple(
+            replace(t, label=f"type{i % 3}") for i, t in enumerate(ts.trajectories)))))
+        out, tokens = tmp_path / "s.json", tmp_path / "tokens.jsonl"
+        assert run("sample", "--input", labelled, "--count", 4, "--seed", 2,
+                   "--resample", 9, "--out", out, "--queries-out", tokens) == 0
+        got = read_tokens(tokens, scene, tmp_path)
+        picked = [ingest.parse_trajectories(labelled.read_text()).trajectories[i]
+                  for i in json.loads(out.read_text())["indices"]]
+        assert [(t.id, t.label) for t in got] == [(t.id, t.label) for t in picked]
+        assert np.stack([t.points for t in got]).tobytes() == \
+            selection.resample_all(picked, 9).tobytes()
+
+
+def read_tokens(path, scene, tmp_path):
+    """The polylines of a --queries-out file, checked to carry the input's
+    header and to score and rasterize as trajectory JSONL does."""
+    tokens = ingest.parse_trajectories(path.read_text())
+    assert (tokens.frame_id, tokens.centerline_count) == ("synth-3", 3)
+    assert run("eval", "--pred", path, "--gt", scene / "centerlines.jsonl",
+               "--out", tmp_path / "report.json") == 0
+    assert run("rasterize", "--input", path, "--out", tmp_path / "hm.tp") == 0
+    return tokens.trajectories
 
 
 @pytest.fixture
@@ -266,6 +304,18 @@ class TestFuse:
         err = capsys.readouterr().err
         assert f"{prior}: bad or missing grid spec" in err and "Traceback" not in err
 
+    def test_deeply_nested_header_exit_2_names_file(self, fused_inputs, tmp_path,
+                                                    capsys):
+        bev, prior, params = fused_inputs
+        raw = params.read_bytes()
+        end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        text = b'{"deep":' + b"[" * 1000 + b"]" * 1000 + b"," + raw[13:end]
+        params.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[end:])
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "f.tp") == 2
+        err = capsys.readouterr().err
+        assert f"{params}: header is not JSON" in err and "Traceback" not in err
+
     def test_truncated_params_exit_2(self, fused_inputs, tmp_path, capsys):
         bev, prior, params = fused_inputs
         params.write_bytes(params.read_bytes()[:-16])
@@ -380,6 +430,7 @@ class TestEval:
 GOOD_TRAJ = '{"id": "a", "points": [[0, 0], [9, 0]]}\n'
 GOOD_CL = '{"id": "c", "centerlines": [[0, 0], [9, 0]]}\n'
 HEADER = '{"frame_id": "f", "centerline_count": %s}\n'
+DEEP = "[" * 1000 + "]" * 1000
 
 # (file kind, text, line the error must name)
 MALFORMED = {
@@ -395,6 +446,14 @@ MALFORMED = {
     "centerline-list": ("centerlines", GOOD_CL + '["centerlines"]\n', 2),
     "csv-nan": ("csv", "traj_id,seq,x,y\nt0,0,0,0\nt0,1,nan,1\n", 3),
     "csv-huge": ("csv", "traj_id,seq,x,y\nt0,0,0,0\nt0,1,1e308,0\n", 3),
+    "jsonl-deep": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": %s}\n' % DEEP, 2),
+    "centerline-deep": ("centerlines", GOOD_CL + '{"id": "d", "centerlines": %s}\n' % DEEP,
+                        2),
+    "jsonl-long-int": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": [[0, 0], [%s, 1]]}\n'
+                       % ("1" * 5000), 2),
+    # the field limit is 131,072 characters
+    "csv-long-field": ("csv", "traj_id,seq,x,y\nt0,0,0,0\n" + "t" * 131073 + ",0,1,1\n",
+                       3),
 }
 
 

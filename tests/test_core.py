@@ -49,6 +49,7 @@ class TestFoldAxial:
         for angle in rng.uniform(-10, 10, 1000):
             f = fold_axial(angle)
             assert -math.pi / 2 < f <= math.pi / 2
+        assert fold_axial(-math.pi / 2) == math.pi / 2  # the excluded end folds up
 
     def test_pi_periodic(self):
         for angle in np.linspace(-3, 3, 101):
@@ -103,6 +104,8 @@ class TestSampleArcLength:
     def test_empty_resample_all(self):
         got = resample_all([], 7)
         assert got.shape == (0, 7, 2) and got.tobytes() == b""
+        with pytest.raises(ContractError, match="no polylines to sample"):
+            sample_polyline_points([], 0.5)
 
     def test_underflowing_lead_segment_pins_start(self):
         # the first segment's norm underflows to 0, so np.interp at arc length

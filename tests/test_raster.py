@@ -46,6 +46,16 @@ class TestRasterizeTrajectories:
         for cell in hit_cells:
             assert hm.direction[cell] == pytest.approx(math.pi / 4)
 
+    def test_vertical_direction_is_plus_half_pi(self):
+        # heading down, atan2 is exactly -pi/2, which fold_axial maps to +pi/2
+        spec = GridSpec(0, 4, 0, 4, 1.0, 1.0)
+        up = rasterize_trajectories(single_set([[1.5, 0.5], [1.5, 3.5]]), spec)
+        down = rasterize_trajectories(single_set([[1.5, 3.5], [1.5, 0.5]]), spec)
+        hit = down.count > 0
+        assert hit.sum() == 4 and np.array_equal(hit, up.count > 0)
+        assert np.all(down.direction[hit] == math.pi / 2)
+        assert down.direction.tobytes() == up.direction.tobytes()
+
     def test_empty_set_sentinel(self):
         hm = rasterize_trajectories(TrajectorySet(()), GridSpec())
         assert hm.n_max == 1

@@ -79,7 +79,10 @@ class TestFrechet:
                     frechet_dist(trajs[i], trajs[j]) +
                     frechet_dist(trajs[j], trajs[k]) + 1e-9)
 
-    @pytest.mark.parametrize("bad", INVALID_POINTS.values(), ids=INVALID_POINTS.keys())
+    # points _as_points refuses, and the empty array frechet_dist refuses
+    BAD = {**INVALID_POINTS, "empty": np.empty((0, 2))}
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
     def test_invalid_points_rejected(self, bad):
         good = np.array([[0.0, 0.0], [1.0, 1.0]])
         for a, b in ((good, bad), (bad, good), (Trajectory("t", good), bad)):

@@ -102,6 +102,10 @@ def test_unknown_dtype_rejected(heatmap_file):
     rewrite_header(heatmap_file, lambda h: h["tensors"][0].update(dtype="float16"))
     with pytest.raises(ContractError, match="unknown dtype"):
         load_tensors(heatmap_file)
+    strings = heatmap_file.with_name("strings.tp")
+    with pytest.raises(ValueError, match="unsupported dtype for tensor 's'"):
+        save_tensors(strings, {"s": np.array(["a", "b"])})
+    assert not strings.exists()
 
 
 def test_tensor_past_payload_rejected(heatmap_file):
@@ -138,4 +142,7 @@ def test_missing_tensor_rejected(heatmap_file):
 def test_missing_heatmap_meta_rejected(heatmap_file):
     rewrite_header(heatmap_file, lambda h: h["meta"].pop("spec"))
     with pytest.raises(ContractError, match="grid spec"):
+        load_heatmap(heatmap_file)
+    rewrite_header(heatmap_file, lambda h: h["meta"].update(n_max=2.0))
+    with pytest.raises(ContractError, match="lacks an integer n_max"):
         load_heatmap(heatmap_file)
