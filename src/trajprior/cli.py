@@ -64,12 +64,29 @@ def _add_grid_args(p) -> None:
                    help="cell size DX or DX,DY in meters")
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text input; a byte that does not decode names the file and line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:  # e.object holds the whole file's bytes
+        raise ingest.ParseError(e.object.count(b"\n", 0, e.start) + 1,
+                                f"{path}: byte 0x{e.object[e.start]:02x} is not "
+                                f"UTF-8 ({e.reason})") from None
+
+
 def _load_set(path, fmt="jsonl") -> TrajectorySet:
-    return ingest.parse_trajectories(Path(path).read_text(encoding="utf-8"), fmt)
+    return ingest.parse_trajectories(_read_text(path), fmt)
 
 
 def _write_set(path, ts: TrajectorySet) -> None:
     Path(path).write_text(ingest.serialize_trajectories(ts), encoding="utf-8")
+
+
+def _write_report(args, doc, ts: TrajectorySet, tokens) -> None:
+    """--out, and with --queries-out the tokens under the input's header."""
+    _dump_json(args.out, doc)
+    if args.queries_out:
+        _write_set(args.queries_out, replace(ts, trajectories=tuple(tokens)))
 
 
 def cmd_ingest(args) -> int:
@@ -116,10 +133,8 @@ def cmd_cluster(args) -> int:
         "iterations": result.iterations,
         "centers": [{"points": c.tolist()} for c in result.centers],
     }
-    _dump_json(args.out, doc)
-    if args.queries_out:  # the centers as trajectories, under the input's header
-        _write_set(args.queries_out, replace(ts, trajectories=tuple(
-            Trajectory(f"cluster{j}", c) for j, c in enumerate(result.centers))))
+    _write_report(args, doc, ts, (Trajectory(f"cluster{j}", c)
+                                  for j, c in enumerate(result.centers)))
     print(f"kmeans k={args.k} iterations={result.iterations} "
           f"inertia={result.inertia:.6g}")
     return EXIT_OK
@@ -130,22 +145,10 @@ def cmd_sample(args) -> int:
     result = selection.fps(ts, args.count, seed=args.seed,
                            start_index=args.start_index)
     picked = [ts.trajectories[i] for i in result.indices]
-    doc = {
-        "count": args.count,
-        "seed": args.seed,
-        "indices": result.indices,
-        "min_dists": result.min_dists,
-        "selected": [ingest.to_record(t) for t in picked],
-    }
-    # build both outputs first, so a bad --resample writes neither; one
-    # below 2 is refused without --queries-out too, as cluster refuses it
-    if args.queries_out or args.resample < 2:
-        tokens = replace(ts, trajectories=tuple(
-            replace(t, points=p)
-            for t, p in zip(picked, selection.resample_all(picked, args.resample))))
-    _dump_json(args.out, doc)
-    if args.queries_out:
-        _write_set(args.queries_out, tokens)
+    points = selection.resample_all(picked, args.resample)  # refused before any write
+    _write_report(args, {"count": args.count, "seed": args.seed, "indices": result.indices,
+                         "min_dists": result.min_dists},
+                  ts, (replace(t, points=p) for t, p in zip(picked, points)))
     print(f"fps count={args.count} start={result.indices[0]}")
     return EXIT_OK
 
@@ -181,7 +184,7 @@ def cmd_eval(args) -> int:
     pred = _load_set(args.pred).trajectories
     if not pred:
         raise ContractError(f"--pred {args.pred} holds no trajectories to score")
-    gt = ingest.parse_centerlines(Path(args.gt).read_text(encoding="utf-8"))
+    gt = ingest.parse_centerlines(_read_text(args.gt))
     if not gt:
         raise ContractError(f"--gt {args.gt} holds no centerlines to score against")
     report = {

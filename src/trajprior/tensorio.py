@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ContractError, FeatureMap, GridSpec, Heatmap
+from .core import STRICT_JSON, ContractError, FeatureMap, GridSpec, Heatmap
 
 MAGIC = b"TRAJPRI1"
 
@@ -60,7 +60,7 @@ def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
         raise ContractError(f"{path}: not a tensor container (bad magic)")
     body = 12 + struct.unpack_from("<I", blob, 8)[0]
     try:  # a truncated header fails to parse, a deeply nested one recurses
-        header = json.loads(blob[12:body].decode("utf-8"))
+        header = STRICT_JSON.decode(blob[12:body].decode("utf-8"))
     except (ValueError, RecursionError) as e:
         raise ContractError(f"{path}: header is not JSON ({e})") from None
     payload = memoryview(blob)[body:]

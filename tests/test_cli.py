@@ -13,7 +13,7 @@ import pytest
 
 from trajprior import cli, fusion, ingest, metrics, selection, tensorio
 from trajprior.cli import main
-from trajprior.core import FeatureMap, GridSpec
+from trajprior.core import MAX_SAMPLES, FeatureMap, GridSpec
 from trajprior.raster import heatmap_to_feature
 
 
@@ -316,6 +316,17 @@ class TestFuse:
         err = capsys.readouterr().err
         assert f"{params}: header is not JSON" in err and "Traceback" not in err
 
+    def test_nan_in_header_exit_2_names_file(self, fused_inputs, tmp_path, capsys):
+        bev, prior, params = fused_inputs
+        raw = prior.read_bytes()
+        end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        text = b'{"note":NaN,' + raw[13:end]
+        prior.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[end:])
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "f.tp") == 2
+        err = capsys.readouterr().err
+        assert f"{prior}: header is not JSON (NaN" in err and "Traceback" not in err
+
     def test_truncated_params_exit_2(self, fused_inputs, tmp_path, capsys):
         bev, prior, params = fused_inputs
         params.write_bytes(params.read_bytes()[:-16])
@@ -454,13 +465,24 @@ MALFORMED = {
     # the field limit is 131,072 characters
     "csv-long-field": ("csv", "traj_id,seq,x,y\nt0,0,0,0\n" + "t" * 131073 + ",0,1,1\n",
                        3),
+    # no strict JSON reader takes NaN or infinity, so no label may hold them
+    "jsonl-nan-label": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": [[0, 0], [9, 1]], '
+                        '"type": [NaN]}\n', 2),
+    "jsonl-inf-label": ("jsonl", HEADER % 1 + GOOD_TRAJ
+                        + '{"id": "b", "points": [[0, 0], [9, 1]], "type": 1e400}\n', 3),
+    "centerline-infinity-label": ("centerlines", GOOD_CL + '{"id": "d", "centerlines": '
+                                  '[[0, 0], [9, 1]], "type": -Infinity}\n', 2),
+    # bytes that do not decode as UTF-8
+    "jsonl-not-utf8": ("jsonl", GOOD_TRAJ.encode() + b'{"id": "\xff", "points": []}\n', 2),
+    "csv-not-utf8": ("csv", b"traj_id,seq,x,y\nt0,0,0,0\nt0,1,1,1\nt\xc3(,0,0,0\n", 4),
+    "centerline-not-utf8": ("centerlines", GOOD_CL.encode() * 2 + b"\x80\n", 3),
 }
 
 
 @pytest.mark.parametrize("kind,text,line", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
     bad = tmp_path / "bad"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     if kind == "centerlines":
         pred = tmp_path / "pred.jsonl"
         pred.write_text(GOOD_TRAJ)
@@ -538,6 +560,11 @@ RANGE_ERRORS = {
     "sample-resample-size": ("sample", ["--count", 2, "--resample", 10 ** 13,
                                         "--queries-out", "q.json"],
                              "resample count 10000000000000 for 2 trajectories"),
+    # refused by the same rule whether or not the tokens are written
+    "sample-resample-size-no-queries-out": (
+        "sample", ["--count", 2, "--resample", MAX_SAMPLES // 2 + 1],
+        f"resample count {MAX_SAMPLES // 2 + 1} for 2 trajectories needs more than "
+        f"MAX_SAMPLES"),
     "gen-params-size": ("gen-params", ["--channels", 3 * 10 ** 6,
                                        "--hidden", 3 * 10 ** 6],
                         "got channels=3000000 hidden=3000000"),

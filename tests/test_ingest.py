@@ -206,6 +206,9 @@ class TestSmooth:
     def test_even_window_rejected(self):
         with pytest.raises(ContractError):
             IngestConfig(smooth_window=4)
+        # and so is a format that ingest does not read
+        with pytest.raises(ContractError, match="unknown format 'xml'"):
+            parse_trajectories("", "xml")
 
 
 def labelled_set(rng, lengths):

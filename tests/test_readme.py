@@ -1,0 +1,31 @@
+"""README's examples run as written."""
+import pathlib
+import re
+import shlex
+
+from trajprior import cli
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"),
+                      re.S)
+
+
+def test_cli_example_chain_runs(tmp_path, monkeypatch, capsys):
+    """Every `trajprior` line of README's CLI block exits 0, in order, in one
+    directory, so the example chain cannot drift from the commands. The
+    feature maps that `fuse` reads come from README's Python block, run
+    before `fuse` as README says."""
+    (shell,) = [b for b in blocks("sh") if "trajprior synth" in b]
+    (python,) = blocks("python")
+    commands = [shlex.split(line)[1:]
+                for line in shell.replace("\\\n", " ").splitlines()
+                if line.startswith("trajprior ")]
+    assert "fuse" in [argv[0] for argv in commands]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[0] == "fuse":
+            exec(python, {})
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
