@@ -146,9 +146,13 @@ def cmd_sample(args) -> int:
                            start_index=args.start_index)
     picked = [ts.trajectories[i] for i in result.indices]
     points = selection.resample_all(picked, args.resample)  # refused before any write
-    _write_report(args, {"count": args.count, "seed": args.seed, "indices": result.indices,
-                         "min_dists": result.min_dists},
-                  ts, (replace(t, points=p) for t, p in zip(picked, points)))
+    doc = {
+        "count": args.count,
+        "seed": args.seed,
+        "indices": result.indices,
+        "min_dists": result.min_dists,
+    }
+    _write_report(args, doc, ts, (replace(t, points=p) for t, p in zip(picked, points)))
     print(f"fps count={args.count} start={result.indices[0]}")
     return EXIT_OK
 

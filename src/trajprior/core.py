@@ -6,7 +6,6 @@ half-open [low, high) so every in-ROI point maps to exactly one cell.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -30,16 +29,6 @@ MAX_SAMPLES = 10_000_000
 
 class ContractError(ValueError):
     """An operation was called with inputs that violate its contract."""
-
-
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not JSON")
-
-
-# The one reader of JSON records and `.tp` headers. It refuses NaN, Infinity
-# and -Infinity, which json.loads accepts, so nothing read can make a writer
-# emit what a strict reader rejects.
-STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def _require(cond: bool, msg: str) -> None:

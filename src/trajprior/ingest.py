@@ -14,9 +14,7 @@ File formats (coordinates in meters, ego/BEV frame):
 Records of both JSONL kinds may carry an optional ``"type"`` field, the
 discrete lane label that ``Trajectory.label`` holds and the attribute-error
 metric scores; ``"type": null`` counts as no label. Every malformed record
-raises a ``ParseError`` that names its line. That includes ``NaN``,
-``Infinity`` and ``-Infinity``, which are not JSON, and a label holding a
-number beyond float range, so every record read can be written back as JSON.
+raises a ``ParseError`` that names its line.
 
 Smoothing is a centered moving average whose window shrinks symmetrically
 at a polyline's ends. ``smooth_set`` runs it for a whole set in one pass:
@@ -36,8 +34,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .core import (MAX_COORD, STRICT_JSON, ContractError, GridSpec, Trajectory,
-                   TrajectorySet)
+from .core import MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet
 
 # A frame passes the retention check with more than this many trajectories
 # per centerline. An int, so the check stays exact for any integer count.
@@ -72,10 +69,10 @@ def _records(text: str) -> Iterator[Tuple[int, dict]]:
         if not line.strip():
             continue
         try:
-            rec = STRICT_JSON.decode(line)
+            rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(line_no, f"invalid JSON: {e.msg}") from e
-        except (ValueError, RecursionError) as e:  # NaN, too many digits, too deep
+        except (ValueError, RecursionError) as e:  # too many digits, too deep
             raise ParseError(line_no, f"invalid JSON: {e}") from e
         if not isinstance(rec, dict):
             raise ParseError(line_no, "record is not an object")
@@ -89,15 +86,9 @@ def _from_record(line_no: int, rec: dict, key: str) -> Trajectory:
     """The polyline under ``key`` ("points" or "centerlines") of one record."""
     if key not in rec:
         raise ParseError(line_no, f"record missing {key!r}")
-    label = rec.get("type")
-    if label is not None:
-        try:  # a number past float range decodes to infinity, which no writer takes
-            _dumps(label)
-        except (ValueError, RecursionError):
-            raise ParseError(line_no, f"type must be finite, got {label!r}") from None
     try:
         return Trajectory(str(rec.get("id", f"{_DEFAULT_ID[key]}{line_no}")),
-                          rec[key], label)
+                          rec[key], rec.get("type"))
     except ContractError as e:
         raise ParseError(line_no, str(e)) from e
 
@@ -110,9 +101,8 @@ def _to_record(t: Trajectory, key: str = "points") -> dict:
     return rec
 
 
-# compact and strict: NaN and infinity raise ValueError rather than write
-# what a strict reader rejects
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+def _dumps(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def parse_trajectories(text: str, fmt: str = "jsonl") -> TrajectorySet:

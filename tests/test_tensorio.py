@@ -108,6 +108,14 @@ def test_unknown_dtype_rejected(heatmap_file):
     assert not strings.exists()
 
 
+def test_non_finite_meta_rejected(tmp_path):
+    # the header is strict JSON, as load_tensors reads it
+    path = tmp_path / "nan.tp"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_tensors(path, {"a": np.zeros(2)}, meta={"scale": float("nan")})
+    assert not path.exists()
+
+
 def test_tensor_past_payload_rejected(heatmap_file):
     rewrite_header(heatmap_file, lambda h: h["tensors"][-1].update(offset=10**6))
     with pytest.raises(ContractError, match="past the end"):
