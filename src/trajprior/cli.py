@@ -67,7 +67,8 @@ def _add_grid_args(p) -> None:
 def _read_text(path) -> str:
     """A UTF-8 text input; a byte that does not decode names the file and line."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # not read_text: its universal newlines would end a record at a lone "\r"
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:  # e.object holds the whole file's bytes
         raise ingest.ParseError(e.object.count(b"\n", 0, e.start) + 1,
                                 f"{path}: byte 0x{e.object[e.start]:02x} is not "
@@ -90,16 +91,14 @@ def _write_report(args, doc, ts: TrajectorySet, tokens) -> None:
 
 
 def cmd_ingest(args) -> int:
-    cfg = ingest.IngestConfig(min_length_m=args.min_length,
-                              smooth_window=args.smooth_window)
     ts = _load_set(args.input, args.format)
     m_before = len(ts)
-    ts = ingest.filter_by_length(ts, cfg)
-    ts = ingest.smooth_set(ts, cfg)
+    ts = ingest.filter_by_length(ts, args.min_length)
+    ts = ingest.smooth_set(ts, args.smooth_window)
     retained = ingest.retention_check(ts)
     _write_set(args.out, ts)
     print(f"ingested {m_before} trajectories, kept {len(ts)} "
-          f"(min_length={cfg.min_length_m}, smooth_window={cfg.smooth_window})")
+          f"(min_length={args.min_length}, smooth_window={args.smooth_window})")
     print(f"retention_check: {'pass' if retained else 'fail'} "
           f"(m={len(ts)}, centerlines={ts.centerline_count})")
     return EXIT_OK

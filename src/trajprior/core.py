@@ -248,18 +248,6 @@ class GridSpec:
         xs = self.x_min + (np.arange(self.width) + 0.5) * self.cell_dx
         return ys, xs
 
-    def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min, "x_max": self.x_max,
-            "y_min": self.y_min, "y_max": self.y_max,
-            "cell_dx": self.cell_dx, "cell_dy": self.cell_dy,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(d["x_min"], d["x_max"], d["y_min"], d["y_max"],
-                   d["cell_dx"], d["cell_dy"])
-
 
 def fold_axial(angle: float) -> float:
     """Fold an angle mod pi into (-pi/2, pi/2] (orientation without heading)."""

@@ -29,7 +29,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -42,23 +42,10 @@ RETENTION_RATIO = 5
 
 
 class ParseError(ValueError):
-    """Malformed input; carries the 1-based line number."""
+    """Malformed input; the message starts with its 1-based line number."""
 
     def __init__(self, line_no: int, msg: str):
         super().__init__(f"line {line_no}: {msg}")
-        self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    min_length_m: float = 5.0
-    smooth_window: int = 5
-
-    def __post_init__(self):
-        if not self.min_length_m >= 0:
-            raise ContractError(f"min_length_m must be >= 0, got {self.min_length_m}")
-        if self.smooth_window < 1 or self.smooth_window % 2 == 0:
-            raise ContractError(f"smooth_window must be odd and >= 1, got {self.smooth_window}")
 
 
 def _records(text: str) -> Iterator[Tuple[int, dict]]:
@@ -137,7 +124,6 @@ def _parse_jsonl(text: str) -> TrajectorySet:
 def _parse_csv(text: str) -> TrajectorySet:
     reader = csv.reader(io.StringIO(text))
     groups: dict = {}
-    order: List[str] = []
     end = 0  # a record's line number is its first physical line
     try:
         for row in reader:
@@ -157,13 +143,12 @@ def _parse_csv(text: str) -> TrajectorySet:
                                  f"<= MAX_COORD={MAX_COORD:g}")
             if tid not in groups:
                 groups[tid] = []
-                order.append(tid)
             groups[tid].append((seq, x, y, line_no))
     except csv.Error as e:  # e.g. a field beyond csv.field_size_limit()
         raise ParseError(end + 1, f"bad CSV record: {e}") from e
     trajectories = []
-    for tid in order:
-        rows = sorted(groups[tid], key=lambda r: r[0])
+    for tid, rows in groups.items():
+        rows = sorted(rows, key=lambda r: r[0])
         if len(rows) < 2:
             raise ParseError(rows[0][3], "trajectory shorter than 2 points")
         pts = [(x, y) for _, x, y, _ in rows]
@@ -188,10 +173,12 @@ def serialize_centerlines(polylines: Tuple[Trajectory, ...]) -> str:
                      for p in polylines) + "\n"
 
 
-def filter_by_length(ts: TrajectorySet, cfg: IngestConfig) -> TrajectorySet:
-    """Keep trajectories whose arc length is >= cfg.min_length_m."""
-    kept = tuple(t for t in ts.trajectories if t.arc_length >= cfg.min_length_m)
-    return TrajectorySet(kept, ts.frame_id, ts.centerline_count)
+def filter_by_length(ts: TrajectorySet, min_length_m: float) -> TrajectorySet:
+    """Keep trajectories whose arc length is >= min_length_m."""
+    if not min_length_m >= 0:  # NaN fails too
+        raise ContractError(f"min_length_m must be >= 0, got {min_length_m}")
+    return replace(ts, trajectories=tuple(
+        t for t in ts.trajectories if t.arc_length >= min_length_m))
 
 
 def smooth(points: np.ndarray, lengths, window: int) -> np.ndarray:
@@ -232,20 +219,21 @@ def smooth(points: np.ndarray, lengths, window: int) -> np.ndarray:
     return (acc / (2 * r + 1)[:, None]).take(inverse, axis=0)
 
 
-def smooth_set(ts: TrajectorySet, cfg: IngestConfig) -> TrajectorySet:
+def smooth_set(ts: TrajectorySet, window: int) -> TrajectorySet:
     """Smooth every trajectory of a set with one ``smooth`` call.
 
     Ids, labels and order are kept; window 1 and an empty set return ``ts``.
     """
-    if cfg.smooth_window == 1 or not ts.trajectories:
+    if window < 1 or window % 2 == 0:
+        raise ContractError(f"smooth_window must be odd and >= 1, got {window}")
+    if window == 1 or not ts.trajectories:
         return ts
     lengths = [len(t) for t in ts.trajectories]
     points = smooth(np.concatenate([t.points for t in ts.trajectories]),
-                    lengths, cfg.smooth_window)
+                    lengths, window)
     parts = np.split(points, np.cumsum(lengths[:-1]))
-    return TrajectorySet(tuple(replace(t, points=p)
-                               for t, p in zip(ts.trajectories, parts)),
-                         ts.frame_id, ts.centerline_count)
+    return replace(ts, trajectories=tuple(
+        replace(t, points=p) for t, p in zip(ts.trajectories, parts)))
 
 
 def retention_check(ts: TrajectorySet) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict, fields
 from typing import Dict, Tuple
 
 import numpy as np
@@ -110,7 +111,9 @@ def _load_kind(path, kind: str, names) -> Tuple[Dict[str, np.ndarray], dict]:
 
 def _spec(path, meta: dict) -> GridSpec:
     try:
-        return GridSpec.from_dict(meta["spec"])
+        spec = meta["spec"]
+        # each field by name, so none takes its default; GridSpec refuses other keys
+        return GridSpec(**{f.name: spec[f.name] for f in fields(GridSpec)} | spec)
     except (KeyError, TypeError, OverflowError) as e:  # an int past float range
         raise ContractError(f"{path}: bad or missing grid spec in meta ({e!r})") from None
 
@@ -118,7 +121,7 @@ def _spec(path, meta: dict) -> GridSpec:
 def save_heatmap(path, heatmap) -> None:
     meta = {"kind": "heatmap", "layout": "row-major",
             "height": heatmap.spec.height, "width": heatmap.spec.width,
-            "n_max": heatmap.n_max, "spec": heatmap.spec.to_dict()}
+            "n_max": heatmap.n_max, "spec": asdict(heatmap.spec)}
     save_tensors(path, {"density": heatmap.density,
                         "direction": heatmap.direction,
                         "count": heatmap.count}, meta)
@@ -135,7 +138,7 @@ def load_heatmap(path) -> Heatmap:
 def save_feature_map(path, fm) -> None:
     meta = {"kind": "feature", "layout": "row-major",
             "height": fm.spec.height, "width": fm.spec.width,
-            "channels": fm.channels, "spec": fm.spec.to_dict()}
+            "channels": fm.channels, "spec": asdict(fm.spec)}
     save_tensors(path, {"data": fm.data}, meta)
 
 

@@ -10,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 
 from trajprior.core import MAX_SAMPLES, ContractError, Trajectory
-from trajprior.ingest import IngestConfig
 from trajprior.metrics import DEFAULT_SAMPLE_STEP
 from trajprior.selection import DEFAULT_RESAMPLE
 
@@ -313,15 +312,15 @@ def sign_test_p_value(wins, n):
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2.0 ** n
 
 
-def smooth_by_point_loop(t: Trajectory, cfg: IngestConfig) -> Trajectory:
+def smooth_by_point_loop(t: Trajectory, window: int) -> Trajectory:
     """Centered moving average; endpoints use shrunken symmetric windows.
 
     The window radius is clipped to the available neighbors on each side,
     so the point count never changes and window=1 is the identity.
     """
-    if cfg.smooth_window == 1:
+    if window == 1:
         return t
-    radius = cfg.smooth_window // 2
+    radius = window // 2
     pts = t.points
     n = len(pts)
     out = np.empty_like(pts)

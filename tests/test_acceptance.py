@@ -15,8 +15,7 @@ from trajprior.cli import main as cli_main
 from trajprior.core import GridSpec, Trajectory, TrajectorySet
 from trajprior.fusion import confidence_fuse, confidence_weights, \
     finite_difference_check, warp
-from trajprior.ingest import IngestConfig, filter_by_length, smooth_set, \
-    synth_scene
+from trajprior.ingest import filter_by_length, smooth_set, synth_scene
 from trajprior.metrics import ae_dist, ae_type, iou, prior_iou, \
     sample_polyline_points
 from trajprior.raster import heatmap_to_feature, rasterize_trajectories
@@ -252,13 +251,12 @@ def test_criterion_10_end_to_end_pipeline(tmp_path):
 
     # monotone degradation with noise (paired sign test over 20 seeds)
     spec = GridSpec()
-    cfg = IngestConfig()
     sigmas = (0.25, 0.5, 1.0)
     ious = {s: [] for s in sigmas}
     for seed in range(20):
         for sigma in sigmas:
             ts, centerlines = synth_scene(seed, 3, 6, sigma)
-            ts = smooth_set(filter_by_length(ts, cfg), cfg)
+            ts = smooth_set(filter_by_length(ts, 5.0), 5)
             ious[sigma].append(prior_iou(ts.trajectories, centerlines, spec))
     means = [float(np.mean(ious[s])) for s in sigmas]
     decreasing = means[0] > means[1] > means[2]

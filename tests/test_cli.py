@@ -469,6 +469,10 @@ MALFORMED = {
     "jsonl-not-utf8": ("jsonl", GOOD_TRAJ.encode() + b'{"id": "\xff", "points": []}\n', 2),
     "csv-not-utf8": ("csv", b"traj_id,seq,x,y\nt0,0,0,0\nt0,1,1,1\nt\xc3(,0,0,0\n", 4),
     "centerline-not-utf8": ("centerlines", GOOD_CL.encode() * 2 + b"\x80\n", 3),
+    # a record ends at "\n" only, so a lone "\r" leaves extra data on the line
+    "jsonl-lone-cr": ("jsonl", GOOD_TRAJ + GOOD_TRAJ.replace("\n", "\r") + GOOD_TRAJ, 2),
+    "centerline-lone-cr": ("centerlines", GOOD_CL + GOOD_CL.replace("\n", "\r") + GOOD_CL,
+                           2),
 }
 
 
@@ -485,6 +489,16 @@ def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "Traceback" not in err
+
+
+def test_csv_quoted_crlf_kept(tmp_path):
+    """A quoted CSV field keeps its CRLF as is, in a file of CRLF lines."""
+    src, out = tmp_path / "in.csv", tmp_path / "out.jsonl"
+    src.write_bytes(b'traj_id,seq,x,y\r\n"t\r\n0",0,0,0\r\n"t\r\n0",1,9,0\r\n')
+    assert run("ingest", "--format", "csv", "--input", src, "--min-length", 0,
+               "--out", out) == 0
+    records = [json.loads(line) for line in out.read_bytes().split(b"\n") if line]
+    assert [r["id"] for r in records[1:]] == ["t\r\n0"]
 
 
 # (subcommand, NaN flag, the checked name the error must give)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ class TestGridSpec:
 
     def test_roundtrip_dict(self):
         spec = GridSpec(-1, 3, 0, 2, 0.25, 0.5)
-        assert GridSpec.from_dict(spec.to_dict()) == spec
+        assert GridSpec(**asdict(spec)) == spec
 
 
 class TestFoldAxial:

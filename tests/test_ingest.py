@@ -6,7 +6,7 @@ import pytest
 from oracles import smooth_by_point_loop
 from trajprior import cli, ingest
 from trajprior.core import ContractError, Trajectory, TrajectorySet
-from trajprior.ingest import (IngestConfig, ParseError, filter_by_length,
+from trajprior.ingest import (ParseError, filter_by_length,
                               parse_centerlines, parse_trajectories,
                               retention_check, serialize_centerlines,
                               serialize_trajectories, smooth_set, synth_scene)
@@ -137,8 +137,7 @@ class TestParse:
         ts = parse_trajectories(make_jsonl([
             {"id": "a", "points": [[0, 0], [3, 0], [9, 0]], "type": "x"},
             {"id": "b", "points": [[0, 1], [1, 1]], "type": "y"}]), "jsonl")
-        cfg = IngestConfig(min_length_m=5.0, smooth_window=3)
-        out = smooth_set(filter_by_length(ts, cfg), cfg)
+        out = smooth_set(filter_by_length(ts, 5.0), 3)
         assert [(t.id, t.label) for t in out.trajectories] == [("a", "x")]
 
 
@@ -146,33 +145,31 @@ class TestFilterByLength:
     def test_zero_threshold_is_identity(self):
         ts = parse_trajectories(make_jsonl(
             [{"id": "a", "points": [[0, 0], [1, 0]]}]), "jsonl")
-        out = filter_by_length(ts, IngestConfig(min_length_m=0))
+        out = filter_by_length(ts, 0)
         assert len(out) == len(ts)
 
     def test_short_trajectory_removed(self):
         ts = TrajectorySet((Trajectory("s", [[0, 0], [3, 0]]),))
-        assert len(filter_by_length(ts, IngestConfig(min_length_m=5.0))) == 0
+        assert len(filter_by_length(ts, 5.0)) == 0
 
     def test_mixed_fixture(self, fixtures_dir):
         ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text(),
                                 "jsonl")
-        out = filter_by_length(ts, IngestConfig(min_length_m=5.0))
+        out = filter_by_length(ts, 5.0)
         assert len(out) == 2
         assert [t.id for t in out.trajectories] == ["len6", "len10"]
 
     def test_idempotent(self, fixtures_dir):
         ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text(),
                                 "jsonl")
-        cfg = IngestConfig(min_length_m=5.0)
-        once = filter_by_length(ts, cfg)
-        twice = filter_by_length(once, cfg)
+        once = filter_by_length(ts, 5.0)
+        twice = filter_by_length(once, 5.0)
         assert [t.id for t in once.trajectories] == [t.id for t in twice.trajectories]
 
 
 def smooth_one(t, window):
     """smooth_set on the one-trajectory set of t."""
-    return smooth_set(TrajectorySet((t,)),
-                      IngestConfig(smooth_window=window)).trajectories[0]
+    return smooth_set(TrajectorySet((t,)), window).trajectories[0]
 
 
 class TestSmooth:
@@ -205,7 +202,7 @@ class TestSmooth:
 
     def test_even_window_rejected(self):
         with pytest.raises(ContractError):
-            IngestConfig(smooth_window=4)
+            smooth_set(TrajectorySet(()), 4)
         # and so is a format that ingest does not read
         with pytest.raises(ContractError, match="unknown format 'xml'"):
             parse_trajectories("", "xml")
@@ -228,13 +225,12 @@ class TestSmoothMatchesPointLoop:
     """smooth_set is bit-identical to averaging every window with np.mean."""
 
     def assert_matches(self, ts, window):
-        cfg = IngestConfig(smooth_window=window)
-        out = smooth_set(ts, cfg)
+        out = smooth_set(ts, window)
         assert (out.frame_id, out.centerline_count) == (ts.frame_id,
                                                         ts.centerline_count)
         assert len(out) == len(ts)
         for got, t in zip(out.trajectories, ts.trajectories):
-            want = smooth_by_point_loop(t, cfg)
+            want = smooth_by_point_loop(t, window)
             assert (got.id, got.label) == (t.id, t.label)
             assert got.points.tobytes() == want.points.tobytes()
 
@@ -256,11 +252,10 @@ class TestSmoothMatchesPointLoop:
 
     def test_empty_set_and_window_one_keep_objects(self):
         for window in (1, 5):
-            out = smooth_set(TrajectorySet((), "f", 2),
-                             IngestConfig(smooth_window=window))
+            out = smooth_set(TrajectorySet((), "f", 2), window)
             assert len(out) == 0 and (out.frame_id, out.centerline_count) == ("f", 2)
         ts = labelled_set(np.random.default_rng(3), [4, 9])
-        out = smooth_set(ts, IngestConfig(smooth_window=1))
+        out = smooth_set(ts, 1)
         assert all(a is b for a, b in zip(out.trajectories, ts.trajectories))
 
 
@@ -276,7 +271,7 @@ def test_smooth_reached_once_through_module_attribute(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ingest, "smooth", counting)
     ts = labelled_set(np.random.default_rng(4), [5, 12, 30])
-    smooth_set(ts, IngestConfig(smooth_window=5))
+    smooth_set(ts, 5)
     assert calls == [3]
     src = tmp_path / "in.jsonl"
     src.write_text(serialize_trajectories(ts))

@@ -148,9 +148,17 @@ def test_missing_tensor_rejected(heatmap_file):
 
 
 def test_missing_heatmap_meta_rejected(heatmap_file):
+    fresh = heatmap_file.read_bytes()
     rewrite_header(heatmap_file, lambda h: h["meta"].pop("spec"))
     with pytest.raises(ContractError, match="grid spec"):
         load_heatmap(heatmap_file)
     rewrite_header(heatmap_file, lambda h: h["meta"].update(n_max=2.0))
     with pytest.raises(ContractError, match="lacks an integer n_max"):
         load_heatmap(heatmap_file)
+    # a spec holds GridSpec's fields and nothing else; a field left out is
+    # refused, not given its default (0.5, the value written here)
+    for edit in (lambda spec: spec.update(z=0.0), lambda spec: spec.pop("cell_dy")):
+        heatmap_file.write_bytes(fresh)
+        rewrite_header(heatmap_file, lambda h: edit(h["meta"]["spec"]))
+        with pytest.raises(ContractError, match="grid spec"):
+            load_heatmap(heatmap_file)
