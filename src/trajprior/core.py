@@ -180,24 +180,73 @@ def sample_arc_length(polylines: Sequence[Trajectory],
     ``count`` maps the arc lengths to float point counts, so no request can
     overflow, and their total is checked against MAX_SAMPLES before any point
     is interpolated. A zero-length polyline gives copies of its first point.
+
+    Every value equals that of ``np.linspace(0, length, n)`` and ``np.interp``
+    per polyline and axis, in one pass over all polylines: the arc lengths are
+    summed by ``np.cumsum`` along zero-padded rows, which adds each row in its
+    own order, and each target finds its segment by one ``searchsorted`` of
+    complex keys ``polyline + i*arc`` (ordered by real and then imaginary
+    part, both exact). Targets are taken ``raster._CHUNK // 2`` at a time, so
+    no temporary but the output holds more than 32 KiB, a complex key included.
     """
-    arcs = [np.concatenate([[0.0], np.cumsum(
-        np.linalg.norm(np.diff(t.points, axis=0), axis=1))]) for t in polylines]
-    counts = count(np.array([s[-1] for s in arcs]))
+    from . import raster  # raster imports this module
+    sizes = np.array([len(t) for t in polylines], dtype=np.int64)
+    pts = np.concatenate([t.points for t in polylines]) if len(sizes) else np.empty((0, 2))
+    last = np.cumsum(sizes) - 1
+    first = last + 1 - sizes
+    seg = np.zeros(len(pts))  # norm of the segment ending at each point
+    seg[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg[first] = 0.0  # 0 + norm is the norm, so each row sums as [0, cumsum]
+    arc = np.empty(len(pts))
+    a = 0
+    while a < len(sizes):  # blocks of rows padded to at most _CHUNK values
+        rows = max(1, raster._CHUNK // int(sizes[a]))
+        while rows > 1 and rows * int(sizes[a:a + rows].max()) > raster._CHUNK:
+            rows = max(1, raster._CHUNK // int(sizes[a:a + rows].max()))
+        size = sizes[a:a + rows]
+        span = slice(first[a], last[a + len(size) - 1] + 1)
+        fill = np.arange(size.max()) < size[:, None]
+        grid = np.zeros(fill.shape)
+        grid[fill] = seg[span]
+        arc[span] = np.cumsum(grid, axis=1)[fill]
+        a += len(size)
+    total = arc[last]
+    counts = count(total)
     if counts.sum() > MAX_SAMPLES:
         raise ContractError(f"{request} needs more than MAX_SAMPLES={MAX_SAMPLES} points")
     counts = counts.astype(np.int64)
+    spacing = total / np.maximum(counts - 1, 1)  # np.linspace's step
+    keys = np.empty(len(pts), dtype=np.complex128)
+    keys.real, keys.imag = np.repeat(np.arange(len(sizes)), sizes), arc
     out = np.empty((counts.sum(), 2))
-    ends = np.cumsum(counts).tolist()
-    for t, s, start, end in zip(polylines, arcs, [0] + ends, ends):
-        pts, part = t.points, out[start:end]
-        if s[-1] == 0.0:
-            part[:] = pts[0]
-            continue
-        targets = np.linspace(0.0, s[-1], len(part))
-        part[:, 0] = np.interp(targets, s, pts[:, 0])
-        part[:, 1] = np.interp(targets, s, pts[:, 1])
-        part[0], part[-1] = pts[0], pts[-1]
+    coords = np.ascontiguousarray(pts.T)
+    start = 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # slopes kept only where mid
+        for item, rank in raster.chunked_repeat(counts, max(1, raster._CHUNK // 2)):
+            part = out[start:start + len(item)]
+            start += len(item)
+            # np.linspace's rank * step; its step == 0 branch would need a
+            # length below (n - 1) * 5e-324, and no nonzero norm is below 2.2e-162
+            x = rank * spacing[item]
+            key = np.empty(len(x), dtype=np.complex128)
+            key.real, key.imag = item, x
+            # np.interp: the last arc point <= x, its own value when it is the
+            # polyline's end or sits at x, else slope * (x - arc) + value
+            j = np.searchsorted(keys, key, side="right") - 1
+            j = np.where(total[item] > 0.0, j, first[item])  # copies of the first
+            end = last[item]
+            j1 = np.minimum(j + 1, end)
+            a0 = arc[j]
+            mid = (j < end) & (a0 != x)
+            da, dx = arc[j1] - a0, x - a0
+            for axis, p in enumerate(coords):
+                f0 = p[j]
+                part[:, axis] = np.where(mid, (p[j1] - f0) / da * dx + f0, f0)
+    # the ends of a polyline of nonzero length are its own points, exactly
+    moving = total > 0.0
+    ends = np.cumsum(counts)[moving]
+    out[ends - counts[moving]] = pts[first[moving]]
+    out[ends - 1] = pts[last[moving]]
     return out
 
 

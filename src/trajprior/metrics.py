@@ -12,6 +12,10 @@ from .raster import chunked_repeat, rasterize_polylines
 
 DEFAULT_LINE_WIDTH = 0.75  # meters
 DEFAULT_SAMPLE_STEP = 0.5  # meters, polyline -> point-set sampling
+# A length within 4 ulps below a multiple of the sample step counts as that
+# multiple: the summed segment norms round, and a lane of integer length sits
+# exactly on that edge (96 m came out 2 ulps short, and one point fewer).
+_COUNT_TOL = 1.0 + 4 * np.finfo(np.float64).eps
 
 
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
@@ -186,7 +190,7 @@ def sample_polyline_points(polylines: Sequence[Trajectory],
 
     def count(total: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # a tiny step counts inf points
-            n = np.maximum(2.0, np.floor(total / step) + 1.0)
+            n = np.maximum(2.0, np.floor(total / step * _COUNT_TOL) + 1.0)
         return np.where(total == 0.0, 1.0, n)
 
     return sample_arc_length(polylines, count, f"sampling at step {step}")

@@ -163,9 +163,18 @@ def chunked_repeat(counts: np.ndarray, chunk: int):
 
 
 def _window(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
-    """First index and count of the cells whose centers may lie in [lo, hi]."""
-    first = np.clip(np.floor((lo - origin) / cell - 0.5), 0, n).astype(np.int64)
-    stop = np.clip(np.ceil((hi - origin) / cell + 0.5), 0, n).astype(np.int64)
+    """First index and count of the cells whose computed centers
+    ``origin + (i + 0.5) * cell`` may lie in [lo, hi].
+
+    The bounds are widened by a slack, in cells, that scales with the
+    coordinates' ulp: every rounding in the centers, in lo and hi and in a
+    caller's distance test is a few ulps of the largest coordinate, which is
+    far more than any fixed fraction of a small cell near |x| = MAX_COORD.
+    """
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), abs(origin))
+    slack = 1e-9 + 32.0 * np.spacing(scale) / cell
+    first = np.clip(np.ceil((lo - origin) / cell - 0.5 - slack), 0, n).astype(np.int64)
+    stop = np.clip(np.floor((hi - origin) / cell - 0.5 + slack) + 1.0, 0, n).astype(np.int64)
     return first, np.maximum(stop - first, 0)
 
 

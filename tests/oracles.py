@@ -354,8 +354,13 @@ def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> np.ndarray:
     return out
 
 
+# a length within 4 ulps below a multiple of the step counts as that multiple
+COUNT_TOL = 1.0 + 4 * np.finfo(np.float64).eps
+
+
 def sample_polyline_points(polylines, step: float = DEFAULT_SAMPLE_STEP) -> np.ndarray:
-    """Points along each polyline at a fixed arc-length step (endpoints included)."""
+    """Points along each polyline at a fixed arc-length step (endpoints included):
+    floor(length / step) + 1 of them, at least 2, with COUNT_TOL on the ratio."""
     if not step > 0:
         raise ContractError(f"step must be > 0, got {step}")
     chunks = []
@@ -365,7 +370,7 @@ def sample_polyline_points(polylines, step: float = DEFAULT_SAMPLE_STEP) -> np.n
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         s = np.concatenate([[0.0], np.cumsum(seg)])
         total = s[-1]
-        n = 1.0 if total == 0.0 else max(2.0, np.floor(total / step) + 1.0)
+        n = 1.0 if total == 0.0 else max(2.0, np.floor(total / step * COUNT_TOL) + 1.0)
         count += n
         if count > MAX_SAMPLES:
             raise ContractError(f"sampling at step {step} needs more than "

@@ -166,6 +166,25 @@ def read_tokens(path, scene, tmp_path):
     return tokens.trajectories
 
 
+def test_eval_counts_a_step_multiple_short_by_rounding(tmp_path):
+    # noise-0 lanes are 96 m long, and the summed length of two cluster tokens
+    # comes out 2 ulps short of 96: floor(length / step) + 1 gave them 192
+    # points instead of 193, which shifted every sample (ae_dist 0.062 m)
+    scene = tmp_path / "scene"
+    assert run("synth", "--seed", 0, "--lanes", 4, "--per-lane", 10, "--noise", 0,
+               "--out-dir", scene) == 0
+    tokens, report = tmp_path / "tokens.jsonl", tmp_path / "report.json"
+    assert run("cluster", "--input", scene / "trajectories.jsonl", "--k", 4,
+               "--resample", 100, "--out", tmp_path / "c.json", "--queries-out", tokens) == 0
+    lengths = [np.cumsum(np.linalg.norm(np.diff(t.points, axis=0), axis=1))[-1]
+               for t in ingest.parse_trajectories(tokens.read_text()).trajectories]
+    assert 0.0 < 96.0 - min(lengths) <= 4 * np.spacing(96.0)
+    assert run("eval", "--pred", tokens, "--gt", scene / "centerlines.jsonl",
+               "--out", report) == 0
+    doc = json.loads(report.read_text())
+    assert doc["iou"] == 1.0 and doc["ae_dist"] < 1e-3
+
+
 @pytest.fixture
 def fused_inputs(scene, tmp_path):
     hm_path = tmp_path / "hm.tp"

@@ -4,12 +4,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from trajprior import raster
 from trajprior.core import (MAX_CELLS, MAX_COORD, ContractError, GridSpec, Trajectory,
                            fold_axial)
 from trajprior.metrics import sample_polyline_points
 from trajprior.selection import resample_all
 
 import oracles
+from conftest import random_trajectory
 
 
 class TestGridSpec:
@@ -79,6 +81,21 @@ class TestTrajectory:
         assert t.arc_length == pytest.approx(2.0)
 
 
+def random_polylines(rng, count):
+    """Random polylines of 2 to 29 points at scales 0.01 to 100 m: as drawn,
+    with every point repeated, or of zero length, in turn."""
+    out = []
+    for k in range(count):
+        pts = random_trajectory(rng, int(rng.integers(2, 30)),
+                                10.0 ** int(rng.integers(-2, 3))).points
+        if k % 3 == 1:
+            pts = np.repeat(pts, 2, axis=0)
+        elif k % 3 == 2:
+            pts = np.repeat(pts[:1], len(pts), axis=0)
+        out.append(Trajectory(f"r{k}", pts))
+    return out
+
+
 class TestSampleArcLength:
     """`resample_all` and `sample_polyline_points` share one sampler; both
     match the per-polyline loops they replaced byte for byte."""
@@ -88,9 +105,14 @@ class TestSampleArcLength:
         Trajectory("zero", [[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]]),
         Trajectory("signed", [[-0.0, 0.0], [3.0, -0.0], [3.0, 4.0], [-0.0, -0.0]]),
         Trajectory("signed-zero", [[-0.0, -0.0], [-0.0, -0.0]]),
+        Trajectory("underflow", [[0.0, 0.0], [1e-170, -0.0]]),  # length 0, distinct ends
         Trajectory("long", np.cumsum(
             np.random.default_rng(5).normal(0.0, 2.0, (400, 2)), axis=0)),
-    ]
+        # the shortest nonzero length: a norm below 2.2e-162 underflows to 0,
+        # so np.linspace's step == 0 branch, which needs a length below
+        # (n - 1) * 5e-324, is out of reach and the sampler leaves it out
+        Trajectory("tiny", [[0.0, 0.0], [2e-162, 0.0]]),
+    ] + random_polylines(np.random.default_rng(7), 12)
 
     @pytest.mark.parametrize("r", [2, 7, 20])
     def test_resample_all_matches_loop(self, r):
@@ -121,8 +143,9 @@ class TestSampleArcLength:
             np.array([5e-324, 0.0]).tobytes()
 
     def test_oversized_request_refused_before_interpolating(self, monkeypatch):
+        # every point is computed in a chunk of targets
         calls = []
-        monkeypatch.setattr(np, "interp", lambda *args: calls.append(args))
+        monkeypatch.setattr(raster, "chunked_repeat", lambda *args: calls.append(args))
         ten = Trajectory("p", [[0.0, 0.0], [10.0, 0.0]])
         far = Trajectory("f", [[-1e7, 0.0], [1e7, 0.0]])
         with pytest.raises(ContractError, match="sampling at step 0.001 needs more "

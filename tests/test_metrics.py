@@ -9,6 +9,7 @@ from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
                                sample_polyline_points)
 from trajprior.raster import rasterize_polylines, rasterize_trajectories
+from trajprior.selection import resample_all
 
 from conftest import INVALID_POINTS
 from oracles import chamfer_mean_bruteforce, chamfer_mean_dense
@@ -176,7 +177,8 @@ def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
                 rasterize_polylines(ts.trajectories, spec, 0.75).tobytes(),
                 rasterize_polylines(centerlines, spec, 0.75).tobytes(),
                 hm.density.tobytes(), hm.direction.tobytes(), hm.count.tobytes(),
-                hm.n_max)
+                hm.n_max, sample_polyline_points(ts.trajectories, 0.5).tobytes(),
+                resample_all(ts.trajectories, 9).tobytes())
 
     want = results()
     monkeypatch.setattr(raster, name, value)

@@ -136,17 +136,37 @@ class TestRasterizeCenterlines:
                 if trial % 6 == 5 and k == 1:
                     pts += 40.0  # wholly outside the ROI
                 polys.append(Trajectory(f"p{k}", pts))
-            cases.append((cells[trial % 3], polys, (0.1, 0.75, 1.3, 3.0)[trial % 4]))
+            cases.append((GridSpec(-6.0, 6.0, -4.0, 5.0, *cells[trial % 3]), polys,
+                          (0.1, 0.75, 1.3, 3.0)[trial % 4]))
         # along a row of centers: the neighbouring rows sit exactly at the radius
-        cases.append(((0.5, 0.5), [Trajectory("c", [[-7.0, 0.25], [7.0, 0.25]])], 1.0))
-        for (dx, dy), polys, width in cases:
-            spec = GridSpec(-6.0, 6.0, -4.0, 5.0, dx, dy)
+        cases.append((GridSpec(-6.0, 6.0, -4.0, 5.0, 0.5, 0.5),
+                      [Trajectory("c", [[-7.0, 0.25], [7.0, 0.25]])], 1.0))
+        # Near |x| = |y| = MAX_COORD an ulp is 1.9e-9 m, and a computed cell
+        # center is up to 3e-7 cells off i + 0.5. Random polylines there, and
+        # single segments whose box +- radius ends exactly on a cell center
+        # (the radius is dyadic, so c -+ r is exact and d2 == r * r): a window
+        # widened by a fixed 1e-9 cells drops about half of those centers.
+        for cell, width in ((0.01, 0.03125), (0.003, 0.0078125)):
+            x_max, y_min = 1e7 - 4 * cell, -1e7 + 4 * cell
+            spec = GridSpec(x_max - 12 * cell, x_max, y_min, y_min + 12 * cell, cell, cell)
+            for trial in range(6):
+                offsets = rng.uniform(0.0, 16 * cell, (int(rng.integers(2, 7)), 2))
+                pts = np.column_stack([1e7 - offsets[:, 0], -1e7 + offsets[:, 1]])
+                cases.append((spec, [Trajectory("far", pts)], (1.3, 5.0)[trial % 2] * cell))
+            ys, xs = spec.cell_centers()
+            r = width / 2
+            for i in range(12):
+                for x in (xs[i] - r, xs[i] + r):
+                    cases.append((spec, [Trajectory("v", [[x, ys[2]], [x, ys[3]]])], width))
+                for y in (ys[i] - r, ys[i] + r):
+                    cases.append((spec, [Trajectory("h", [[xs[2], y], [xs[3], y]])], width))
+        for spec, polys, width in cases:
             got = rasterize_polylines(polys, spec, width)
             want = polyline_mask_by_cell_loop([p.points for p in polys], spec, width)
-            assert np.array_equal(got, want), (dx, dy, width)
+            assert np.array_equal(got, want), (spec, [p.points for p in polys], width)
 
     def test_memory_bounded_by_chunk(self):
-        # a score-sized frame: 132 trajectories, 6,336 segments, 209k
+        # a score-sized frame: 132 trajectories, 6,336 segments, 83.6k
         # candidate cells. It holds about 16 8-byte arrays per segment and at
         # most two dozen temporaries of raster._CHUNK entries: 1.5 MiB here,
         # where it peaks near 1.2 MiB and its 1 << 16-entry chunks peaked
