@@ -135,31 +135,43 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
                    count.reshape(h, w), n_max)
 
 
-# Entries held at once by the blocked kernels (rasterize_polylines and
-# metrics._nearest_sq). At 32 KiB per float64 array their per-chunk
+# Entries held at once by the blocked kernels: rasterize_polylines'
+# candidate cells, core.sample_arc_length's points, and the Chamfer search
+# behind metrics.ae_dist (its queries, row runs, point pairs and brute-force
+# blocks of reference points). At 32 KiB per float64 array their per-chunk
 # temporaries stay below the allocator's mmap threshold, so it recycles them
 # instead of mapping, and page-faulting, fresh pages every chunk.
 _CHUNK = 1 << 12
 
 
-def chunked_repeat(counts: np.ndarray, chunk: int):
-    """Enumerate ``counts[i]`` entries of every item i, ``chunk`` entries at a time.
+def chunk_spans(counts: np.ndarray, chunk: int):
+    """Split the enumeration of ``counts[i]`` entries of every item i into
+    spans of at most ``chunk`` entries.
 
-    Yields ``(item, rank)`` arrays for each run of at most ``chunk`` entries of
-    the flattened enumeration: entry e is the ``rank[e]``-th entry of item
-    ``item[e]``. Items are visited in order and may be split across chunks, so
-    every temporary a caller derives from one chunk is bounded by ``chunk``.
+    Yields ``(a, take, lo)`` for each span: it holds ``take[j]`` entries of
+    item ``a + j``, in item order, and begins with entry ``lo`` of the whole
+    enumeration. Items may be split across spans.
     """
     ends = np.cumsum(counts)
-    starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         a = int(np.searchsorted(ends, lo, side="right"))
         b = int(np.searchsorted(ends, hi - 1, side="right")) + 1
-        take = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
-        item = np.repeat(np.arange(a, b), take)
-        yield item, np.arange(lo, hi) - starts[item]
+        yield a, np.minimum(ends[a:b], hi) - np.maximum(ends[a:b] - counts[a:b], lo), lo
+
+
+def chunked_repeat(counts: np.ndarray, chunk: int):
+    """Enumerate ``counts[i]`` entries of every item i, ``chunk`` entries at a time.
+
+    Yields ``(item, rank)`` arrays for each span of ``chunk_spans``: entry e
+    is the ``rank[e]``-th entry of item ``item[e]``. Every temporary a caller
+    derives from one span is bounded by ``chunk``.
+    """
+    starts = np.cumsum(counts) - counts
+    for a, take, lo in chunk_spans(counts, chunk):
+        item = np.repeat(np.arange(a, a + len(take)), take)
+        yield item, np.arange(lo, lo + len(item)) - starts[item]
 
 
 def _window(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):

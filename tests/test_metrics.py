@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajprior import core, raster
+from trajprior import core, metrics, raster
 from trajprior.core import MAX_COORD, ContractError, GridSpec, Trajectory
 from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
@@ -40,6 +40,32 @@ def chamfer_cases():
         # overflow its cell index
         (np.array([[MAX_COORD, MAX_COORD], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e-320, 0.0]])),
     ]
+    # references far denser than the queries, which search their own cell
+    # first, and far sparser, which search the 3 x 3 block first
+    dense, sparse = rng.normal(0, 10, (900, 2)), rng.normal(0, 10, (6, 2))
+    cases += [(sparse, dense), (dense, sparse)]
+    # collinear sets: a lattice one row tall, and one column wide
+    along = np.sort(rng.uniform(-50, 50, 70))
+    row = (np.c_[along, np.full(70, 3.0)], np.c_[along[::3] + 0.2, np.full(24, 3.0)])
+    cases += [row, row[::-1], (row[0][:, ::-1], row[1][:, ::-1])]
+    # points on cell borders: 32 + 32 points spanning a 32 m square make
+    # 8 m cells from (0, 0) (test_cell_side_rule), so every multiple of 8
+    # is a border; also the largest doubles just below each border
+    borders = np.arange(0.0, 33.0, 8.0)
+    on = np.array([(x, y) for x in borders for y in borders] + [(8.0, 3.0)] * 7)
+    below = np.nextafter(rng.choice(borders[1:], (32, 2)), 0.0)
+    below[::2, 1] = rng.uniform(0, 32, 16)
+    cases += [(on, below), (below, on)]
+    # queries beyond every side and corner of the references' cells
+    around = 200.0 * np.array([(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y])
+    cluster = rng.normal(0, 5, (50, 2))
+    cases += [(around, cluster), (cluster, around)]
+    # partial coverage: trajectories of 2 of 6 lanes against all 6
+    # centerlines; most centerline queries fall back to brute force
+    ts, centerlines = synth_scene(1, 6, 2, 0.4)
+    covered = [t for t in ts.trajectories if t.id.startswith(("lane0_", "lane1_"))]
+    part = (sample_polyline_points(covered, 2.0), sample_polyline_points(centerlines, 2.0))
+    cases += [part, part[::-1]]
     return cases
 
 
@@ -144,20 +170,36 @@ class TestAeDist:
 
     def test_memory_grows_with_points_not_pairs(self):
         # a dense 10k x 1k difference tensor alone would take 160 MB. What
-        # ae_dist holds is six 8-byte arrays per point (the reference keys,
-        # their order, the sorted keys, x, y and a result) and at most two
-        # dozen temporaries of raster._CHUNK entries: 1.25 MiB here, where
-        # it peaks near 1.0 MiB and its 1 << 16-entry chunks peaked at 8 MiB
+        # ae_dist holds is five 8-byte values per point (x and y sorted by
+        # cell, the sort order, a minimum and its copy in input order), a
+        # table of cell starts and at most two dozen temporaries of
+        # raster._CHUNK entries: 1.25 MiB here, where it peaks near 0.84 MiB
+        # (1.0 MiB with a grid per direction, 8 MiB with 1 << 16-entry chunks).
+        # The second input is collinear: a lattice one row tall, 2,001 cells wide
         rng = np.random.default_rng(4)
-        pred = rng.normal(0, 30, (10_000, 2))
-        gt = rng.normal(0, 30, (1_000, 2))
-        tracemalloc.start()
-        try:
-            ae_dist(pred, gt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 8 * (len(pred) + len(gt)) + 24 * 8 * raster._CHUNK
+        inputs = [(rng.normal(0, 30, (10_000, 2)), rng.normal(0, 30, (1_000, 2)))]
+        x = np.linspace(-500.0, 500.0, 10_000)
+        inputs.append((np.c_[x, np.full_like(x, 3.0)],
+                       np.c_[rng.uniform(-500, 500, 1_000), np.full(1_000, 3.0)]))
+        for pred, gt in inputs:
+            tracemalloc.start()
+            try:
+                ae_dist(pred, gt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 8 * (len(pred) + len(gt)) + 24 * 8 * raster._CHUNK
+
+    def test_cell_side_rule(self):
+        # twice the spacing of both sets together
+        assert metrics._cell_side(np.array([32.0, 32.0]), 32, 32) == 8.0
+        # at least half the spacing of the sparser set
+        assert metrics._cell_side(np.array([32.0, 32.0]), 1000, 8) == 0.5 * np.sqrt(128.0)
+        # a collinear set's spacing is its span over its count
+        assert metrics._cell_side(np.array([100.0, 0.0]), 50, 50) == 2.0
+        # coincident points get a unit cell
+        assert metrics._cell_side(np.array([0.0, 0.0]), 3, 4) == 1.0
+        assert metrics._cell_side(np.array([1e-300, 0.0]), 3, 4) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
