@@ -6,11 +6,11 @@ Exit codes: 0 success, 2 usage/input error, 3 verification failure.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import fusion, ingest, metrics, raster, selection, tensorio
 from .core import ContractError, GridSpec, Trajectory, TrajectorySet
@@ -30,11 +30,14 @@ def _dump_json(path, obj) -> None:
         encoding="utf-8")
 
 
-# argparse types: a bad value exits 2 before any file is written, naming its flag
+class _UsageError(Exception):
+    """A command line that names no command, flag or value the command takes."""
+
+
+# flag converters: a bad value exits 2 before any file is written, naming its flag
 def _seed(text: str) -> int:
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
+        raise _UsageError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -45,7 +48,7 @@ def _floats(text: str, counts, form: str) -> tuple:
             return parts
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    raise _UsageError(f"expected {form}, got {text!r}")
 
 
 def _roi(text: str) -> tuple:
@@ -57,11 +60,10 @@ def _cell(text: str) -> tuple:
     return parts if len(parts) == 2 else parts * 2
 
 
-def _add_grid_args(p) -> None:
-    p.add_argument("--roi", type=_roi, default="-50,50,-25,25",
-                   help="x0,x1,y0,y1 in meters")
-    p.add_argument("--cell", type=_cell, default="0.5",
-                   help="cell size DX or DX,DY in meters")
+def _format(text: str) -> str:
+    if text not in ("jsonl", "csv"):
+        raise _UsageError(f"invalid choice: {text!r} (choose from 'jsonl', 'csv')")
+    return text
 
 
 def _read_text(path) -> str:
@@ -228,127 +230,129 @@ def cmd_gen_params(args) -> int:
     return EXIT_OK
 
 
-def _ingest_args(p) -> None:
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p.add_argument("--min-length", type=float, default=5.0)
-    p.add_argument("--smooth-window", type=int, default=5)
-    p.add_argument("--out", required=True)
+REQUIRED = object()  # the default of a flag the command cannot run without
 
+# (flag, convert, default, help) of the flags several commands share; a str
+# default goes through convert as a given value does, and convert None marks
+# a switch, which takes no value
+_INPUT = ("--input", str, REQUIRED, "")
+_OUT = ("--out", str, REQUIRED, "")
+_SEED = ("--seed", _seed, 0, "")
+_GRID = (("--roi", _roi, "-50,50,-25,25", "x0,x1,y0,y1 in meters"),
+         ("--cell", _cell, "0.5", "cell size DX or DX,DY in meters"))
 
-def _rasterize_args(p) -> None:
-    p.add_argument("--input", required=True)
-    _add_grid_args(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--png", default=None, help="optional grayscale density image")
-
-
-def _cluster_args(p) -> None:
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--resample", type=int, default=selection.DEFAULT_RESAMPLE)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--queries-out", default=None,
-                   help="also write the centers as trajectory JSONL, ids cluster<j>")
-
-
-def _sample_args(p) -> None:
-    p.add_argument("--input", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--start-index", type=int, default=None)
-    p.add_argument("--resample", type=int, default=selection.DEFAULT_RESAMPLE)
-    p.add_argument("--out", required=True)
-    p.add_argument("--queries-out", default=None,
-                   help="also write the picks, resampled, as trajectory JSONL")
-
-
-def _fuse_args(p) -> None:
-    p.add_argument("--bev", required=True)
-    p.add_argument("--prior", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--check-grads", action="store_true",
-                   help="verify analytic gradients against finite differences")
-
-
-def _eval_args(p) -> None:
-    p.add_argument("--pred", required=True, help="trajectory JSONL")
-    p.add_argument("--gt", required=True, help="centerline JSONL")
-    _add_grid_args(p)
-    p.add_argument("--width", type=float, default=metrics.DEFAULT_LINE_WIDTH)
-    p.add_argument("--sample-step", type=float, default=metrics.DEFAULT_SAMPLE_STEP)
-    p.add_argument("--out", required=True)
-
-
-def _synth_args(p) -> None:
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--lanes", type=int, default=3)
-    p.add_argument("--per-lane", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--out-dir", required=True)
-
-
-def _gen_params_args(p) -> None:
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--channels", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=8)
-    p.add_argument("--out", required=True)
-
-
-# subcommand -> (help, argument builder, handler), in the order of the usage line
+# subcommand -> (help, handler, flags), in the order of the usage line
 _COMMANDS = {
-    "ingest": ("parse, filter and smooth trajectories", _ingest_args, cmd_ingest),
-    "rasterize": ("build the density/direction heatmap", _rasterize_args,
-                  cmd_rasterize),
-    "cluster": ("k-means representative trajectories", _cluster_args, cmd_cluster),
-    "sample": ("Frechet farthest-point sampling", _sample_args, cmd_sample),
-    "fuse": ("align and fuse a prior with a BEV feature map", _fuse_args, cmd_fuse),
-    "eval": ("score a prior against ground-truth centerlines", _eval_args, cmd_eval),
-    "synth": ("generate a synthetic scene", _synth_args, cmd_synth),
-    "gen-params": ("write seeded random fusion parameters", _gen_params_args,
-                   cmd_gen_params),
+    "ingest": ("parse, filter and smooth trajectories", cmd_ingest, (
+        _INPUT, ("--format", _format, "jsonl", ""), ("--min-length", float, 5.0, ""),
+        ("--smooth-window", int, 5, ""), _OUT)),
+    "rasterize": ("build the density/direction heatmap", cmd_rasterize, (
+        _INPUT, *_GRID, _OUT, ("--png", str, None, "optional grayscale density image"))),
+    "cluster": ("k-means representative trajectories", cmd_cluster, (
+        _INPUT, ("--k", int, REQUIRED, ""),
+        ("--resample", int, selection.DEFAULT_RESAMPLE, ""), ("--tol", float, 1e-4, ""),
+        ("--max-iter", int, 100, ""), _SEED, _OUT,
+        ("--queries-out", str, None,
+         "also write the centers as trajectory JSONL, ids cluster<j>"))),
+    "sample": ("Frechet farthest-point sampling", cmd_sample, (
+        _INPUT, ("--count", int, REQUIRED, ""), _SEED, ("--start-index", int, None, ""),
+        ("--resample", int, selection.DEFAULT_RESAMPLE, ""), _OUT,
+        ("--queries-out", str, None,
+         "also write the picks, resampled, as trajectory JSONL"))),
+    "fuse": ("align and fuse a prior with a BEV feature map", cmd_fuse, (
+        ("--bev", str, REQUIRED, ""), ("--prior", str, REQUIRED, ""),
+        ("--params", str, REQUIRED, ""), _OUT, _SEED,
+        ("--check-grads", None, False,
+         "verify analytic gradients against finite differences"))),
+    "eval": ("score a prior against ground-truth centerlines", cmd_eval, (
+        ("--pred", str, REQUIRED, "trajectory JSONL"),
+        ("--gt", str, REQUIRED, "centerline JSONL"), *_GRID,
+        ("--width", float, metrics.DEFAULT_LINE_WIDTH, ""),
+        ("--sample-step", float, metrics.DEFAULT_SAMPLE_STEP, ""), _OUT)),
+    "synth": ("generate a synthetic scene", cmd_synth, (
+        _SEED, ("--lanes", int, 3, ""), ("--per-lane", int, 10, ""),
+        ("--noise", float, 0.0, ""), ("--out-dir", str, REQUIRED, ""))),
+    "gen-params": ("write seeded random fusion parameters", cmd_gen_params, (
+        _SEED, ("--channels", int, 2, ""), ("--hidden", int, 8, ""), _OUT)),
 }
+_USAGE = f"usage: trajprior {{{','.join(_COMMANDS)}}} [-h] [--flag VALUE | --flag=VALUE ...]"
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser, with every subcommand or, when `command` names one,
-    with that one alone.
-
-    A single subcommand parses its arguments and prints its help and errors
-    exactly as the full parser does, at a fraction of the cost of building
-    all eight; the usage line still lists every command.
-    """
-    parser = argparse.ArgumentParser(
-        prog="trajprior",
-        description="Trajectory map-prior pipeline: ingest, rasterize, "
-                    "cluster/sample, fuse, evaluate.")
-    if command in _COMMANDS:
-        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+def _help(command) -> str:
+    """The usage line, then the commands or one command's flags."""
+    if command is None:
+        head = ("Trajectory map-prior pipeline: ingest, rasterize, cluster/sample, "
+                "fuse, evaluate.")
+        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
     else:
-        names, metavar = list(_COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_args, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_args(p)
-        p.set_defaults(func=handler)
-    return parser
+        head = f"trajprior {command}: {_COMMANDS[command][0]}"
+        rows = [(flag, f"{text} (required)" if default is REQUIRED else
+                 f"{text} (default: {default})")
+                for flag, _, default, text in _COMMANDS[command][2]]
+    return "\n".join([_USAGE, "", head, ""]
+                     + [f"  {name:<16}{text.strip()}" for name, text in rows])
+
+
+def _parse(command, tokens):
+    """{attribute: value} of one command's flags, or None when help is asked for.
+
+    A flag's value is the next token, whatever it starts with, or follows
+    "="; the last repeat of a flag wins."""
+    flags = {entry[0]: entry for entry in _COMMANDS[command][2]}
+    given, tokens = {}, iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise _UsageError(f"unrecognized arguments: {token}")
+        if flags[flag][1] is None:
+            if eq:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            text = True
+        elif not eq and (text := next(tokens, None)) is None:
+            raise _UsageError(f"argument {flag}: expected one argument")
+        given[flag] = text
+    missing = [flag for flag, _, default, _ in flags.values()
+               if default is REQUIRED and flag not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    args = {}
+    for flag, convert, default, _ in flags.values():
+        text = given.get(flag, default)
+        try:
+            args[flag[2:].replace("-", "_")] = (convert(text) if isinstance(text, str)
+                                                else text)
+        except _UsageError as e:
+            raise _UsageError(f"argument {flag}: {e}") from None
+        except ValueError:
+            raise _UsageError(f"argument {flag}: invalid {convert.__name__} value: "
+                              f"{text!r}") from None
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(_help(None))
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
+        if command not in _COMMANDS:
+            raise _UsageError(
+                "the following arguments are required: command" if command is None
+                else f"argument command: invalid choice: {command!r} (choose from "
+                     f"{', '.join(map(repr, _COMMANDS))})")
+        args = _parse(command, argv[1:])
+    except _UsageError as e:
+        prog = f"trajprior {command}" if command in _COMMANDS else "trajprior"
+        print(f"{_USAGE}\n{prog}: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:
+        print(_help(command))
+        return EXIT_OK
     try:
-        return args.func(args)
+        return _COMMANDS[command][1](SimpleNamespace(**args))
     except (OSError, ValueError) as e:  # ParseError and ContractError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

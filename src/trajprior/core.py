@@ -127,6 +127,14 @@ def _as_points(points) -> np.ndarray:
     return arr
 
 
+def _segment_lengths(pts: np.ndarray) -> np.ndarray:
+    """Each segment's length along an (n, 2) polyline: the bits of
+    ``np.linalg.norm(np.diff(pts, axis=0), axis=1)``, which sums the same two
+    squares, without its row-by-row reduction."""
+    dx, dy = np.diff(pts, axis=0).T
+    return np.sqrt(dx * dx + dy * dy)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """An ordered 2D polyline with an opaque id; at least 2 points.
@@ -150,7 +158,7 @@ class Trajectory:
     @property
     def arc_length(self) -> float:
         """Total polyline length (sum of segment norms)."""
-        return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
+        return float(_segment_lengths(self.points).sum())
 
 
 @dataclass(frozen=True)
@@ -195,7 +203,7 @@ def sample_arc_length(polylines: Sequence[Trajectory],
     last = np.cumsum(sizes) - 1
     first = last + 1 - sizes
     seg = np.zeros(len(pts))  # norm of the segment ending at each point
-    seg[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg[1:] = _segment_lengths(pts)
     seg[first] = 0.0  # 0 + norm is the norm, so each row sums as [0, cumsum]
     arc = np.empty(len(pts))
     a = 0

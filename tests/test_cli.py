@@ -748,8 +748,8 @@ def test_overflowing_sample_count_prints_only_the_error(scene, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
-# the last case is complete but for a stray argument, which the top-level
-# parser reports under its own usage line
+# every command's help, each command with no flags or an unknown one, and a
+# complete command line but for a stray argument
 PARSE_CASES = [[], ["--help"], ["no-such-command"]] + [
     argv for command in cli._COMMANDS
     for argv in ([command, "--help"], [command], [command, "--no-such-flag"])
@@ -757,24 +757,117 @@ PARSE_CASES = [[], ["--help"], ["no-such-command"]] + [
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_one_command_parser_matches_full_parser(argv, tmp_path, capsys,
-                                                monkeypatch):
-    """Help text, usage errors and exit codes do not depend on building only
-    the invoked subcommand's parser."""
+def test_one_command_parser_matches_full_parser(argv, tmp_path, capsys):
+    """Help exits 0 and a usage error exits 2, each under the usage line that
+    names every command; the error names what is wrong, and nothing is
+    written. (The name dates from a parser built for the invoked command
+    alone, checked against one built for all eight.)"""
     argv = [str(tmp_path / "x") if a == "OUT" else a for a in argv]
-    build, seen = cli.build_parser, []
-    for builder in (build, lambda command: build()):
-        monkeypatch.setattr(cli, "build_parser", builder)
-        seen.append((main(argv), *capsys.readouterr()))
-    assert seen[0] == seen[1]
-    assert seen[0][0] == (0 if "--help" in argv else 2)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    if "--help" in argv:
+        assert (code, err) == (0, "")
+        usage = out.splitlines()[0]
+        if command:
+            for flag, *_ in cli._COMMANDS[command][2]:
+                assert f"\n  {flag} " in out
+    else:
+        assert (code, out) == (2, "")
+        usage, message = err.splitlines()
+        if not argv:
+            want = "trajprior: error: the following arguments are required: command"
+        elif not command:
+            want = ("trajprior: error: argument command: invalid choice: "
+                    "'no-such-command' (choose from 'ingest', 'rasterize', "
+                    "'cluster', 'sample', 'fuse', 'eval', 'synth', 'gen-params')")
+        elif len(argv) == 1:
+            required = [f for f, _, default, _ in cli._COMMANDS[command][2]
+                        if default is cli.REQUIRED]
+            assert required
+            want = (f"trajprior {command}: error: the following arguments are "
+                    f"required: {', '.join(required)}")
+        else:
+            want = f"trajprior {command}: error: unrecognized arguments: {argv[-1]}"
+        assert message == want
+    assert usage.startswith("usage: trajprior ")
+    assert all(name in usage for name in cli._COMMANDS) and len(cli._COMMANDS) == 8
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "rasterize"])
+def test_flag_value_may_start_with_a_dash(command, scene, tmp_path):
+    """`--roi -50,50,-25,25` reads as `--roi=-50,50,-25,25`, and the same
+    holds for `--cell`; `--seed -1` is still refused (above)."""
+    inputs = {"eval": ["--pred", scene / "trajectories.jsonl",
+                       "--gt", scene / "centerlines.jsonl"],
+              "rasterize": ["--input", scene / "trajectories.jsonl"]}[command]
+    for form, grid in (("space", ["--roi", "-40,45,-20,25", "--cell", "0.25,0.5"]),
+                       ("equals", ["--roi=-40,45,-20,25", "--cell=0.25,0.5"])):
+        assert run(command, *inputs, *grid, "--out", tmp_path / form) == 0
+    assert (tmp_path / "space").read_bytes() == (tmp_path / "equals").read_bytes()
+
+
+def test_last_repeat_of_a_flag_wins(scene, tmp_path):
+    trajectories = scene / "trajectories.jsonl"
+    assert run("cluster", "--input", trajectories, "--k", 9, "--k", 2,
+               "--out", tmp_path / "a.json") == 0
+    assert run("cluster", "--input", trajectories, "--k", 2,
+               "--out", tmp_path / "b.json") == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--min", "1"], "unrecognized arguments: --min"),  # no prefix abbreviations
+    (["--min-length"], "argument --min-length: expected one argument"),
+    (["--min-length", "x"], "argument --min-length: invalid float value: 'x'"),
+    (["--smooth-window=x"], "argument --smooth-window: invalid int value: 'x'"),
+    (["--format", "xml"], "argument --format: invalid choice: 'xml' "
+                          "(choose from 'jsonl', 'csv')"),
+], ids=["prefix", "no-value", "float", "int", "choice"])
+def test_usage_error_wording(argv, message, scene, tmp_path, capsys):
+    assert run("ingest", "--input", scene / "trajectories.jsonl",
+               "--out", tmp_path / "out", *argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"trajprior ingest: error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_switch_takes_no_value(fused_inputs, tmp_path, capsys):
+    bev, prior, params = fused_inputs
+    assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+               "--check-grads=1", "--out", tmp_path / "out") == 2
+    assert "argument --check-grads: ignored explicit argument '1'" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_dump_json_refuses_nonfinite(bad, tmp_path):
     with pytest.raises(ValueError):
         cli._dump_json(tmp_path / "r.json", {"stats": [1.0, bad]})
+
+
+def test_cli_imports_no_argparse_gettext_or_locale(scene, fused_inputs, tmp_path):
+    """The option table parses without argparse, whose first parse imports
+    gettext and locale and costs about 2 ms in every stage process."""
+    bev, prior, params = map(str, fused_inputs)
+    inp, gt = str(scene / "trajectories.jsonl"), str(scene / "centerlines.jsonl")
+    script = (
+        "import sys\n"
+        "from trajprior.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        f"assert main(['ingest', '--input', {inp!r}, '--out', out + '/i.jsonl']) == 0\n"
+        f"assert main(['eval', '--pred', {inp!r}, '--gt', {gt!r},\n"
+        "             '--out', out + '/e.json']) == 0\n"
+        f"assert main(['fuse', '--bev', {bev!r}, '--prior', {prior!r},\n"
+        f"             '--params', {params!r}, '--out', out + '/f.tp',\n"
+        "             '--check-grads']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cluster_and_sample_do_not_import_numpy_random(scene, fused_inputs, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from trajprior import raster
 from trajprior.core import (MAX_CELLS, MAX_COORD, ContractError, GridSpec, Trajectory,
-                           fold_axial)
+                           _segment_lengths, fold_axial)
 from trajprior.metrics import sample_polyline_points
 from trajprior.selection import resample_all
 
@@ -79,6 +79,18 @@ class TestTrajectory:
     def test_arc_length(self):
         t = Trajectory("L", [[0, 0], [1, 0], [1, 1]])
         assert t.arc_length == pytest.approx(2.0)
+
+    def test_segment_lengths_match_linalg_norm(self):
+        """Segments 1e-160 to 1e7 m long, log-uniform, in every direction:
+        the same bits as np.linalg.norm, in each length and in arc_length."""
+        rng = np.random.default_rng(11)
+        length = 10.0 ** rng.uniform(-160.0, 7.0, 20_000)
+        angle = rng.uniform(-np.pi, np.pi, len(length))
+        pts = np.zeros((2 * len(length) + 1, 2))  # 0, d0, 0, d1, ...: diffs are +-d
+        pts[1::2] = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        want = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        assert _segment_lengths(pts).tobytes() == want.tobytes()
+        assert Trajectory("s", pts).arc_length == float(want.sum())
 
 
 def random_polylines(rng, count):

@@ -10,7 +10,6 @@ words, wrong types in a tensor entry or the grid spec) and runs
 stdlib `random` seeded per case, so a failing case reruns alone from its
 number.
 """
-import functools
 import json
 import random
 import struct
@@ -91,10 +90,7 @@ def mutate(rng, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_mutated_input_exits_0_or_2(fmt, tmp_path, capsys, monkeypatch):
-    # The parser does not depend on the input; building it once per test
-    # instead of once per case keeps the cases inside the time budget.
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_mutated_input_exits_0_or_2(fmt, tmp_path, capsys):
     src, out = tmp_path / f"in.{fmt}", tmp_path / "out.jsonl"
     codes = {0: 0, 2: 0}
     for case in range(CASES // 2):
@@ -163,8 +159,7 @@ def mutate_tp(rng, blob, feature):
     return kind, blob[:8] + struct.pack("<I", len(text)) + text + bytes(payload)
 
 
-def test_mutated_tensor_file_exits_0_or_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_mutated_tensor_file_exits_0_or_2(tmp_path, capsys):
     base = tp_inputs(tmp_path)
     mutated = tmp_path / "mutated.tp"
     codes = {0: 0, 2: 0}
