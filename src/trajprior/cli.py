@@ -60,12 +60,6 @@ def _cell(text: str) -> tuple:
     return parts if len(parts) == 2 else parts * 2
 
 
-def _format(text: str) -> str:
-    if text not in ("jsonl", "csv"):
-        raise _UsageError(f"invalid choice: {text!r} (choose from 'jsonl', 'csv')")
-    return text
-
-
 def _read_text(path) -> str:
     """A UTF-8 text input; a byte that does not decode names the file and line."""
     try:
@@ -77,8 +71,8 @@ def _read_text(path) -> str:
                                 f"UTF-8 ({e.reason})") from None
 
 
-def _load_set(path, fmt="jsonl") -> TrajectorySet:
-    return ingest.parse_trajectories(_read_text(path), fmt)
+def _load_set(path) -> TrajectorySet:
+    return ingest.parse_trajectories(_read_text(path))
 
 
 def _write_set(path, ts: TrajectorySet) -> None:
@@ -93,7 +87,7 @@ def _write_report(args, doc, ts: TrajectorySet, tokens) -> None:
 
 
 def cmd_ingest(args) -> int:
-    ts = _load_set(args.input, args.format)
+    ts = _load_set(args.input)
     m_before = len(ts)
     ts = ingest.filter_by_length(ts, args.min_length)
     ts = ingest.smooth_set(ts, args.smooth_window)
@@ -235,7 +229,7 @@ REQUIRED = object()  # the default of a flag the command cannot run without
 # (flag, convert, default, help) of the flags several commands share; a str
 # default goes through convert as a given value does, and convert None marks
 # a switch, which takes no value
-_INPUT = ("--input", str, REQUIRED, "")
+_INPUT = ("--input", str, REQUIRED, "trajectory JSONL or CSV")
 _OUT = ("--out", str, REQUIRED, "")
 _SEED = ("--seed", _seed, 0, "")
 _GRID = (("--roi", _roi, "-50,50,-25,25", "x0,x1,y0,y1 in meters"),
@@ -244,7 +238,7 @@ _GRID = (("--roi", _roi, "-50,50,-25,25", "x0,x1,y0,y1 in meters"),
 # subcommand -> (help, handler, flags), in the order of the usage line
 _COMMANDS = {
     "ingest": ("parse, filter and smooth trajectories", cmd_ingest, (
-        _INPUT, ("--format", _format, "jsonl", ""), ("--min-length", float, 5.0, ""),
+        _INPUT, ("--min-length", float, 5.0, ""),
         ("--smooth-window", int, 5, ""), _OUT)),
     "rasterize": ("build the density/direction heatmap", cmd_rasterize, (
         _INPUT, *_GRID, _OUT, ("--png", str, None, "optional grayscale density image"))),
@@ -265,7 +259,7 @@ _COMMANDS = {
         ("--check-grads", None, False,
          "verify analytic gradients against finite differences"))),
     "eval": ("score a prior against ground-truth centerlines", cmd_eval, (
-        ("--pred", str, REQUIRED, "trajectory JSONL"),
+        ("--pred", str, REQUIRED, "trajectory JSONL or CSV"),
         ("--gt", str, REQUIRED, "centerline JSONL"), *_GRID,
         ("--width", float, metrics.DEFAULT_LINE_WIDTH, ""),
         ("--sample-step", float, metrics.DEFAULT_SAMPLE_STEP, ""), _OUT)),

@@ -26,6 +26,14 @@ MAX_COORD = 1e7
 # `random_params`.
 MAX_SAMPLES = 10_000_000
 
+# Entries held at once by the blocked kernels: raster.rasterize_polylines'
+# candidate cells, sample_arc_length's points, and the Chamfer search behind
+# metrics.ae_dist (its queries, row runs, point pairs and brute-force blocks
+# of reference points). At 32 KiB per float64 array their per-chunk
+# temporaries stay below the allocator's mmap threshold, so it recycles them
+# instead of mapping, and page-faulting, fresh pages every chunk.
+CHUNK = 1 << 12
+
 
 class ContractError(ValueError):
     """An operation was called with inputs that violate its contract."""
@@ -178,6 +186,35 @@ class TrajectorySet:
         return len(self.trajectories)
 
 
+def chunk_spans(counts: np.ndarray, chunk: int):
+    """Split the enumeration of ``counts[i]`` entries of every item i into
+    spans of at most ``chunk`` entries.
+
+    Yields ``(a, take, lo)`` for each span: it holds ``take[j]`` entries of
+    item ``a + j``, in item order, and begins with entry ``lo`` of the whole
+    enumeration. Items may be split across spans.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        a = int(np.searchsorted(ends, lo, side="right"))
+        b = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        yield a, np.minimum(ends[a:b], hi) - np.maximum(ends[a:b] - counts[a:b], lo), lo
+
+
+def chunked_repeat(counts: np.ndarray, chunk: int):
+    """Enumerate ``counts[i]`` entries of every item i, ``chunk`` entries at a time.
+
+    Yields ``(item, rank)`` arrays for each span of ``chunk_spans``: entry e
+    is the ``rank[e]``-th entry of item ``item[e]``. Every temporary a caller
+    derives from one span is bounded by ``chunk``.
+    """
+    starts = np.cumsum(counts) - counts
+    for a, take, lo in chunk_spans(counts, chunk):
+        item = np.repeat(np.arange(a, a + len(take)), take)
+        yield item, np.arange(lo, lo + len(item)) - starts[item]
+
 
 def sample_arc_length(polylines: Sequence[Trajectory],
                       count: Callable[[np.ndarray], np.ndarray],
@@ -194,10 +231,9 @@ def sample_arc_length(polylines: Sequence[Trajectory],
     summed by ``np.cumsum`` along zero-padded rows, which adds each row in its
     own order, and each target finds its segment by one ``searchsorted`` of
     complex keys ``polyline + i*arc`` (ordered by real and then imaginary
-    part, both exact). Targets are taken ``raster._CHUNK // 2`` at a time, so
+    part, both exact). Targets are taken ``CHUNK // 2`` at a time, so
     no temporary but the output holds more than 32 KiB, a complex key included.
     """
-    from . import raster  # raster imports this module
     sizes = np.array([len(t) for t in polylines], dtype=np.int64)
     pts = np.concatenate([t.points for t in polylines]) if len(sizes) else np.empty((0, 2))
     last = np.cumsum(sizes) - 1
@@ -207,10 +243,10 @@ def sample_arc_length(polylines: Sequence[Trajectory],
     seg[first] = 0.0  # 0 + norm is the norm, so each row sums as [0, cumsum]
     arc = np.empty(len(pts))
     a = 0
-    while a < len(sizes):  # blocks of rows padded to at most _CHUNK values
-        rows = max(1, raster._CHUNK // int(sizes[a]))
-        while rows > 1 and rows * int(sizes[a:a + rows].max()) > raster._CHUNK:
-            rows = max(1, raster._CHUNK // int(sizes[a:a + rows].max()))
+    while a < len(sizes):  # blocks of rows padded to at most CHUNK values
+        rows = max(1, CHUNK // int(sizes[a]))
+        while rows > 1 and rows * int(sizes[a:a + rows].max()) > CHUNK:
+            rows = max(1, CHUNK // int(sizes[a:a + rows].max()))
         size = sizes[a:a + rows]
         span = slice(first[a], last[a + len(size) - 1] + 1)
         fill = np.arange(size.max()) < size[:, None]
@@ -230,7 +266,7 @@ def sample_arc_length(polylines: Sequence[Trajectory],
     coords = np.ascontiguousarray(pts.T)
     start = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # slopes kept only where mid
-        for item, rank in raster.chunked_repeat(counts, max(1, raster._CHUNK // 2)):
+        for item, rank in chunked_repeat(counts, max(1, CHUNK // 2)):
             part = out[start:start + len(item)]
             start += len(item)
             # np.linspace's rank * step; its step == 0 branch would need a

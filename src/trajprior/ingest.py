@@ -6,8 +6,8 @@ File formats (coordinates in meters, ego/BEV frame):
   ``{"frame_id": str, "centerline_count": int}``, where ``centerline_count``
   is a non-negative JSON integer; each following line
   ``{"id": str, "points": [[x, y], ...]}``.
-* CSV trajectories, an input format only: columns ``traj_id,seq,x,y``; rows
-  grouped by traj_id, ordered by seq.
+* CSV trajectories, read by every trajectory input: columns
+  ``traj_id,seq,x,y``; rows grouped by traj_id, ordered by seq.
 * JSONL centerlines: one ``{"id": str, "centerlines": [[x, y], ...]}`` per
   line, each record a single polyline; parsed to a tuple of ``Trajectory``.
 
@@ -92,13 +92,15 @@ def _dumps(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def parse_trajectories(text: str, fmt: str = "jsonl") -> TrajectorySet:
-    """Parse a trajectory file; order preserved, errors name the line."""
-    if fmt == "jsonl":
-        return _parse_jsonl(text)
-    if fmt == "csv":
-        return _parse_csv(text)
-    raise ContractError(f"unknown format {fmt!r}")
+def parse_trajectories(text: str) -> TrajectorySet:
+    """Parse a trajectory file; order preserved, errors name the line.
+
+    The first character that is not whitespace (``str.isspace``, as for
+    blank JSONL lines) picks the reader: ``{`` or none means JSONL, whose
+    records are objects, and any other, such as a CSV header's, means CSV.
+    """
+    first = next((c for c in text if not c.isspace()), "{")
+    return (_parse_jsonl if first == "{" else _parse_csv)(text)
 
 
 def _parse_jsonl(text: str) -> TrajectorySet:

@@ -6,9 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import raster
+from . import core
 from .core import ContractError, GridSpec, Trajectory, _as_points, sample_arc_length
-from .raster import chunk_spans, rasterize_polylines
+from .raster import rasterize_polylines
 
 DEFAULT_LINE_WIDTH = 0.75  # meters
 DEFAULT_SAMPLE_STEP = 0.5  # meters, polyline -> point-set sampling
@@ -66,7 +66,7 @@ def ae_type(pred: Sequence, gt: Sequence) -> float:
 # query's distance to the border of its own cell, less _SLACK. A query still
 # unproven after _RINGS rings (far from the references, or in an empty
 # region) is finished by _brute_sq. Queries, their cell locations, runs,
-# candidate pairs and brute-force pairs are all taken raster._CHUNK at a
+# candidate pairs and brute-force pairs are all taken core.CHUNK at a
 # time.
 _RINGS = 3         # rings searched before a query falls back to brute force
 _SLACK = 1e-6      # cells; absorbs rounding in cell indices and distances
@@ -111,7 +111,7 @@ def _bucket(pts: np.ndarray, lo: np.ndarray, cell: float, shape: tuple):
     """pts sorted by cell key, the order that sorts them, and the table of
     cell starts: the points of cells k..l are rows ``start[k]:start[l + 1]``
     of the sorted points."""
-    chunk = raster._CHUNK
+    chunk = core.CHUNK
     keys = np.empty(len(pts), dtype=np.int64)
     for s in range(0, len(pts), chunk):
         keys[s:s + chunk] = _locate(pts[s:s + chunk], lo, cell, shape[0])[0]
@@ -128,16 +128,16 @@ def _bucket(pts: np.ndarray, lo: np.ndarray, cell: float, shape: tuple):
 
 def _brute_sq(q: np.ndarray, r: np.ndarray, best: np.ndarray) -> np.ndarray:
     """Lower each query's running minimum ``best`` to its squared distance to
-    the nearest point of r, over blocks of at most ``raster._CHUNK`` pairs.
+    the nearest point of r, over blocks of at most ``core.CHUNK`` pairs.
 
-    r is sorted by cell key, so each block of ``raster._CHUNK`` consecutive
+    r is sorted by cell key, so each block of ``core.CHUNK`` consecutive
     points has a small bounding box. A block whose box is no nearer to a
     query than its running minimum cannot lower it and is skipped: each
     rounded coordinate difference to a point of the box is at least the one
     to the box's edge. Blocks are visited nearest first, so the minimum falls
     early and the remaining blocks are skipped together.
     """
-    chunk = raster._CHUNK
+    chunk = core.CHUNK
     rs = min(len(r), chunk)
     cuts = np.arange(0, len(r), rs)
     rx, ry = r[:, 0], r[:, 1]
@@ -172,10 +172,10 @@ def _nearest_sq(q: np.ndarray, r: np.ndarray, start: np.ndarray, lo: np.ndarray,
     beyond the lattice, is clipped to the table and may take in a few cells
     at the other end of an adjacent row, which only adds candidates. Each batch's
     pairs are enumerated with ``np.repeat`` and reduced with
-    ``np.minimum.at``. Memory is O(len(q) + len(r) + _CHUNK), never
+    ``np.minimum.at``. Memory is O(len(q) + len(r) + CHUNK), never
     O(len(q) * len(r)).
     """
-    chunk = raster._CHUNK
+    chunk = core.CHUNK
     if len(r) > len(q):
         stages = [(_ring_runs(0), 0), (_ring_runs(1), 1)]
     else:
@@ -200,7 +200,7 @@ def _nearest_sq(q: np.ndarray, r: np.ndarray, start: np.ndarray, lo: np.ndarray,
                 count = start.take(key + stop_off, mode="clip").ravel() - first
                 first -= np.cumsum(count) - count  # pair e of run i is point first[i] + e
                 owner = np.repeat(idx, len(first_off))
-                for a, take, e in chunk_spans(count, chunk):
+                for a, take, e in core.chunk_spans(count, chunk):
                     b = a + len(take)
                     near = np.repeat(first[a:b], take) + np.arange(e, e + take.sum())
                     who = np.repeat(owner[a:b], take)

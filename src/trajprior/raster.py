@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core
 from .core import (ContractError, FeatureMap, GridSpec, Heatmap, Trajectory,
                    TrajectorySet, fold_axial)
 
@@ -135,45 +136,6 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
                    count.reshape(h, w), n_max)
 
 
-# Entries held at once by the blocked kernels: rasterize_polylines'
-# candidate cells, core.sample_arc_length's points, and the Chamfer search
-# behind metrics.ae_dist (its queries, row runs, point pairs and brute-force
-# blocks of reference points). At 32 KiB per float64 array their per-chunk
-# temporaries stay below the allocator's mmap threshold, so it recycles them
-# instead of mapping, and page-faulting, fresh pages every chunk.
-_CHUNK = 1 << 12
-
-
-def chunk_spans(counts: np.ndarray, chunk: int):
-    """Split the enumeration of ``counts[i]`` entries of every item i into
-    spans of at most ``chunk`` entries.
-
-    Yields ``(a, take, lo)`` for each span: it holds ``take[j]`` entries of
-    item ``a + j``, in item order, and begins with entry ``lo`` of the whole
-    enumeration. Items may be split across spans.
-    """
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        a = int(np.searchsorted(ends, lo, side="right"))
-        b = int(np.searchsorted(ends, hi - 1, side="right")) + 1
-        yield a, np.minimum(ends[a:b], hi) - np.maximum(ends[a:b] - counts[a:b], lo), lo
-
-
-def chunked_repeat(counts: np.ndarray, chunk: int):
-    """Enumerate ``counts[i]`` entries of every item i, ``chunk`` entries at a time.
-
-    Yields ``(item, rank)`` arrays for each span of ``chunk_spans``: entry e
-    is the ``rank[e]``-th entry of item ``item[e]``. Every temporary a caller
-    derives from one span is bounded by ``chunk``.
-    """
-    starts = np.cumsum(counts) - counts
-    for a, take, lo in chunk_spans(counts, chunk):
-        item = np.repeat(np.arange(a, a + len(take)), take)
-        yield item, np.arange(lo, lo + len(item)) - starts[item]
-
-
 def _window(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
     """First index and count of the cells whose computed centers
     ``origin + (i + 0.5) * cell`` may lie in [lo, hi].
@@ -216,7 +178,7 @@ def rasterize_polylines(polylines: Sequence[Trajectory], spec: GridSpec,
     # a zero-length segment gets tt = 0 / 1: its start point
     seg2[seg2 == 0.0] = 1.0
     ys, xs = spec.cell_centers()
-    for seg, rank in chunked_repeat(nrow * ncol, _CHUNK):
+    for seg, rank in core.chunked_repeat(nrow * ncol, core.CHUNK):
         row = r0[seg] + rank // ncol[seg]
         col = c0[seg] + rank % ncol[seg]
         cx, cy = xs[col], ys[row]

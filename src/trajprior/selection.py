@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (MAX_SAMPLES, ContractError, Pcg64, Trajectory, TrajectorySet,
-                   _as_points, sample_arc_length)
+                   sample_arc_length)
 
 DEFAULT_RESAMPLE = 20
 
@@ -48,7 +48,8 @@ def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
     memory is O(K * (n + M)) for K candidates of up to M points. Point
     distances use sqrt(dx*dx + dy*dy) and the recurrence only max and min,
     so every result is the exact value of the row-by-row DP. a and each b are
-    taken unchecked as nonempty float64 (n, 2) arrays; frechet_dist checks.
+    taken unchecked as nonempty float64 (n, 2) arrays, such as the points of
+    a ``Trajectory``, which checks them.
     """
     lens = np.array([len(b) for b in bs], dtype=np.int64)
     k = len(lens)
@@ -82,17 +83,6 @@ def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
         if i1 == n - 1:
             last[:, s - n + 1] = cur[:, n]
     return last[np.arange(k), lens - 1]
-
-
-def frechet_dist(a: Union[Trajectory, np.ndarray],
-                 b: Union[Trajectory, np.ndarray]) -> float:
-    """Discrete Frechet distance between two polylines, each a Trajectory or a
-    finite (n, 2) array, n >= 1, with |coordinate| <= MAX_COORD; else ContractError."""
-    pa = a.points if isinstance(a, Trajectory) else _as_points(a)
-    pb = b.points if isinstance(b, Trajectory) else _as_points(b)
-    if len(pa) < 1 or len(pb) < 1:
-        raise ContractError("trajectories need at least one point")
-    return float(frechet_dp(pa, [pb])[0])
 
 
 def _assign(x: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

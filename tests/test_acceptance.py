@@ -19,7 +19,7 @@ from trajprior.ingest import filter_by_length, smooth_set, synth_scene
 from trajprior.metrics import ae_dist, ae_type, iou, prior_iou, \
     sample_polyline_points
 from trajprior.raster import heatmap_to_feature, rasterize_trajectories
-from trajprior.selection import fps, frechet_dist, kmeans, resample_all
+from trajprior.selection import fps, frechet_dp, kmeans, resample_all
 
 from conftest import random_set, random_trajectory
 from oracles import (best_two_partition, chamfer_mean_bruteforce,
@@ -38,7 +38,7 @@ def test_criterion_1_frechet_oracle_equivalence():
     for _ in range(200):
         a = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
         b = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
-        got = frechet_dist(a, b)
+        got = frechet_dp(a, [b])[0]
         want = frechet_by_enumeration(a, b)
         if got != want:
             report(1, False, f"{got} != {want}")
@@ -49,21 +49,21 @@ def test_criterion_1_frechet_oracle_equivalence():
 
 def test_criterion_2_frechet_metric_axioms():
     rng = np.random.default_rng(101)
-    trajs = [random_trajectory(rng, tid=f"t{i}") for i in range(25)]
+    trajs = [random_trajectory(rng, tid=f"t{i}").points for i in range(25)]
     for i, a in enumerate(trajs):
         for b in trajs:
-            dab = frechet_dist(a, b)
-            assert dab == frechet_dist(b, a)
-            if np.array_equal(a.points, b.points):
+            dab = frechet_dp(a, [b])[0]
+            assert dab == frechet_dp(b, [a])[0]
+            if np.array_equal(a, b):
                 assert dab == 0.0
             else:
                 assert dab > 0.0
     worst_slack = 0.0
     for _ in range(1000):
         i, j, k = rng.integers(0, 25, 3)
-        slack = (frechet_dist(trajs[i], trajs[k])
-                 - frechet_dist(trajs[i], trajs[j])
-                 - frechet_dist(trajs[j], trajs[k]))
+        slack = (frechet_dp(trajs[i], [trajs[k]])[0]
+                 - frechet_dp(trajs[i], [trajs[j]])[0]
+                 - frechet_dp(trajs[j], [trajs[k]])[0])
         worst_slack = max(worst_slack, slack)
     report(2, worst_slack <= 1e-9,
            f"(symmetry/zero exact; triangle worst slack {worst_slack:.2e})")
@@ -111,7 +111,7 @@ def test_criterion_4_fps_oracle():
     for trial in range(8):
         m = int(rng.integers(3, 9))
         ts = random_set(rng, m)
-        matrix = [[frechet_dist(a, b) for b in ts.trajectories]
+        matrix = [[frechet_dp(a.points, [b.points])[0] for b in ts.trajectories]
                   for a in ts.trajectories]
         for start in range(m):
             got = fps(ts, m, start_index=start).indices

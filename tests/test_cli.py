@@ -504,7 +504,7 @@ def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
         pred.write_text(GOOD_TRAJ)
         argv = ["eval", "--pred", pred, "--gt", bad]
     else:
-        argv = ["ingest", "--format", kind, "--input", bad]
+        argv = ["ingest", "--input", bad]
     assert run(*argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "Traceback" not in err
@@ -514,10 +514,31 @@ def test_csv_quoted_crlf_kept(tmp_path):
     """A quoted CSV field keeps its CRLF as is, in a file of CRLF lines."""
     src, out = tmp_path / "in.csv", tmp_path / "out.jsonl"
     src.write_bytes(b'traj_id,seq,x,y\r\n"t\r\n0",0,0,0\r\n"t\r\n0",1,9,0\r\n')
-    assert run("ingest", "--format", "csv", "--input", src, "--min-length", 0,
+    assert run("ingest", "--input", src, "--min-length", 0,
                "--out", out) == 0
     records = [json.loads(line) for line in out.read_bytes().split(b"\n") if line]
     assert [r["id"] for r in records[1:]] == ["t\r\n0"]
+
+
+def test_csv_and_jsonl_inputs_give_identical_outputs(fixtures_dir, scene, tmp_path):
+    """Every command that reads a trajectory set tells CSV from JSONL by the
+    file's first character, so the same trajectories in either format give
+    byte-identical outputs."""
+    outputs = {}
+    for fmt in ("csv", "jsonl"):
+        src, d = fixtures_dir / f"straight3.{fmt}", tmp_path / fmt
+        d.mkdir()
+        assert run("ingest", "--input", src, "--out", d / "ing.jsonl") == 0
+        assert run("rasterize", "--input", src, "--out", d / "hm.tp") == 0
+        assert run("cluster", "--input", src, "--k", 2, "--out", d / "cluster.json",
+                   "--queries-out", d / "cluster.jsonl") == 0
+        assert run("sample", "--input", src, "--count", 2, "--out", d / "sample.json",
+                   "--queries-out", d / "sample.jsonl") == 0
+        assert run("eval", "--pred", src, "--gt", scene / "centerlines.jsonl",
+                   "--out", d / "eval.json") == 0
+        outputs[fmt] = {p.name: p.read_bytes() for p in d.iterdir()}
+    assert len(outputs["csv"]) == 7
+    assert outputs["csv"] == outputs["jsonl"]
 
 
 # (subcommand, NaN flag, the checked name the error must give)
@@ -822,8 +843,8 @@ def test_last_repeat_of_a_flag_wins(scene, tmp_path):
     (["--min-length"], "argument --min-length: expected one argument"),
     (["--min-length", "x"], "argument --min-length: invalid float value: 'x'"),
     (["--smooth-window=x"], "argument --smooth-window: invalid int value: 'x'"),
-    (["--format", "xml"], "argument --format: invalid choice: 'xml' "
-                          "(choose from 'jsonl', 'csv')"),
+    # the file's first character says its format
+    (["--format", "csv"], "unrecognized arguments: --format"),
 ], ids=["prefix", "no-value", "float", "int", "choice"])
 def test_usage_error_wording(argv, message, scene, tmp_path, capsys):
     assert run("ingest", "--input", scene / "trajectories.jsonl",

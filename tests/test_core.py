@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from trajprior import raster
+from trajprior import core
 from trajprior.core import (MAX_CELLS, MAX_COORD, ContractError, GridSpec, Trajectory,
                            _segment_lengths, fold_axial)
 from trajprior.metrics import sample_polyline_points
@@ -157,7 +157,7 @@ class TestSampleArcLength:
     def test_oversized_request_refused_before_interpolating(self, monkeypatch):
         # every point is computed in a chunk of targets
         calls = []
-        monkeypatch.setattr(raster, "chunked_repeat", lambda *args: calls.append(args))
+        monkeypatch.setattr(core, "chunked_repeat", lambda *args: calls.append(args))
         ten = Trajectory("p", [[0.0, 0.0], [10.0, 0.0]])
         far = Trajectory("f", [[-1e7, 0.0], [1e7, 0.0]])
         with pytest.raises(ContractError, match="sampling at step 0.001 needs more "

@@ -22,7 +22,7 @@ class TestParse:
             {"id": "a", "points": [[0, 0], [1, 0], [2, 0]]},
             {"id": "b", "points": [[0, 1], [1, 1], [2, 1]]},
         ])
-        ts = parse_trajectories(text, "jsonl")
+        ts = parse_trajectories(text)
         assert len(ts) == 2
         assert ts.trajectories[0].id == "a"
 
@@ -31,7 +31,7 @@ class TestParse:
             {"frame_id": "f7", "centerline_count": 4},
             {"id": "a", "points": [[0, 0], [1, 0]]},
         ])
-        ts = parse_trajectories(text, "jsonl")
+        ts = parse_trajectories(text)
         assert ts.frame_id == "f7"
         assert ts.centerline_count == 4
         assert len(ts) == 1
@@ -39,12 +39,12 @@ class TestParse:
     def test_single_point_rejected_with_line(self):
         text = make_jsonl([{"id": "a", "points": [[0, 0]]}])
         with pytest.raises(ParseError, match="line 1.*shorter than 2"):
-            parse_trajectories(text, "jsonl")
+            parse_trajectories(text)
 
     def test_bad_json_names_line(self):
         text = '{"id": "a", "points": [[0,0],[1,0]]}\n{oops\n'
         with pytest.raises(ParseError, match="line 2"):
-            parse_trajectories(text, "jsonl")
+            parse_trajectories(text)
 
     @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029"],
                              ids=["NEL", "LS", "PS"])
@@ -52,11 +52,11 @@ class TestParse:
         # JSON allows these raw in a string, so they do not end a record
         text = (f'{{"id": "a{sep}b", "points": [[0, 0], [1, 0]]}}\n'
                 f'{{"id": "c", "points": [[0, 1], [1, 1]], "type": "x{sep}"}}\n')
-        ts = parse_trajectories(text, "jsonl")
+        ts = parse_trajectories(text)
         assert [(t.id, t.label) for t in ts.trajectories] == \
             [(f"a{sep}b", None), ("c", f"x{sep}")]
         with pytest.raises(ParseError, match="^line 3: invalid JSON"):
-            parse_trajectories(text + "{oops\n", "jsonl")
+            parse_trajectories(text + "{oops\n")
         cl = text.replace('"points"', '"centerlines"')
         assert [p.id for p in parse_centerlines(cl)] == [f"a{sep}b", "c"]
         with pytest.raises(ParseError, match="^line 3: record missing"):
@@ -65,14 +65,14 @@ class TestParse:
     def test_crlf_lines_parse(self):
         text = make_jsonl([{"id": "a", "points": [[0, 0], [1, 0]]},
                            {"id": "b", "points": [[0, 1], [1, 1]]}])
-        ts = parse_trajectories(text.replace("\n", "\r\n"), "jsonl")
+        ts = parse_trajectories(text.replace("\n", "\r\n"))
         assert [t.id for t in ts.trajectories] == ["a", "b"]
         with pytest.raises(ParseError, match="^line 3:"):
-            parse_trajectories(text.replace("\n", "\r\n") + "{oops\r\n", "jsonl")
+            parse_trajectories(text.replace("\n", "\r\n") + "{oops\r\n")
 
     def test_csv_fixture(self, fixtures_dir):
         text = (fixtures_dir / "straight3.csv").read_text()
-        ts = parse_trajectories(text, "csv")
+        ts = parse_trajectories(text)
         assert len(ts) == 3
         assert all(len(t) == 10 for t in ts.trajectories)
 
@@ -81,30 +81,41 @@ class TestParse:
             {"frame_id": "f", "centerline_count": 2},
             {"id": "a", "points": [[0.5, -1.25], [3.0, 2.0]]},
         ])
-        ts = parse_trajectories(text, "jsonl")
+        ts = parse_trajectories(text)
         once = serialize_trajectories(ts)
-        twice = serialize_trajectories(parse_trajectories(once, "jsonl"))
+        twice = serialize_trajectories(parse_trajectories(once))
         assert once == twice
 
     def test_csv_matches_jsonl(self, fixtures_dir):
         """CSV is read only: it parses to what the same trajectories as JSONL do."""
-        csv_ts = parse_trajectories((fixtures_dir / "straight3.csv").read_text(), "csv")
-        jsonl_ts = parse_trajectories((fixtures_dir / "straight3.jsonl").read_text(),
-                                      "jsonl")
+        csv_ts = parse_trajectories((fixtures_dir / "straight3.csv").read_text())
+        jsonl_ts = parse_trajectories((fixtures_dir / "straight3.jsonl").read_text())
         assert [t.id for t in csv_ts.trajectories] == ["t0", "t1", "t2"]
         assert [t.id for t in csv_ts.trajectories] == \
             [t.id for t in jsonl_ts.trajectories]
         for a, b in zip(csv_ts.trajectories, jsonl_ts.trajectories):
             assert a.points.tobytes() == b.points.tobytes()
 
+    def test_first_nonblank_character_picks_the_reader(self, fixtures_dir):
+        """A `{`, or nothing but whitespace, means JSONL, whose blank lines
+        before the first record are skipped; anything else means CSV."""
+        text = (fixtures_dir / "straight3.jsonl").read_text()
+        for pad in ("\n", " \t\r\n", "\x0c\n", "\u00a0\n"):
+            assert serialize_trajectories(parse_trajectories(pad + text)) == \
+                serialize_trajectories(parse_trajectories(text))
+        for blank in ("", " \n\x0c\n"):
+            assert len(parse_trajectories(blank)) == 0
+        with pytest.raises(ParseError, match="^line 1: expected 4 columns"):
+            parse_trajectories("[1, 2]\n")
+
     def test_csv_error_names_first_physical_line(self):
         """A quoted newline does not shift later line numbers."""
         text = 'traj_id,seq,x,y\n"a\nb",0,0,0\n"a\nb",1,nan,1\n'
         with pytest.raises(ParseError, match="^line 4: points must be finite"):
-            parse_trajectories(text, "csv")
+            parse_trajectories(text)
         with pytest.raises(ParseError, match="^line 6: trajectory shorter"):
-            parse_trajectories(text.replace("nan", "1") + "c,0,0,0\n", "csv")
-        ts = parse_trajectories(text.replace("nan", "1"), "csv")
+            parse_trajectories(text.replace("nan", "1") + "c,0,0,0\n")
+        ts = parse_trajectories(text.replace("nan", "1"))
         assert [t.id for t in ts.trajectories] == ["a\nb"]
 
     def test_centerlines(self):
@@ -121,14 +132,14 @@ class TestParse:
                 for i, t in enumerate(types)]
         cls = [{"id": f"c{i}", "centerlines": [[0, i], [1, i]], "type": t}
                for i, t in enumerate(types)]
-        ts = parse_trajectories(make_jsonl(traj), "jsonl")
+        ts = parse_trajectories(make_jsonl(traj))
         centerlines = parse_centerlines(make_jsonl(cls))
         assert [t.label for t in ts.trajectories] == types
         assert [p.label for p in centerlines] == types
         # "type": null is no label, so it is not written back
         once = serialize_trajectories(ts)
         assert once.count('"type"') == 2
-        again = parse_trajectories(once, "jsonl")
+        again = parse_trajectories(once)
         assert [t.label for t in again.trajectories] == types
         again = parse_centerlines(serialize_centerlines(centerlines))
         assert [p.label for p in again] == types
@@ -136,7 +147,7 @@ class TestParse:
     def test_smooth_and_filter_keep_labels(self):
         ts = parse_trajectories(make_jsonl([
             {"id": "a", "points": [[0, 0], [3, 0], [9, 0]], "type": "x"},
-            {"id": "b", "points": [[0, 1], [1, 1]], "type": "y"}]), "jsonl")
+            {"id": "b", "points": [[0, 1], [1, 1]], "type": "y"}]))
         out = smooth_set(filter_by_length(ts, 5.0), 3)
         assert [(t.id, t.label) for t in out.trajectories] == [("a", "x")]
 
@@ -144,7 +155,7 @@ class TestParse:
 class TestFilterByLength:
     def test_zero_threshold_is_identity(self):
         ts = parse_trajectories(make_jsonl(
-            [{"id": "a", "points": [[0, 0], [1, 0]]}]), "jsonl")
+            [{"id": "a", "points": [[0, 0], [1, 0]]}]))
         out = filter_by_length(ts, 0)
         assert len(out) == len(ts)
 
@@ -153,15 +164,13 @@ class TestFilterByLength:
         assert len(filter_by_length(ts, 5.0)) == 0
 
     def test_mixed_fixture(self, fixtures_dir):
-        ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text(),
-                                "jsonl")
+        ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text())
         out = filter_by_length(ts, 5.0)
         assert len(out) == 2
         assert [t.id for t in out.trajectories] == ["len6", "len10"]
 
     def test_idempotent(self, fixtures_dir):
-        ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text(),
-                                "jsonl")
+        ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text())
         once = filter_by_length(ts, 5.0)
         twice = filter_by_length(once, 5.0)
         assert [t.id for t in once.trajectories] == [t.id for t in twice.trajectories]
@@ -203,9 +212,6 @@ class TestSmooth:
     def test_even_window_rejected(self):
         with pytest.raises(ContractError):
             smooth_set(TrajectorySet(()), 4)
-        # and so is a format that ingest does not read
-        with pytest.raises(ContractError, match="unknown format 'xml'"):
-            parse_trajectories("", "xml")
 
 
 def labelled_set(rng, lengths):

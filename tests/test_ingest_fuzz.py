@@ -98,7 +98,7 @@ def test_mutated_input_exits_0_or_2(fmt, tmp_path, capsys):
         kind, data = mutate(rng, fmt)
         src.write_bytes(data)
         window = rng.choice(WINDOWS)
-        argv = ["ingest", "--format", fmt, "--input", str(src),
+        argv = ["ingest", "--input", str(src),
                 "--smooth-window", str(window), "--out", str(out)]
         try:
             code = cli.main(argv)

@@ -7,7 +7,7 @@ from trajprior import raster, selection
 from trajprior.core import GridSpec, Trajectory, TrajectorySet
 from trajprior.ingest import synth_scene
 from trajprior.raster import rasterize_trajectories, traverse_cells
-from trajprior.selection import fps, frechet_dist, frechet_dp
+from trajprior.selection import fps, frechet_dp
 
 import oracles
 from oracles import cells_by_dense_sampling, fps_by_full_matrix
@@ -124,7 +124,7 @@ def test_frechet_batch_bit_identical_to_oracle():
         got = frechet_dp(a, bs)
         want = [oracles.frechet_dp(a, b) for b in bs]
         assert got.tolist() == want
-        assert frechet_dist(a, bs[0]) == want[0]
+        assert frechet_dp(a, [bs[0]])[0] == want[0]
     assert frechet_dp(a, []).shape == (0,)
 
 
@@ -137,7 +137,7 @@ def test_fps_pruned_matches_full_matrix_every_start(monkeypatch):
         y = 3.5 * (i % 4) + rng.normal(0, 0.3, len(x))
         trajs.append(Trajectory(f"t{i}", np.column_stack([x, y])))
     ts = TrajectorySet(tuple(trajs))
-    matrix = [[frechet_dist(a, b) for b in trajs] for a in trajs]
+    matrix = [[frechet_dp(a.points, [b.points])[0] for b in trajs] for a in trajs]
     calls = []
 
     def counting(a, bs):

@@ -173,7 +173,7 @@ class TestAeDist:
         # ae_dist holds is five 8-byte values per point (x and y sorted by
         # cell, the sort order, a minimum and its copy in input order), a
         # table of cell starts and at most two dozen temporaries of
-        # raster._CHUNK entries: 1.25 MiB here, where it peaks near 0.84 MiB
+        # core.CHUNK entries: 1.25 MiB here, where it peaks near 0.84 MiB
         # (1.0 MiB with a grid per direction, 8 MiB with 1 << 16-entry chunks).
         # The second input is collinear: a lattice one row tall, 2,001 cells wide
         rng = np.random.default_rng(4)
@@ -188,7 +188,7 @@ class TestAeDist:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 6 * 8 * (len(pred) + len(gt)) + 24 * 8 * raster._CHUNK
+            assert peak < 6 * 8 * (len(pred) + len(gt)) + 24 * 8 * core.CHUNK
 
     def test_cell_side_rule(self):
         # twice the spacing of both sets together
@@ -207,7 +207,7 @@ class TestAeDist:
 
 
 @pytest.mark.parametrize("name,value", [
-    ("_CHUNK", 1), ("_CHUNK", 7), ("_CHUNK", 2**20),
+    ("CHUNK", 1), ("CHUNK", 7), ("CHUNK", 2**20),
     ("_TRAVERSE_CHUNK", 1), ("_TRAVERSE_CHUNK", 7)])
 def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
     ts, centerlines = synth_scene(5, 2, 3, 0.5)
@@ -223,7 +223,7 @@ def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
                 resample_all(ts.trajectories, 9).tobytes())
 
     want = results()
-    monkeypatch.setattr(raster, name, value)
+    monkeypatch.setattr(core if name == "CHUNK" else raster, name, value)
     assert results() == want
 
 

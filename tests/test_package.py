@@ -1,14 +1,16 @@
-"""The package namespace, and imports and private names that no
-module uses.
+"""The package namespace, imports that no module uses or that hide in a
+function, and private and public names that nothing uses.
 
-No linter ships with the project, so both checks are plain ``ast`` walks.
+No linter ships with the project, so every check is a plain ``ast`` walk.
 """
 import ast
 import pathlib
+import re
 
 import trajprior
 
 PACKAGE = pathlib.Path(trajprior.__file__).resolve().parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def parse(name):
@@ -72,3 +74,44 @@ def test_no_unreferenced_private_names():
                    for name, line in private_bindings(tree).items()
                    if name not in loaded]
     assert not unused, f"private but never referenced in its module: {unused}"
+
+
+def test_no_import_inside_a_function():
+    """Every module names what it imports at its top, so an import cycle
+    cannot hide in a function body."""
+    nested = [f"{path.name}:{node.lineno} {func.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for func in ast.walk(parse(path.name))
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside a function: {nested}"
+
+
+def names_used(tree, strings):
+    """Every name a module loads or reads as an attribute, and with
+    ``strings`` every word of its string constants."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(re.findall(r"\w+", node.value))
+    return used
+
+
+def test_every_public_definition_has_a_caller():
+    """A public module-level function or class is used by package code or
+    named by the benchmark (``perfbench/*.py``, whose tracer names what it
+    wraps in strings); anything else is dead code."""
+    trees = {path.name: parse(path.name) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(names_used(tree, False) for tree in trees.values()))
+    for path in sorted(BENCH.glob("*.py")):
+        used |= names_used(ast.parse(path.read_text(encoding="utf-8")), True)
+    unused = [f"{name}:{node.lineno} {node.name}"
+              for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert not unused, f"public but unused by the package and the benchmark: {unused}"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajprior import raster
+from trajprior import core
 from trajprior.core import ContractError, GridSpec, Trajectory, TrajectorySet
 from trajprior.ingest import synth_scene
 from trajprior.raster import (heatmap_to_feature, rasterize_polylines,
@@ -168,7 +168,7 @@ class TestRasterizeCenterlines:
     def test_memory_bounded_by_chunk(self):
         # a score-sized frame: 132 trajectories, 6,336 segments, 83.6k
         # candidate cells. It holds about 16 8-byte arrays per segment and at
-        # most two dozen temporaries of raster._CHUNK entries: 1.5 MiB here,
+        # most two dozen temporaries of core.CHUNK entries: 1.5 MiB here,
         # where it peaks near 1.2 MiB and its 1 << 16-entry chunks peaked
         # at 8.8 MiB
         ts, _ = synth_scene(0, 6, 22, 0.4)
@@ -179,7 +179,7 @@ class TestRasterizeCenterlines:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8 * segments + 24 * 8 * raster._CHUNK
+        assert peak < 16 * 8 * segments + 24 * 8 * core.CHUNK
 
     def test_nonfinite_width_rejected(self):
         line = (Trajectory("c", [[0.0, 0.0], [1.0, 0.0]]),)

@@ -6,9 +6,9 @@ import pytest
 
 from trajprior.core import ContractError, Pcg64, Trajectory, TrajectorySet
 from trajprior import core, selection
-from trajprior.selection import fps, frechet_dist, kmeans, resample_all
+from trajprior.selection import fps, frechet_dp, kmeans, resample_all
 
-from conftest import INVALID_POINTS, random_set, random_trajectory
+from conftest import random_set, random_trajectory
 from oracles import best_two_partition, fps_by_full_matrix, frechet_by_enumeration
 
 
@@ -42,52 +42,42 @@ class TestResample:
 class TestFrechet:
     def test_identical_zero(self):
         t = Trajectory("t", [[0, 0], [1, 2], [3, 3]])
-        assert frechet_dist(t, t) == 0.0
+        assert frechet_dp(t.points, [t.points])[0] == 0.0
 
     def test_parallel_offset(self):
         a = Trajectory("a", [[0, 0], [5, 0]])
         b = Trajectory("b", [[0, 1], [5, 1]])
-        assert frechet_dist(a, b) == pytest.approx(1.0)
+        assert frechet_dp(a.points, [b.points])[0] == pytest.approx(1.0)
 
     def test_small_instance_matches_enumeration(self):
         a = np.array([[0, 0], [4, 0]], float)
         b = np.array([[0, 1], [2, 3], [4, 1]], float)
-        assert frechet_dist(a, b) == frechet_by_enumeration(a, b)
+        assert frechet_dp(a, [b])[0] == frechet_by_enumeration(a, b)
 
     def test_random_instances_match_enumeration(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             a = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
             b = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
-            assert frechet_dist(a, b) == frechet_by_enumeration(a, b)
+            assert frechet_dp(a, [b])[0] == frechet_by_enumeration(a, b)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(7)
-        trajs = [random_trajectory(rng, tid=f"t{i}") for i in range(12)]
+        trajs = [random_trajectory(rng, tid=f"t{i}").points for i in range(12)]
         for a in trajs:
             for b in trajs:
-                dab = frechet_dist(a, b)
-                assert dab == frechet_dist(b, a)
+                dab = frechet_dp(a, [b])[0]
+                assert dab == frechet_dp(b, [a])[0]
                 assert dab >= 0.0
-                if np.array_equal(a.points, b.points):
+                if np.array_equal(a, b):
                     assert dab == 0.0
                 else:
-                    assert dab > 0.0 or np.array_equal(a.points, b.points)
+                    assert dab > 0.0 or np.array_equal(a, b)
         for _ in range(200):
             i, j, k = rng.integers(0, 12, 3)
-            assert (frechet_dist(trajs[i], trajs[k]) <=
-                    frechet_dist(trajs[i], trajs[j]) +
-                    frechet_dist(trajs[j], trajs[k]) + 1e-9)
-
-    # points _as_points refuses, and the empty array frechet_dist refuses
-    BAD = {**INVALID_POINTS, "empty": np.empty((0, 2))}
-
-    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
-    def test_invalid_points_rejected(self, bad):
-        good = np.array([[0.0, 0.0], [1.0, 1.0]])
-        for a, b in ((good, bad), (bad, good), (Trajectory("t", good), bad)):
-            with pytest.raises(ContractError):
-                frechet_dist(a, b)
+            assert (frechet_dp(trajs[i], [trajs[k]])[0] <=
+                    frechet_dp(trajs[i], [trajs[j]])[0] +
+                    frechet_dp(trajs[j], [trajs[k]])[0] + 1e-9)
 
     def test_bounds(self):
         rng = np.random.default_rng(8)
@@ -95,7 +85,7 @@ class TestFrechet:
             n = int(rng.integers(2, 10))
             a = rng.normal(0, 10, (n, 2))
             b = rng.normal(0, 10, (n, 2))
-            d = frechet_dist(a, b)
+            d = frechet_dp(a, [b])[0]
             identity_bound = float(np.linalg.norm(a - b, axis=1).max())
             assert d <= identity_bound + 1e-12
             # never below the symmetric nearest-neighbor (Chamfer-style) max
@@ -197,7 +187,7 @@ class TestFps:
         for _ in range(10):
             m = int(rng.integers(3, 9))
             ts = random_set(rng, m)
-            matrix = [[frechet_dist(a, b) for b in ts.trajectories]
+            matrix = [[frechet_dp(a.points, [b.points])[0] for b in ts.trajectories]
                       for a in ts.trajectories]
             for start in range(m):
                 got = fps(ts, m, start_index=start).indices
