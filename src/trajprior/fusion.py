@@ -19,9 +19,10 @@ contiguous slice of H(W+2) rows starting at i(W+2)+j, so the convolution is
 nine BLAS matmuls of those slices with the tap's weights; the two columns of
 each output row that read across the row wrap are dropped. `_taps` lays the
 weights out as contiguous (..., 3, 3, C, O) matrices, so each matmul takes
-its right-hand side as is. `_conv3x3_grad` uses the same slices against a
-zero-padded upstream gradient, and the transposed taps. No 3x3 patch tensor
-is built: a 9C-wide copy of every stacked input would multiply the memory of
+its right-hand side as is. `_conv3x3_grad` takes d_w from the same slices
+against a zero-padded upstream gradient, and d_x from `_conv3x3` with w
+turned 180 degrees and its channel axes swapped. No 3x3 patch tensor is
+built: a 9C-wide copy of every stacked input would multiply the memory of
 the finite-difference check.
 
 `warp` and `warp_grad` read each of the four bilinear neighbours with
@@ -34,8 +35,9 @@ not import numpy.random. Row `<stage>.d_<argument>` compares the adjoint's
 i-th output, projected on _DIRECTIONS seeded unit directions v, with central
 differences of <stage output, upstream> along each v: vᵀJu for random v, as
 in torch.autograd.gradcheck's fast mode, which a wrong output passes with
-probability zero. One stage call evaluates all 2·_DIRECTIONS points, so the
-CLI's forward pass and the check run the same code.
+probability zero. One stage call evaluates all 2·_DIRECTIONS = 16 points, so
+the CLI's forward pass and the check run the same code; `fuse --check-grads`
+checks the one instance of its `--seed`.
 """
 from __future__ import annotations
 
@@ -127,21 +129,18 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conv3x3_grad(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    h, wd, _ = x.shape
+    h, wd, c = x.shape
     row = wd + 2
     n = h * row
     flat = _flat_padded(x)
-    taps = _taps(w)
-    # zero rows at the two wrap-around columns keep them out of both sums
+    # zero rows at the two wrap-around columns keep them out of d_w
     d = np.pad(d_out, ((0, 0), (0, 2), (0, 0))).reshape(n, -1)
-    d_flat = np.zeros_like(flat)
     d_w = np.empty_like(w)
     for i in range(3):
         for j in range(3):
             s = i * row + j
-            d_flat[s:s + n] += d @ taps[i, j].T
             d_w[:, :, i, j] = d.T @ flat[s:s + n]
-    d_x = d_flat.reshape(h + 3, row, -1)[1:1 + h, 1:1 + wd, :]
+    d_x = _conv3x3(d_out, np.swapaxes(w[:, :, ::-1, ::-1], 0, 1), np.zeros(c))
     return d_x, d_w, d_out.sum(axis=(0, 1))
 
 
@@ -302,7 +301,7 @@ def fuse_pipeline(bev: FeatureMap, prior: FeatureMap, params: Dict[str, np.ndarr
     return fused, stats
 
 
-_DIRECTIONS = 4  # directions per checked argument; its stack holds twice as many rows
+_DIRECTIONS = 8  # directions per checked argument; its stack holds twice as many rows
 
 
 def _directional_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

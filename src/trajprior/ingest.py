@@ -2,12 +2,13 @@
 
 File formats (coordinates in meters, ego/BEV frame):
 
-* JSONL trajectories: optional first-line header object
+* JSONL trajectories: optional header object on the first nonblank line
   ``{"frame_id": str, "centerline_count": int}``, where ``centerline_count``
   is a non-negative JSON integer; each following line
   ``{"id": str, "points": [[x, y], ...]}``.
 * CSV trajectories, read by every trajectory input: columns
-  ``traj_id,seq,x,y``; rows grouped by traj_id, ordered by seq.
+  ``traj_id,seq,x,y``, optionally named by a header on the first nonblank
+  row; rows grouped by traj_id, ordered by seq.
 * JSONL centerlines: one ``{"id": str, "centerlines": [[x, y], ...]}`` per
   line, each record a single polyline; parsed to a tuple of ``Trajectory``.
 
@@ -107,8 +108,8 @@ def _parse_jsonl(text: str) -> TrajectorySet:
     frame_id = "unknown"
     centerline_count = 0
     trajectories: List[Trajectory] = []
-    for line_no, rec in _records(text):
-        if line_no == 1 and "points" not in rec and (
+    for i, (line_no, rec) in enumerate(_records(text)):
+        if i == 0 and "points" not in rec and (
                 "frame_id" in rec or "centerline_count" in rec):
             frame_id = str(rec.get("frame_id", "unknown"))
             centerline_count = rec.get("centerline_count", 0)
@@ -127,10 +128,12 @@ def _parse_csv(text: str) -> TrajectorySet:
     reader = csv.reader(io.StringIO(text))
     groups: dict = {}
     end = 0  # a record's line number is its first physical line
+    first = 0  # line of the first nonblank row, the only one a header may take
     try:
         for row in reader:
             line_no, end = end + 1, reader.line_num
-            if not row or (line_no == 1 and row[0] == "traj_id"):
+            if not row or (line_no == (first := first or line_no)
+                           and row[0] == "traj_id"):
                 continue
             if len(row) != 4:
                 raise ParseError(line_no, f"expected 4 columns traj_id,seq,x,y, got {len(row)}")

@@ -10,6 +10,8 @@ from .core import (MAX_SAMPLES, ContractError, Pcg64, Trajectory, TrajectorySet,
                    sample_arc_length)
 
 DEFAULT_RESAMPLE = 20
+KMEANS_TOL = 1e-4
+KMEANS_MAX_ITER = 100
 
 
 @dataclass
@@ -94,25 +96,22 @@ def _assign(x: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
 
 def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
-           max_iter: int = 100, tol: float = 1e-4, seed: int = 0) -> ClusterResult:
+           seed: int = 0) -> ClusterResult:
     """Lloyd iterations on arc-length-resampled, flattened trajectories.
 
     Initial centers are K distinct member trajectories picked by a seeded
     shuffle. Assignment ties break toward the lowest center index; stopping
-    is max per-center displacement < tol or max_iter. A cluster that loses
-    all members is reseeded with the point farthest from its own center.
-    The K centers are returned as one (K, R, 2) array.
+    is max per-center displacement < KMEANS_TOL or KMEANS_MAX_ITER
+    iterations. A cluster that loses all members is reseeded with the point
+    farthest from its own center. The K centers are returned as one (K, R, 2) array.
     """
     m = len(ts)
     if k <= 0 or k > m:
         raise ContractError(f"k must be in [1, {m}], got {k}")
-    if not tol > 0 or max_iter < 1:
-        raise ContractError(
-            f"tol must be > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     x = resample_all(ts.trajectories, r).reshape(m, -1)
     centers = x[Pcg64(seed).permutation(m)[:k]]
     trace: List[float] = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, KMEANS_MAX_ITER + 1):
         assignment, costs = _assign(x, centers)
         trace.append(float(costs.sum()))
         # empty-cluster repair: reseed with the worst-fit point, but never
@@ -130,7 +129,7 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
         new_centers = np.stack([x[assignment == j].mean(axis=0) for j in range(k)])
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
 
     assignment, costs = _assign(x, centers)

@@ -82,7 +82,7 @@ def test_criterion_3_kmeans_contract():
             report(3, False, f"non-monotone trace at seed {seed}: {trace}")
     # convergence on synthetic bundles at the stated tolerance
     ts, _ = synth_scene(0, 4, 8, 0.2)
-    res = kmeans(ts, 4, tol=1e-4, max_iter=100, seed=0)
+    res = kmeans(ts, 4, seed=0)
     converged = res.iterations < 100
     # K = m degenerate case
     small = random_set(rng, 6, n_points=4)

@@ -220,6 +220,16 @@ class TestFuse:
         worst = max(per_output, key=per_output.get)
         assert f"({worst})" in capsys.readouterr().out
 
+    def test_check_grads_is_the_check_of_its_seed(self, fused_inputs, tmp_path):
+        """The sidecar holds each output's error on the one instance drawn
+        from --seed, as finite_difference_check reports it."""
+        bev, prior, params = fused_inputs
+        assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+                   "--out", tmp_path / "fused.tp", "--check-grads", "--seed", 3) == 0
+        sidecar = json.loads((tmp_path / "fused.tp.json").read_text())
+        want = fusion.finite_difference_check(3)
+        assert len(want) == 16 and sidecar["grad_check_rel_err"] == want
+
     @pytest.mark.parametrize("wrong", [lambda d_la: d_la,
                                        lambda d_la: np.full_like(d_la, np.nan)],
                              ids=["sign", "nan"])
@@ -492,6 +502,10 @@ MALFORMED = {
     "jsonl-lone-cr": ("jsonl", GOOD_TRAJ + GOOD_TRAJ.replace("\n", "\r") + GOOD_TRAJ, 2),
     "centerline-lone-cr": ("centerlines", GOOD_CL + GOOD_CL.replace("\n", "\r") + GOOD_CL,
                            2),
+    # only the first nonblank record or row may be the header
+    "jsonl-late-header": ("jsonl", "\n" + GOOD_TRAJ + HEADER % 1, 3),
+    "csv-late-header": ("csv", "\nt0,0,0,0\nt0,1,9,0\ntraj_id,seq,x,y\n", 4),
+    "csv-second-header": ("csv", "traj_id,seq,x,y\n\ntraj_id,seq,x,y\nt0,0,0,0\n", 3),
 }
 
 
@@ -508,6 +522,24 @@ def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,header", [
+    (HEADER % 1 + GOOD_TRAJ, b'{"centerline_count":1,"frame_id":"f"}\n'),
+    ("traj_id,seq,x,y\nt0,0,0,0\nt0,1,9,0\n",
+     b'{"centerline_count":0,"frame_id":"unknown"}\n')],
+    ids=["jsonl", "csv"])
+def test_header_after_leading_blank_lines(text, header, tmp_path):
+    """The header is the first nonblank record or row: blank lines before it
+    change no byte of the output."""
+    outputs = []
+    for prefix in ("", "\n", "\r\n\n"):
+        src, out = tmp_path / "in", tmp_path / f"out{len(outputs)}.jsonl"
+        src.write_bytes((prefix + text).encode())
+        assert run("ingest", "--input", src, "--min-length", 0, "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert outputs[0].startswith(header)
 
 
 def test_csv_quoted_crlf_kept(tmp_path):
@@ -544,7 +576,6 @@ def test_csv_and_jsonl_inputs_give_identical_outputs(fixtures_dir, scene, tmp_pa
 # (subcommand, NaN flag, the checked name the error must give)
 NAN_FLAGS = {
     "ingest": ("ingest", "--min-length", "min_length_m must be >= 0, got nan"),
-    "cluster": ("cluster", "--tol", "tol must be > 0 and max_iter >= 1, got tol=nan"),
     "eval": ("eval", "--sample-step", "step must be > 0, got nan"),
 }
 
@@ -554,7 +585,6 @@ NAN_FLAGS = {
 def test_nan_flag_exit_2_names_value(command, flag, message, scene, tmp_path,
                                      capsys):
     inputs = {"ingest": ["--input", scene / "trajectories.jsonl"],
-              "cluster": ["--input", scene / "trajectories.jsonl", "--k", 2],
               "eval": ["--pred", scene / "trajectories.jsonl",
                        "--gt", scene / "centerlines.jsonl"]}
     assert run(command, *inputs[command], flag, "nan",

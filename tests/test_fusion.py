@@ -530,8 +530,8 @@ class TestBatchedFiniteDifferences:
                     < 1e-5, (seed, name)
 
     def test_peak_memory_bounded(self):
-        # every stack is 2 * _DIRECTIONS = 8 rows; the largest, w1's, holds
-        # 8x216 values (14 KiB), and the whole check peaks at about 0.1 MiB
+        # every stack is 2 * _DIRECTIONS = 16 rows; the largest, w1's, holds
+        # 16x216 values (27 KiB), and the whole check peaks at about 0.2 MiB
         tracemalloc.start()
         try:
             errs = finite_difference_check(0)

@@ -29,3 +29,13 @@ def test_cli_example_chain_runs(tmp_path, monkeypatch, capsys):
         if argv[0] == "fuse":
             exec(python, {})
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_names_every_cli_flag():
+    """Every flag of every command appears in README, so no option goes
+    undocumented."""
+    text = README.read_text(encoding="utf-8")
+    missing = [f"{command} {flag}" for command, (_, _, flags) in cli._COMMANDS.items()
+               for flag, *_ in flags
+               if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)]
+    assert not missing
