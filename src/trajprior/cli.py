@@ -23,10 +23,10 @@ GRAD_CHECK_TOL = 1e-4
 
 
 def _dump_json(path, obj) -> None:
-    # NaN and infinity are not JSON: refusing them (ValueError, exit 2) keeps
-    # every report and sidecar loadable by a strict reader
+    # compact, keys sorted; NaN and infinity are not JSON, and refusing them
+    # (ValueError, exit 2) keeps every report and sidecar loadable by a strict reader
     Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n",
         encoding="utf-8")
 
 
@@ -122,7 +122,7 @@ def cmd_cluster(args) -> int:
         "resample": args.resample,
         "seed": args.seed,
         "assignment": [int(a) for a in result.assignment],
-        "inertia": result.inertia,
+        "inertia": result.inertia_trace[-1],
         "inertia_trace": result.inertia_trace,
         "iterations": result.iterations,
         "centers": [{"points": c.tolist()} for c in result.centers],
@@ -130,14 +130,13 @@ def cmd_cluster(args) -> int:
     _write_report(args, doc, ts, (Trajectory(f"cluster{j}", c)
                                   for j, c in enumerate(result.centers)))
     print(f"kmeans k={args.k} iterations={result.iterations} "
-          f"inertia={result.inertia:.6g}")
+          f"inertia={result.inertia_trace[-1]:.6g}")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     ts = _load_set(args.input)
-    result = selection.fps(ts, args.count, seed=args.seed,
-                           start_index=args.start_index)
+    result = selection.fps(ts, args.count, seed=args.seed)
     picked = [ts.trajectories[i] for i in result.indices]
     points = selection.resample_all(picked, args.resample)  # refused before any write
     doc = {
@@ -245,7 +244,7 @@ _COMMANDS = {
         ("--queries-out", str, None,
          "also write the centers as trajectory JSONL, ids cluster<j>"))),
     "sample": ("Frechet farthest-point sampling", cmd_sample, (
-        _INPUT, ("--count", int, REQUIRED, ""), _SEED, ("--start-index", int, None, ""),
+        _INPUT, ("--count", int, REQUIRED, ""), _SEED,
         ("--resample", int, selection.DEFAULT_RESAMPLE, ""), _OUT,
         ("--queries-out", str, None,
          "also write the picks, resampled, as trajectory JSONL"))),

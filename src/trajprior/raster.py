@@ -126,7 +126,7 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
             np.add.at(sum_x, cell, np.bincount(inv, weights=(ddx / norm)[seg]))
             np.add.at(sum_y, cell, np.bincount(inv, weights=(ddy / norm)[seg]))
 
-    n_max = int(count.max()) if count.size and count.max() > 0 else 1
+    n_max = max(int(count.max()), 1)
     density = count.astype(np.float64) / float(n_max)
     direction = np.zeros(h * w, dtype=np.float64)
     hit = np.flatnonzero(count)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,9 +18,8 @@ KMEANS_MAX_ITER = 100
 class ClusterResult:
     centers: np.ndarray  # (k, R, 2) float64
     assignment: np.ndarray  # (m,) int64
-    inertia: float
     iterations: int
-    inertia_trace: List[float]
+    inertia_trace: List[float]  # the last entry is the returned centers' inertia
 
 
 @dataclass
@@ -134,25 +133,22 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
 
     assignment, costs = _assign(x, centers)
     trace.append(float(costs.sum()))
-    return ClusterResult(centers.reshape(k, r, 2), assignment, trace[-1],
-                         iterations, trace)
+    return ClusterResult(centers.reshape(k, r, 2), assignment, iterations, trace)
 
 
-def fps(ts: TrajectorySet, count: int, seed: int = 0,
-        start_index: Optional[int] = None) -> SampleResult:
+def fps(ts: TrajectorySet, count: int, seed: int = 0) -> SampleResult:
     """Greedy farthest-point sampling under the discrete Frechet distance.
 
-    Each step picks the unselected trajectory whose minimum Frechet distance
-    to the selected subset is largest (ties toward the lowest index). The
-    first pick is seeded-uniform unless start_index is given. Each pick costs
-    one batched frechet_dp call over the trajectories it may still move.
+    The first pick is Pcg64(seed).integers(m), the index that
+    numpy.random.default_rng(seed).integers(m) draws. Each later step picks
+    the unselected trajectory whose minimum Frechet distance to the selected
+    subset is largest (ties toward the lowest index). Each pick costs one
+    batched frechet_dp call over the trajectories it may still move.
     """
     m = len(ts)
     if count <= 0 or count > m:
         raise ContractError(f"count must be in [1, {m}], got {count}")
-    if start_index is not None and not 0 <= start_index < m:
-        raise ContractError(f"start_index must be in [0, {m}), got {start_index}")
-    start = Pcg64(seed).integers(m) if start_index is None else start_index
+    start = Pcg64(seed).integers(m)
 
     pts = [t.points for t in ts.trajectories]
     heads = np.array([p[0] for p in pts])

@@ -155,6 +155,15 @@ def fps_by_full_matrix(dist_matrix, count, start):
     return selected
 
 
+def seed_of_each_start(m, seeds=64):
+    """{start: the first seed below `seeds` whose first FPS pick,
+    numpy.random.default_rng(seed).integers(m), is start}."""
+    found = {}
+    for seed in range(seeds):
+        found.setdefault(int(np.random.default_rng(seed).integers(m)), seed)
+    return found
+
+
 def cells_by_dense_sampling(x0, y0, x1, y1, spec, samples=20001):
     """Cells containing at least one of many sample points of the segment."""
     ts = np.linspace(0.0, 1.0, samples)

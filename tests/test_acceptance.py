@@ -19,12 +19,12 @@ from trajprior.ingest import filter_by_length, smooth_set, synth_scene
 from trajprior.metrics import ae_dist, ae_type, iou, prior_iou, \
     sample_polyline_points
 from trajprior.raster import heatmap_to_feature, rasterize_trajectories
-from trajprior.selection import fps, frechet_dp, kmeans, resample_all
+from trajprior.selection import KMEANS_MAX_ITER, fps, frechet_dp, kmeans, resample_all
 
 from conftest import random_set, random_trajectory
 from oracles import (best_two_partition, chamfer_mean_bruteforce,
                      fps_by_full_matrix, frechet_by_enumeration,
-                     sign_test_p_value)
+                     seed_of_each_start, sign_test_p_value)
 
 
 def report(criterion, ok, detail=""):
@@ -83,10 +83,10 @@ def test_criterion_3_kmeans_contract():
     # convergence on synthetic bundles at the stated tolerance
     ts, _ = synth_scene(0, 4, 8, 0.2)
     res = kmeans(ts, 4, seed=0)
-    converged = res.iterations < 100
+    converged = res.iterations < KMEANS_MAX_ITER
     # K = m degenerate case
     small = random_set(rng, 6, n_points=4)
-    zero = kmeans(small, 6, seed=1).inertia
+    zero = kmeans(small, 6, seed=1).inertia_trace[-1]
     # tiny-instance brute force
     bundle = []
     for ci, cx in enumerate((0.0, 40.0)):
@@ -100,7 +100,8 @@ def test_criterion_3_kmeans_contract():
     want_labels, want_inertia = best_two_partition(x)
     match = (np.array_equal(res6.assignment == res6.assignment[0],
                             want_labels == want_labels[0])
-             and abs(res6.inertia - want_inertia) <= 1e-9 * max(1, want_inertia))
+             and abs(res6.inertia_trace[-1] - want_inertia)
+             <= 1e-9 * max(1, want_inertia))
     report(3, converged and zero <= 1e-18 and match,
            f"(converged in {res.iterations} iters; K=m inertia {zero:.1e}; "
            f"brute-force partition match {match})")
@@ -113,12 +114,15 @@ def test_criterion_4_fps_oracle():
         ts = random_set(rng, m)
         matrix = [[frechet_dp(a.points, [b.points])[0] for b in ts.trajectories]
                   for a in ts.trajectories]
-        for start in range(m):
-            got = fps(ts, m, start_index=start).indices
+        seeds = seed_of_each_start(m)
+        if sorted(seeds) != list(range(m)):
+            report(4, False, f"seeds reach only starts {sorted(seeds)} of m={m}")
+        for start, seed in seeds.items():
+            got = fps(ts, m, seed=seed).indices
             want = fps_by_full_matrix(matrix, m, start)
             if got != want:
                 report(4, False, f"start {start}: {got} != {want}")
-    report(4, True, "(all m <= 8 instances, all start indices)")
+    report(4, True, "(all m <= 8 instances, every start, each drawn by a seed)")
 
 
 def test_criterion_5_heatmap_invariants():

@@ -110,12 +110,33 @@ class TestClusterSample:
         assert (tmp_path / "a.json.q").read_bytes() == \
             (tmp_path / "b.json.q").read_bytes()
 
-    def test_sample_start_index(self, scene, tmp_path):
-        out = tmp_path / "s.json"
-        assert run("sample", "--input", scene / "trajectories.jsonl",
-                   "--count", 1, "--start-index", 7, "--out", out) == 0
+    def test_cluster_report_is_compact_with_inertia_last_in_trace(self, scene,
+                                                                   tmp_path):
+        out = tmp_path / "c.json"
+        assert run("cluster", "--input", scene / "trajectories.jsonl",
+                   "--k", 3, "--out", out) == 0
         doc = json.loads(out.read_text())
-        assert doc["indices"] == [7]
+        assert doc["inertia"] == doc["inertia_trace"][-1]
+        assert out.read_text() == json.dumps(doc, sort_keys=True,
+                                             separators=(",", ":")) + "\n"
+
+    def test_sample_start_index(self, scene, tmp_path):
+        """The first pick is the index numpy.random.default_rng(seed).integers(m)
+        draws; no flag sets it."""
+        for seed in range(8):
+            out = tmp_path / f"s{seed}.json"
+            assert run("sample", "--input", scene / "trajectories.jsonl",
+                       "--count", 1, "--seed", seed, "--out", out) == 0
+            doc = json.loads(out.read_text())
+            assert doc["indices"] == [int(np.random.default_rng(seed).integers(15))]
+
+    def test_sample_has_no_start_index_flag(self, scene, tmp_path, capsys):
+        out, queries = tmp_path / "s.json", tmp_path / "q.jsonl"
+        assert run("sample", "--input", scene / "trajectories.jsonl", "--count", 1,
+                   "--start-index", 1, "--out", out, "--queries-out", queries) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "trajprior sample: error: unrecognized arguments: --start-index")
+        assert not out.exists() and not queries.exists()
 
     def test_sample_rerun_identical(self, scene, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -618,8 +639,6 @@ def test_bad_generator_arg_exit_2_names_value(argv, message, tmp_path, capsys):
 
 # (command, argv before the output flag, the error naming the value given)
 RANGE_ERRORS = {
-    "sample-start-index": ("sample", ["--count", 2, "--start-index", -1],
-                           "start_index must be in [0, 15), got -1"),
     "synth-lanes": ("synth", ["--lanes", 0], "got lanes=0 per_lane=10"),
     "synth-per-lane": ("synth", ["--per-lane", 0], "got lanes=3 per_lane=0"),
     "ingest-smooth-window": ("ingest", ["--smooth-window", 2],

@@ -10,7 +10,7 @@ from trajprior.raster import rasterize_trajectories, traverse_cells
 from trajprior.selection import fps, frechet_dp
 
 import oracles
-from oracles import cells_by_dense_sampling, fps_by_full_matrix
+from oracles import cells_by_dense_sampling, fps_by_full_matrix, seed_of_each_start
 
 
 def cell_set(x0, y0, x1, y1, spec):
@@ -145,8 +145,10 @@ def test_fps_pruned_matches_full_matrix_every_start(monkeypatch):
         return frechet_dp(a, bs)
 
     monkeypatch.setattr(selection, "frechet_dp", counting)
-    for start in range(len(trajs)):
-        res = fps(ts, len(trajs), start_index=start)
+    seeds = seed_of_each_start(len(trajs))
+    assert sorted(seeds) == list(range(len(trajs)))
+    for start, seed in seeds.items():
+        res = fps(ts, len(trajs), seed=seed)
         assert res.indices == fps_by_full_matrix(matrix, len(trajs), start)
         want = [min(matrix[p][s] for s in res.indices[:k + 1])
                 for k, p in enumerate(res.indices[1:])]

@@ -39,3 +39,25 @@ def test_readme_names_every_cli_flag():
                for flag, *_ in flags
                if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)]
     assert not missing
+
+
+
+def test_readme_names_no_flag_its_command_lacks():
+    """The reverse of the test above: every flag README gives a command, in a
+    backticked `<command> --flag ...` span or a `trajprior <command>` line of
+    an `sh` block, is one the command takes (or `--help`), so a deleted
+    option leaves no example behind."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    lines = [line.split() for block in blocks("sh")
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("trajprior ")]
+    spans = [span.split() for span in re.findall(r"`([^`]+)`", prose)]
+    mentions, unknown = 0, []
+    for words in lines + spans:
+        words = words[1:] if words[:1] == ["trajprior"] else words
+        if words and words[0] in cli._COMMANDS:
+            known = [flag for flag, *_ in cli._COMMANDS[words[0]][2]] + ["--help"]
+            flags = [w.partition("=")[0] for w in words[1:] if w.startswith("--")]
+            mentions += len(flags)
+            unknown += [f"{words[0]} {flag}" for flag in flags if flag not in known]
+    assert mentions and not unknown

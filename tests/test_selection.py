@@ -9,7 +9,8 @@ from trajprior import core, selection
 from trajprior.selection import fps, frechet_dp, kmeans, resample_all
 
 from conftest import random_set, random_trajectory
-from oracles import best_two_partition, fps_by_full_matrix, frechet_by_enumeration
+from oracles import (best_two_partition, fps_by_full_matrix, frechet_by_enumeration,
+                     seed_of_each_start)
 
 
 class TestResample:
@@ -108,7 +109,7 @@ class TestKmeans:
         rng = np.random.default_rng(9)
         ts = random_set(rng, 5)
         res = kmeans(ts, 5, seed=3)
-        assert res.inertia == pytest.approx(0.0, abs=1e-18)
+        assert res.inertia_trace[-1] == pytest.approx(0.0, abs=1e-18)
 
     def test_separated_bundles(self):
         rng = np.random.default_rng(10)
@@ -128,7 +129,7 @@ class TestKmeans:
         got = res.assignment
         same = np.array_equal(got == got[0], want_labels == want_labels[0])
         assert same
-        assert res.inertia == pytest.approx(want_inertia, rel=1e-9)
+        assert res.inertia_trace[-1] == pytest.approx(want_inertia, rel=1e-9)
 
     def test_inertia_trace_nonincreasing(self):
         rng = np.random.default_rng(12)
@@ -144,7 +145,7 @@ class TestKmeans:
         a = kmeans(ts, 3, seed=42)
         b = kmeans(ts, 3, seed=42)
         assert np.array_equal(a.assignment, b.assignment)
-        assert a.inertia == b.inertia
+        assert a.inertia_trace == b.inertia_trace
         for ca, cb in zip(a.centers, b.centers):
             assert np.array_equal(ca, cb)
 
@@ -167,12 +168,12 @@ class TestFps:
         ))
 
     def test_max_min_pick(self):
-        res = fps(self.triangle_set(), 2, start_index=0)
+        res = fps(self.triangle_set(), 2, seed=seed_of_each_start(3)[0])
         assert res.indices == [0, 2]
         assert res.min_dists == [pytest.approx(10.0)]
 
     def test_count_one(self):
-        res = fps(self.triangle_set(), 1, start_index=1)
+        res = fps(self.triangle_set(), 1, seed=seed_of_each_start(3)[1])
         assert res.indices == [1]
         assert res.min_dists == []
 
@@ -189,8 +190,10 @@ class TestFps:
             ts = random_set(rng, m)
             matrix = [[frechet_dp(a.points, [b.points])[0] for b in ts.trajectories]
                       for a in ts.trajectories]
-            for start in range(m):
-                got = fps(ts, m, start_index=start).indices
+            seeds = seed_of_each_start(m)
+            assert sorted(seeds) == list(range(m))
+            for start, seed in seeds.items():
+                got = fps(ts, m, seed=seed).indices
                 want = fps_by_full_matrix(matrix, m, start)
                 assert got == want
 
@@ -198,10 +201,11 @@ class TestFps:
         # tie-free distances: permuting non-start trajectories permutes
         # indices consistently
         ts = self.triangle_set()
-        res = fps(ts, 3, start_index=0)
+        seed = seed_of_each_start(3)[0]
+        res = fps(ts, 3, seed=seed)
         perm = TrajectorySet((ts.trajectories[0], ts.trajectories[2],
                               ts.trajectories[1]))
-        res_p = fps(perm, 3, start_index=0)
+        res_p = fps(perm, 3, seed=seed)
         ids = [ts.trajectories[i].id for i in res.indices]
         ids_p = [perm.trajectories[i].id for i in res_p.indices]
         assert ids == ids_p
