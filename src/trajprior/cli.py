@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -60,19 +59,17 @@ def _cell(text: str) -> tuple:
     return parts if len(parts) == 2 else parts * 2
 
 
-def _read_text(path) -> str:
-    """A UTF-8 text input; a byte that does not decode names the file and line."""
+def _load_set(path, parse=ingest.parse_trajectories) -> TrajectorySet:
+    """``parse`` of a UTF-8 text input; its errors name the file and the line."""
     try:
         # not read_text: its universal newlines would end a record at a lone "\r"
-        return Path(path).read_bytes().decode("utf-8")
+        return parse(Path(path).read_bytes().decode("utf-8"))
     except UnicodeDecodeError as e:  # e.object holds the whole file's bytes
         raise ingest.ParseError(e.object.count(b"\n", 0, e.start) + 1,
                                 f"{path}: byte 0x{e.object[e.start]:02x} is not "
                                 f"UTF-8 ({e.reason})") from None
-
-
-def _load_set(path) -> TrajectorySet:
-    return ingest.parse_trajectories(_read_text(path))
+    except ingest.ParseError as e:
+        raise ingest.ParseError(e.line_no, f"{path}: {e.msg}") from None
 
 
 def _write_set(path, ts: TrajectorySet) -> None:
@@ -83,7 +80,7 @@ def _write_report(args, doc, ts: TrajectorySet, tokens) -> None:
     """--out, and with --queries-out the tokens under the input's header."""
     _dump_json(args.out, doc)
     if args.queries_out:
-        _write_set(args.queries_out, replace(ts, trajectories=tuple(tokens)))
+        _write_set(args.queries_out, TrajectorySet.of(tokens, ts.frame_id, ts.centerline_count))
 
 
 def cmd_ingest(args) -> int:
@@ -137,7 +134,7 @@ def cmd_cluster(args) -> int:
 def cmd_sample(args) -> int:
     ts = _load_set(args.input)
     result = selection.fps(ts, args.count, seed=args.seed)
-    picked = [ts.trajectories[i] for i in result.indices]
+    picked = TrajectorySet.of([ts[i] for i in result.indices])
     points = selection.resample_all(picked, args.resample)  # refused before any write
     doc = {
         "count": args.count,
@@ -145,7 +142,7 @@ def cmd_sample(args) -> int:
         "indices": result.indices,
         "min_dists": result.min_dists,
     }
-    _write_report(args, doc, ts, (replace(t, points=p) for t, p in zip(picked, points)))
+    _write_report(args, doc, ts, (t._replace(points=p) for t, p in zip(picked, points)))
     print(f"fps count={args.count} start={result.indices[0]}")
     return EXIT_OK
 
@@ -176,10 +173,10 @@ def cmd_fuse(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = GridSpec(*args.roi, *args.cell)
-    pred = _load_set(args.pred).trajectories
+    pred = _load_set(args.pred)
     if not pred:
         raise ContractError(f"--pred {args.pred} holds no trajectories to score")
-    gt = ingest.parse_centerlines(_read_text(args.gt))
+    gt = _load_set(args.gt, ingest.parse_centerlines)
     if not gt:
         raise ContractError(f"--gt {args.gt} holds no centerlines to score against")
     report = {
@@ -189,13 +186,11 @@ def cmd_eval(args) -> int:
             metrics.sample_polyline_points(gt, args.sample_step)),
         "width_m": args.width,
     }
-    pred_types = [t.label for t in pred]
-    gt_types = [p.label for p in gt]
     # records pair by position; an unlabelled record counts as None
-    if (len(pred_types) == len(gt_types)
-            and any(x is not None for x in pred_types)
-            and any(x is not None for x in gt_types)):
-        report["ae_type"] = metrics.ae_type(pred_types, gt_types)
+    if (len(pred) == len(gt)
+            and any(x is not None for x in pred.labels)
+            and any(x is not None for x in gt.labels)):
+        report["ae_type"] = metrics.ae_type(pred.labels, gt.labels)
     _dump_json(args.out, report)
     print(f"iou={report['iou']:.4f} ae_dist={report['ae_dist']:.4f}")
     return EXIT_OK

@@ -7,8 +7,10 @@ half-open [low, high) so every in-ROI point maps to exactly one cell.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -143,47 +145,61 @@ def _segment_lengths(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An ordered 2D polyline with an opaque id; at least 2 points.
-
-    ``label`` is an optional discrete attribute (a lane type) scored by
-    ``metrics.ae_type``; None means unlabelled.
-    """
+class Trajectory(NamedTuple):
+    """One polyline, unchecked: a set checks all its records' points at once.
+    ``label`` is a lane type scored by ``metrics.ae_type``; None is no label."""
 
     id: str
-    points: np.ndarray  # (n, 2) float64
+    points: np.ndarray  # (n, 2)
     label: Optional[object] = None
-
-    def __post_init__(self):
-        arr = _as_points(self.points)
-        _require(len(arr) >= 2, "trajectory shorter than 2 points")
-        object.__setattr__(self, "points", arr)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def arc_length(self) -> float:
-        """Total polyline length (sum of segment norms)."""
-        return float(_segment_lengths(self.points).sum())
 
 
 @dataclass(frozen=True)
-class TrajectorySet:
-    """A frame's trajectories plus scene metadata."""
+class TrajectorySet(Sequence):
+    """A frame's polylines end to end, plus scene metadata, built by ``of``:
+    ``self[i]`` is polyline i, whose points are the view
+    ``points[offsets[i]:offsets[i + 1]]``, with ``ids[i]`` and ``labels[i]``."""
 
-    trajectories: Tuple[Trajectory, ...]
+    points: np.ndarray   # (N, 2) float64, checked by one _as_points call
+    offsets: np.ndarray  # (M + 1,) int64, from 0 to N
+    ids: Tuple[str, ...]
+    labels: Tuple[object, ...]
     frame_id: str = "unknown"
     centerline_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        object.__setattr__(self, "points", _as_points(self.points))
+        _require(bool(np.all(np.diff(self.offsets) >= 2)), "trajectory shorter than 2 points")
         _require(bool(self.frame_id), "frame_id must be nonempty")
         _require(self.centerline_count >= 0, "centerline_count must be >= 0")
 
+    @classmethod
+    def of(cls, trajectories: Iterable[Trajectory], frame_id: str = "unknown",
+           centerline_count: int = 0) -> "TrajectorySet":
+        """The set of ``trajectories``, in order."""
+        records = tuple(trajectories)
+        points = np.concatenate([t.points for t in records]) if records else np.empty((0, 2))
+        return cls(points, np.cumsum([0] + [len(t.points) for t in records]),
+                   tuple(t.id for t in records), tuple(t.label for t in records),
+                   frame_id, centerline_count)
+
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        return self.trajectories[i]
+
+    @cached_property  # made once, so a polyline is the same record each time
+    def trajectories(self) -> Tuple[Trajectory, ...]:
+        ends = self.offsets.tolist()
+        return tuple(Trajectory(tid, self.points[a:b], label)
+                     for tid, a, b, label in zip(self.ids, ends, ends[1:], self.labels))
+
+    def segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each segment's start and end points, (S, 2) each, and its polyline's index."""
+        first = np.delete(np.arange(len(self.points)), self.offsets[1:] - 1)
+        owner = np.repeat(np.arange(len(self)), np.diff(self.offsets) - 1)
+        return self.points[first], self.points[first + 1], owner
 
 
 def chunk_spans(counts: np.ndarray, chunk: int):
@@ -216,7 +232,7 @@ def chunked_repeat(counts: np.ndarray, chunk: int):
         yield item, np.arange(lo, lo + len(item)) - starts[item]
 
 
-def sample_arc_length(polylines: Sequence[Trajectory],
+def sample_arc_length(polylines: TrajectorySet,
                       count: Callable[[np.ndarray], np.ndarray],
                       request: str) -> np.ndarray:
     """Points evenly spaced in arc length along each polyline, its endpoints
@@ -234,10 +250,8 @@ def sample_arc_length(polylines: Sequence[Trajectory],
     part, both exact). Targets are taken ``CHUNK // 2`` at a time, so
     no temporary but the output holds more than 32 KiB, a complex key included.
     """
-    sizes = np.array([len(t) for t in polylines], dtype=np.int64)
-    pts = np.concatenate([t.points for t in polylines]) if len(sizes) else np.empty((0, 2))
-    last = np.cumsum(sizes) - 1
-    first = last + 1 - sizes
+    pts, sizes = polylines.points, np.diff(polylines.offsets)
+    first, last = polylines.offsets[:-1], polylines.offsets[1:] - 1
     seg = np.zeros(len(pts))  # norm of the segment ending at each point
     seg[1:] = _segment_lengths(pts)
     seg[first] = 0.0  # 0 + norm is the norm, so each row sums as [0, cumsum]

@@ -10,19 +10,18 @@ File formats (coordinates in meters, ego/BEV frame):
   ``traj_id,seq,x,y``, optionally named by a header on the first nonblank
   row; rows grouped by traj_id, ordered by seq.
 * JSONL centerlines: one ``{"id": str, "centerlines": [[x, y], ...]}`` per
-  line, each record a single polyline; parsed to a tuple of ``Trajectory``.
+  line, each record a single polyline; parsed to a ``TrajectorySet``.
 
 Records of both JSONL kinds may carry an optional ``"type"`` field, the
-discrete lane label that ``Trajectory.label`` holds and the attribute-error
-metric scores; ``"type": null`` counts as no label. Every malformed record
-raises a ``ParseError`` that names its line.
+discrete lane label that ``TrajectorySet.labels`` holds and the
+attribute-error metric scores; ``"type": null`` counts as no label. Every
+malformed record raises a ``ParseError`` that names its line.
 
 Smoothing is a centered moving average whose window shrinks symmetrically
-at a polyline's ends. ``smooth_set`` runs it for a whole set in one pass:
-the points of all trajectories are concatenated, every window is summed by
-one ``take`` of rows per window offset, and the result is split back per
-trajectory. Each mean is summed in the order ``np.mean`` sums, so the output
-is bit-identical to averaging every window on its own.
+at a polyline's ends. ``smooth_set`` runs it over a set's packed points in
+one pass: every window is summed by one ``take`` of rows per window offset.
+Each mean is summed in the order ``np.mean`` sums, so the output is
+bit-identical to averaging every window on its own.
 """
 from __future__ import annotations
 
@@ -31,11 +30,13 @@ import io
 import json
 import math
 from dataclasses import replace
+from itertools import islice
 from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .core import MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet
+from .core import (MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet,
+                   _as_points, _segment_lengths)
 
 # A frame passes the retention check with more than this many trajectories
 # per centerline. An int, so the check stays exact for any integer count.
@@ -47,13 +48,14 @@ class ParseError(ValueError):
 
     def __init__(self, line_no: int, msg: str):
         super().__init__(f"line {line_no}: {msg}")
+        self.line_no, self.msg = line_no, msg
 
 
-def _records(text: str) -> Iterator[Tuple[int, dict]]:
-    """(line number, object) for every nonblank JSONL line."""
-    # "\n" alone ends a record: JSON strings may hold U+0085, U+2028 and U+2029
-    # raw, and a trailing "\r" is JSON whitespace
-    for line_no, line in enumerate(text.split("\n"), start=1):
+def _records(lines: List[str]) -> Iterator[Tuple[int, dict]]:
+    """(line number, object) for every nonblank line of a JSONL text split
+    at "\n" alone: JSON strings may hold U+0085, U+2028 and U+2029 raw, and a
+    trailing "\r" is JSON whitespace."""
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -70,15 +72,28 @@ def _records(text: str) -> Iterator[Tuple[int, dict]]:
 _DEFAULT_ID = {"points": "traj", "centerlines": "cl"}
 
 
-def _from_record(line_no: int, rec: dict, key: str) -> Trajectory:
-    """The polyline under ``key`` ("points" or "centerlines") of one record."""
-    if key not in rec:
-        raise ParseError(line_no, f"record missing {key!r}")
+def _polylines(lines: List[str], key: str, skip: int = 0, frame_id: str = "unknown",
+               centerline_count: int = 0) -> TrajectorySet:
+    """The set of the polylines under ``key`` ("points" or "centerlines") of
+    the records of ``lines`` after the first ``skip``, each read into an array
+    as it is decoded (lists held to the end cost the garbage collector a
+    second at 24,000 records), then checked at once. When that fails, they are
+    read again and checked one by one, to name the first bad line."""
     try:
-        return Trajectory(str(rec.get("id", f"{_DEFAULT_ID[key]}{line_no}")),
-                          rec[key], rec.get("type"))
-    except ContractError as e:
-        raise ParseError(line_no, str(e)) from e
+        return TrajectorySet.of((Trajectory(str(rec.get("id", f"{_DEFAULT_ID[key]}{n}")),
+                                            np.asarray(rec[key], dtype=np.float64),
+                                            rec.get("type"))
+                                 for n, rec in islice(_records(lines), skip, None)),
+                                frame_id, centerline_count)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for line_no, rec in islice(_records(lines), skip, None):
+            if key not in rec:
+                raise ParseError(line_no, f"record missing {key!r}") from None
+            try:
+                TrajectorySet.of([Trajectory("", _as_points(rec[key]))])
+            except ContractError as e:
+                raise ParseError(line_no, str(e)) from None
+        raise
 
 
 def _to_record(t: Trajectory, key: str = "points") -> dict:
@@ -105,23 +120,19 @@ def parse_trajectories(text: str) -> TrajectorySet:
 
 
 def _parse_jsonl(text: str) -> TrajectorySet:
-    frame_id = "unknown"
-    centerline_count = 0
-    trajectories: List[Trajectory] = []
-    for i, (line_no, rec) in enumerate(_records(text)):
-        if i == 0 and "points" not in rec and (
-                "frame_id" in rec or "centerline_count" in rec):
-            frame_id = str(rec.get("frame_id", "unknown"))
-            centerline_count = rec.get("centerline_count", 0)
-            # bool is an int subclass but not a JSON integer
-            if type(centerline_count) is not int or centerline_count < 0:
-                raise ParseError(line_no, "centerline_count must be a "
-                                 f"non-negative integer, got {centerline_count!r}")
-            if not frame_id:
-                raise ParseError(line_no, "frame_id must be nonempty")
-            continue
-        trajectories.append(_from_record(line_no, rec, "points"))
-    return TrajectorySet(tuple(trajectories), frame_id, centerline_count)
+    lines = text.split("\n")
+    line_no, rec = next(_records(lines), (0, {}))
+    if "points" not in rec and ("frame_id" in rec or "centerline_count" in rec):
+        frame_id = str(rec.get("frame_id", "unknown"))
+        centerline_count = rec.get("centerline_count", 0)
+        # bool is an int subclass but not a JSON integer
+        if type(centerline_count) is not int or centerline_count < 0:
+            raise ParseError(line_no, "centerline_count must be a "
+                             f"non-negative integer, got {centerline_count!r}")
+        if not frame_id:
+            raise ParseError(line_no, "frame_id must be nonempty")
+        return _polylines(lines, "points", 1, frame_id, centerline_count)
+    return _polylines(lines, "points")
 
 
 def _parse_csv(text: str) -> TrajectorySet:
@@ -151,46 +162,44 @@ def _parse_csv(text: str) -> TrajectorySet:
             groups[tid].append((seq, x, y, line_no))
     except csv.Error as e:  # e.g. a field beyond csv.field_size_limit()
         raise ParseError(end + 1, f"bad CSV record: {e}") from e
-    trajectories = []
-    for tid, rows in groups.items():
-        rows = sorted(rows, key=lambda r: r[0])
+    for rows in groups.values():
+        rows.sort(key=lambda r: r[0])
         if len(rows) < 2:
             raise ParseError(rows[0][3], "trajectory shorter than 2 points")
-        pts = [(x, y) for _, x, y, _ in rows]
-        trajectories.append(Trajectory(tid, pts))
-    return TrajectorySet(tuple(trajectories))
+    return TrajectorySet.of([Trajectory(tid, [r[1:3] for r in rows])
+                             for tid, rows in groups.items()])
 
 
 def serialize_trajectories(ts: TrajectorySet) -> str:
     lines = [_dumps({"frame_id": ts.frame_id,
                      "centerline_count": ts.centerline_count})]
-    lines += [_dumps(_to_record(t)) for t in ts.trajectories]
+    lines += [_dumps(_to_record(t)) for t in ts]
     return "\n".join(lines) + "\n"
 
 
-def parse_centerlines(text: str) -> Tuple[Trajectory, ...]:
-    return tuple(_from_record(line_no, rec, "centerlines")
-                 for line_no, rec in _records(text))
+def parse_centerlines(text: str) -> TrajectorySet:
+    return _polylines(text.split("\n"), "centerlines")
 
 
-def serialize_centerlines(polylines: Tuple[Trajectory, ...]) -> str:
+def serialize_centerlines(polylines: TrajectorySet) -> str:
     return "\n".join(_dumps(_to_record(p, "centerlines"))
                      for p in polylines) + "\n"
 
 
 def filter_by_length(ts: TrajectorySet, min_length_m: float) -> TrajectorySet:
-    """Keep trajectories whose arc length is >= min_length_m."""
+    """Keep trajectories whose arc length, the pairwise ``np.sum`` of their
+    segment norms, is >= min_length_m."""
     if not min_length_m >= 0:  # NaN fails too
         raise ContractError(f"min_length_m must be >= 0, got {min_length_m}")
-    return replace(ts, trajectories=tuple(
-        t for t in ts.trajectories if t.arc_length >= min_length_m))
+    kept = [t for t in ts if _segment_lengths(t.points).sum() >= min_length_m]
+    return TrajectorySet.of(kept, ts.frame_id, ts.centerline_count)
 
 
-def smooth(points: np.ndarray, lengths, window: int) -> np.ndarray:
+def smooth(points: np.ndarray, offsets: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average of polylines stored end to end, in one pass.
 
-    ``points`` (N, 2) holds the polylines back to back and ``lengths`` their
-    point counts. Point j of a polyline of n points becomes the mean of the
+    ``points`` (N, 2) holds the polylines back to back, polyline i in rows
+    ``offsets[i]:offsets[i + 1]``, as a ``TrajectorySet`` does. Point j of a polyline of n points becomes the mean of the
     2r+1 points around it, r = min(window // 2, j, n - 1 - j): the window
     shrinks symmetrically at the ends, so the point count never changes,
     endpoints stay put and window=1 is the identity.
@@ -200,9 +209,9 @@ def smooth(points: np.ndarray, lengths, window: int) -> np.ndarray:
     bit-identical to averaging its own window. Offset k of every window of
     radius r >= k/2 is added by one ``take`` of rows.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = np.diff(offsets)
     n = np.repeat(lengths, lengths)
-    j = np.arange(len(points)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    j = np.arange(len(points)) - np.repeat(offsets[:-1], lengths)
     # No point has a radius beyond what the longest polyline allows, so the
     # clip changes nothing but bounds the work for any window.
     radius = min(window // 2, (int(lengths.max(initial=1)) - 1) // 2)
@@ -231,14 +240,9 @@ def smooth_set(ts: TrajectorySet, window: int) -> TrajectorySet:
     """
     if window < 1 or window % 2 == 0:
         raise ContractError(f"smooth_window must be odd and >= 1, got {window}")
-    if window == 1 or not ts.trajectories:
+    if window == 1 or not ts:
         return ts
-    lengths = [len(t) for t in ts.trajectories]
-    points = smooth(np.concatenate([t.points for t in ts.trajectories]),
-                    lengths, window)
-    parts = np.split(points, np.cumsum(lengths[:-1]))
-    return replace(ts, trajectories=tuple(
-        replace(t, points=p) for t, p in zip(ts.trajectories, parts)))
+    return replace(ts, points=smooth(ts.points, ts.offsets, window))
 
 
 def retention_check(ts: TrajectorySet) -> bool:
@@ -247,7 +251,7 @@ def retention_check(ts: TrajectorySet) -> bool:
 
 
 def synth_scene(seed: int, lanes: int, per_lane: int,
-                noise_sigma: float) -> Tuple[TrajectorySet, Tuple[Trajectory, ...]]:
+                noise_sigma: float) -> Tuple[TrajectorySet, TrajectorySet]:
     """Deterministic synthetic scene: trajectories and their lane centerlines.
 
     Lanes are laid out as parallel polylines spanning the default ROI in x; every
@@ -278,6 +282,5 @@ def synth_scene(seed: int, lanes: int, per_lane: int,
         for j in range(per_lane):
             jitter = rng.normal(0.0, 1.0, size=pts.shape) * noise_sigma
             trajectories.append(Trajectory(f"lane{lane}_traj{j}", pts + jitter))
-    ts = TrajectorySet(tuple(trajectories), frame_id=f"synth-{seed}",
-                       centerline_count=lanes)
-    return ts, tuple(centerlines)
+    ts = TrajectorySet.of(trajectories, frame_id=f"synth-{seed}", centerline_count=lanes)
+    return ts, TrajectorySet.of(centerlines)

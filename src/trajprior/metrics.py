@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import ContractError, GridSpec, Trajectory, _as_points, sample_arc_length
+from .core import ContractError, GridSpec, TrajectorySet, _as_points, sample_arc_length
 from .raster import rasterize_polylines
 
 DEFAULT_LINE_WIDTH = 0.75  # meters
@@ -30,7 +30,7 @@ def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum()) / union
 
 
-def prior_iou(pred: Sequence[Trajectory], gt: Sequence[Trajectory],
+def prior_iou(pred: TrajectorySet, gt: TrajectorySet,
               spec: GridSpec, width_m: float = DEFAULT_LINE_WIDTH) -> float:
     """IoU of the rasterized prior polylines against rasterized centerlines."""
     mask_pred = rasterize_polylines(pred, spec, width_m)
@@ -248,7 +248,7 @@ def ae_dist(pred: np.ndarray, gt: np.ndarray) -> float:
     return 0.5 * (means[0] + means[1])
 
 
-def sample_polyline_points(polylines: Sequence[Trajectory],
+def sample_polyline_points(polylines: TrajectorySet,
                            step: float = DEFAULT_SAMPLE_STEP) -> np.ndarray:
     """Points along each polyline at a fixed arc-length step (endpoints included)."""
     if not step > 0:

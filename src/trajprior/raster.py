@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from . import core
-from .core import (ContractError, FeatureMap, GridSpec, Heatmap, Trajectory,
-                   TrajectorySet, fold_axial)
+from .core import ContractError, FeatureMap, GridSpec, Heatmap, TrajectorySet, fold_axial
 
 _TRAVERSE_CHUNK = 1 << 15  # segment parameters traversed at once by rasterize_trajectories
 
@@ -95,36 +93,33 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
     count = np.zeros(h * w, dtype=np.int64)
     sum_x = np.zeros(h * w, dtype=np.float64)
     sum_y = np.zeros(h * w, dtype=np.float64)
-    trajs = sorted(ts.trajectories, key=lambda t: (t.id, t.points.tobytes()))
-    if trajs:
-        pts = np.concatenate([t.points for t in trajs])
-        owner = np.repeat(np.arange(len(trajs)), [len(t) for t in trajs])
-        a, b = pts[:-1], pts[1:]
-        real = (owner[:-1] == owner[1:]) & ((a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1]))
-        a, b, owner = a[real], b[real], owner[:-1][real]
-        # whole trajectories per chunk, so each per-trajectory sum is made in
-        # one pass: a chunk takes the trajectories whose segments' t parameters
-        # start in the same window of _TRAVERSE_CHUNK
-        (*_, nx), (*_, ny) = _crossings(a[:, 0], a[:, 1], b[:, 0], b[:, 1], spec)
-        per_traj = np.bincount(owner, weights=2 + nx + ny, minlength=len(trajs))
-        window = (np.cumsum(per_traj) - per_traj) // _TRAVERSE_CHUNK
-        cuts = np.searchsorted(owner, np.flatnonzero(np.diff(window, prepend=-1)))
-        for lo, hi in zip(cuts, np.append(cuts[1:], len(owner))):
-            x0, y0, x1, y1 = a[lo:hi, 0], a[lo:hi, 1], b[lo:hi, 0], b[lo:hi, 1]
-            seg, row, col = traverse_cells(x0, y0, x1, y1, spec)
-            ddx, ddy = x1 - x0, y1 - y0
-            # math.hypot: np.hypot may round the norm differently
-            norm = np.fromiter(map(math.hypot, ddx.tolist(), ddy.tolist()),
-                               dtype=np.float64, count=len(ddx))
-            # visits come sorted by segment, so each (trajectory, cell) group
-            # sums its unit vectors in segment order
-            pair, inv = np.unique(owner[lo + seg] * (h * w) + row * w + col,
-                                  return_inverse=True)
-            cell = pair % (h * w)
-            count += np.bincount(cell, minlength=h * w)
-            # groups are sorted by trajectory, and add.at accumulates in order
-            np.add.at(sum_x, cell, np.bincount(inv, weights=(ddx / norm)[seg]))
-            np.add.at(sum_y, cell, np.bincount(inv, weights=(ddy / norm)[seg]))
+    canonical = sorted(ts, key=lambda t: (t.id, t.points.tobytes()))
+    a, b, owner = TrajectorySet.of(canonical).segments()
+    real = (a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1])
+    a, b, owner = a[real], b[real], owner[real]
+    # whole trajectories per chunk, so each per-trajectory sum is made in
+    # one pass: a chunk takes the trajectories whose segments' t parameters
+    # start in the same window of _TRAVERSE_CHUNK
+    (*_, nx), (*_, ny) = _crossings(a[:, 0], a[:, 1], b[:, 0], b[:, 1], spec)
+    per_traj = np.bincount(owner, weights=2 + nx + ny, minlength=len(ts))
+    window = (np.cumsum(per_traj) - per_traj) // _TRAVERSE_CHUNK
+    cuts = np.searchsorted(owner, np.flatnonzero(np.diff(window, prepend=-1)))
+    for lo, hi in zip(cuts, np.append(cuts[1:], len(owner))):
+        x0, y0, x1, y1 = a[lo:hi, 0], a[lo:hi, 1], b[lo:hi, 0], b[lo:hi, 1]
+        seg, row, col = traverse_cells(x0, y0, x1, y1, spec)
+        ddx, ddy = x1 - x0, y1 - y0
+        # math.hypot: np.hypot may round the norm differently
+        norm = np.fromiter(map(math.hypot, ddx.tolist(), ddy.tolist()),
+                           dtype=np.float64, count=len(ddx))
+        # visits come sorted by segment, so each (trajectory, cell) group
+        # sums its unit vectors in segment order
+        pair, inv = np.unique(owner[lo + seg] * (h * w) + row * w + col,
+                              return_inverse=True)
+        cell = pair % (h * w)
+        count += np.bincount(cell, minlength=h * w)
+        # groups are sorted by trajectory, and add.at accumulates in order
+        np.add.at(sum_x, cell, np.bincount(inv, weights=(ddx / norm)[seg]))
+        np.add.at(sum_y, cell, np.bincount(inv, weights=(ddy / norm)[seg]))
 
     n_max = max(int(count.max()), 1)
     density = count.astype(np.float64) / float(n_max)
@@ -152,7 +147,7 @@ def _window(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
     return first, np.maximum(stop - first, 0)
 
 
-def rasterize_polylines(polylines: Sequence[Trajectory], spec: GridSpec,
+def rasterize_polylines(polylines: TrajectorySet, spec: GridSpec,
                         width_m: float) -> np.ndarray:
     """Binary mask: cell is 1 iff its center lies within width_m/2 of a polyline.
 
@@ -163,10 +158,7 @@ def rasterize_polylines(polylines: Sequence[Trajectory], spec: GridSpec,
     if not (math.isfinite(width_m) and width_m > 0):
         raise ContractError(f"width_m must be finite and > 0, got {width_m}")
     mask = np.zeros(spec.shape, dtype=bool)
-    if not polylines:
-        return mask
-    a = np.concatenate([p.points[:-1] for p in polylines])
-    b = np.concatenate([p.points[1:] for p in polylines])
+    a, b, _ = polylines.segments()
     ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
     radius = width_m / 2.0
     c0, ncol = _window(np.minimum(ax, bx) - radius, np.maximum(ax, bx) + radius,

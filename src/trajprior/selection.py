@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .core import (MAX_SAMPLES, ContractError, Pcg64, Trajectory, TrajectorySet,
-                   sample_arc_length)
+from .core import MAX_SAMPLES, ContractError, Pcg64, TrajectorySet, sample_arc_length
 
 DEFAULT_RESAMPLE = 20
 KMEANS_TOL = 1e-4
@@ -28,31 +27,31 @@ class SampleResult:
     min_dists: List[float]  # one per selection after the first
 
 
-def resample_all(trajectories: Sequence[Trajectory], r: int) -> np.ndarray:
+def resample_all(ts: TrajectorySet, r: int) -> np.ndarray:
     """(n, R, 2): R points of each trajectory at arc-length fractions k/(R-1),
     refused before any is computed when they would hold more than MAX_SAMPLES
     points, or R alone exceeds it."""
     if r < 2:
         raise ContractError(f"resample count must be >= 2, got {r}")
-    request = f"resample count {r} for {len(trajectories)} trajectories"
+    request = f"resample count {r} for {len(ts)} trajectories"
     if r > MAX_SAMPLES:  # numpy cannot shape even an empty set's (0, r, 2) near 2**62
         raise ContractError(f"{request} exceeds MAX_SAMPLES={MAX_SAMPLES} points each")
-    points = sample_arc_length(trajectories, lambda t: np.full(len(t), float(r)), request)
-    return points.reshape(len(trajectories), r, 2)
+    points = sample_arc_length(ts, lambda t: np.full(len(t), float(r)), request)
+    return points.reshape(len(ts), r, 2)
 
 
-def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
-    """Discrete Frechet distance from polyline a (n, 2) to every polyline in bs.
+def frechet_dp(a: np.ndarray, bs: TrajectorySet) -> np.ndarray:
+    """Discrete Frechet distance from polyline a (n, 2) to every candidate
+    ``bs.points[bs.offsets[j]:bs.offsets[j + 1]]``, as in a ``TrajectorySet``.
 
     Runs the coupling-table DP of all candidates at once, one anti-diagonal
     i + j = s at a time: cell (i, j) needs only diagonals s-1 and s-2, so
     memory is O(K * (n + M)) for K candidates of up to M points. Point
     distances use sqrt(dx*dx + dy*dy) and the recurrence only max and min,
-    so every result is the exact value of the row-by-row DP. a and each b are
-    taken unchecked as nonempty float64 (n, 2) arrays, such as the points of
-    a ``Trajectory``, which checks them.
+    so every result is the exact value of the row-by-row DP. All are taken
+    unchecked as nonempty float64 (n, 2) polylines, as a set checks them.
     """
-    lens = np.array([len(b) for b in bs], dtype=np.int64)
+    lens = np.diff(bs.offsets)
     k = len(lens)
     if k == 0:
         return np.empty(0)
@@ -60,10 +59,8 @@ def frechet_dp(a: np.ndarray, bs: Sequence[np.ndarray]) -> np.ndarray:
     # candidates reversed, so diagonal s reads the contiguous columns
     # [m-1-s+i0, m-s+i1) for rows i0..i1; a short candidate is padded with
     # its last point, which only feeds columns past its own end
-    flat = np.concatenate(bs)
-    starts = np.cumsum(lens) - lens
-    idx = starts[:, None] + np.minimum(np.arange(m - 1, -1, -1), lens[:, None] - 1)
-    rx, ry = flat[idx, 0], flat[idx, 1]
+    idx = bs.offsets[:-1, None] + np.minimum(np.arange(m - 1, -1, -1), lens[:, None] - 1)
+    rx, ry = bs.points[idx, 0], bs.points[idx, 1]
     # column p = i + 1 holds row i; column 0 and unwritten cells stay inf
     diag = [np.full((k, n + 1), np.inf) for _ in range(3)]
     last = np.empty((k, m))  # row n-1 of the table
@@ -107,7 +104,7 @@ def kmeans(ts: TrajectorySet, k: int, r: int = DEFAULT_RESAMPLE,
     m = len(ts)
     if k <= 0 or k > m:
         raise ContractError(f"k must be in [1, {m}], got {k}")
-    x = resample_all(ts.trajectories, r).reshape(m, -1)
+    x = resample_all(ts, r).reshape(m, -1)
     centers = x[Pcg64(seed).permutation(m)[:k]]
     trace: List[float] = []
     for iterations in range(1, KMEANS_MAX_ITER + 1):
@@ -150,9 +147,7 @@ def fps(ts: TrajectorySet, count: int, seed: int = 0) -> SampleResult:
         raise ContractError(f"count must be in [1, {m}], got {count}")
     start = Pcg64(seed).integers(m)
 
-    pts = [t.points for t in ts.trajectories]
-    heads = np.array([p[0] for p in pts])
-    tails = np.array([p[-1] for p in pts])
+    heads, tails = ts.points[ts.offsets[:-1]], ts.points[ts.offsets[1:] - 1]
     selected = [start]
     min_dists: List[float] = []
     min_d = np.full(m, np.inf)
@@ -167,7 +162,7 @@ def fps(ts: TrajectorySet, count: int, seed: int = 0) -> SampleResult:
                                    dt[:, 0] * dt[:, 0] + dt[:, 1] * dt[:, 1]))
         todo = np.flatnonzero(bound < min_d)
         if len(todo):
-            dists = frechet_dp(pts[pick], [pts[k] for k in todo])
+            dists = frechet_dp(ts[pick].points, TrajectorySet.of([ts[k] for k in todo]))
             min_d[todo] = np.minimum(min_d[todo], dists)
         pick = int(min_d.argmax())
         min_dists.append(float(min_d[pick]))

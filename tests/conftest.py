@@ -1,4 +1,5 @@
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ def random_trajectory(rng, n_points=None, scale=10.0, tid="t"):
 
 
 def random_set(rng, m, **kw):
-    return TrajectorySet(tuple(random_trajectory(rng, tid=f"t{i}", **kw)
-                               for i in range(m)))
+    return TrajectorySet.of(random_trajectory(rng, tid=f"t{i}", **kw)
+                            for i in range(m))
+
+
+def packed(arrays):
+    """(n, 2) arrays laid end to end as frechet_dp reads its candidates,
+    ``points`` and ``offsets``; unchecked, so a candidate may hold one point."""
+    points = np.concatenate(arrays) if len(arrays) else np.empty((0, 2))
+    return SimpleNamespace(points=points, offsets=np.cumsum([0] + [len(b) for b in arrays]))
 
 
 # Point arrays core._as_points refuses, so every public function taking raw

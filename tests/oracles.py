@@ -5,7 +5,6 @@ dense sampling. None of it shares code with the library implementations.
 """
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -336,7 +335,7 @@ def smooth_by_point_loop(t: Trajectory, window: int) -> Trajectory:
     for i in range(n):
         r = min(radius, i, n - 1 - i)
         out[i] = pts[i - r:i + r + 1].mean(axis=0)
-    return replace(t, points=out)
+    return t._replace(points=out)
 
 
 def resample(t: Trajectory, r: int = DEFAULT_RESAMPLE) -> np.ndarray:

@@ -21,7 +21,7 @@ from trajprior.metrics import ae_dist, ae_type, iou, prior_iou, \
 from trajprior.raster import heatmap_to_feature, rasterize_trajectories
 from trajprior.selection import KMEANS_MAX_ITER, fps, frechet_dp, kmeans, resample_all
 
-from conftest import random_set, random_trajectory
+from conftest import packed, random_set, random_trajectory
 from oracles import (best_two_partition, chamfer_mean_bruteforce,
                      fps_by_full_matrix, frechet_by_enumeration,
                      seed_of_each_start, sign_test_p_value)
@@ -38,7 +38,7 @@ def test_criterion_1_frechet_oracle_equivalence():
     for _ in range(200):
         a = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
         b = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
-        got = frechet_dp(a, [b])[0]
+        got = frechet_dp(a, packed([b]))[0]
         want = frechet_by_enumeration(a, b)
         if got != want:
             report(1, False, f"{got} != {want}")
@@ -52,8 +52,8 @@ def test_criterion_2_frechet_metric_axioms():
     trajs = [random_trajectory(rng, tid=f"t{i}").points for i in range(25)]
     for i, a in enumerate(trajs):
         for b in trajs:
-            dab = frechet_dp(a, [b])[0]
-            assert dab == frechet_dp(b, [a])[0]
+            dab = frechet_dp(a, packed([b]))[0]
+            assert dab == frechet_dp(b, packed([a]))[0]
             if np.array_equal(a, b):
                 assert dab == 0.0
             else:
@@ -61,9 +61,9 @@ def test_criterion_2_frechet_metric_axioms():
     worst_slack = 0.0
     for _ in range(1000):
         i, j, k = rng.integers(0, 25, 3)
-        slack = (frechet_dp(trajs[i], [trajs[k]])[0]
-                 - frechet_dp(trajs[i], [trajs[j]])[0]
-                 - frechet_dp(trajs[j], [trajs[k]])[0])
+        slack = (frechet_dp(trajs[i], packed([trajs[k]]))[0]
+                 - frechet_dp(trajs[i], packed([trajs[j]]))[0]
+                 - frechet_dp(trajs[j], packed([trajs[k]]))[0])
         worst_slack = max(worst_slack, slack)
     report(2, worst_slack <= 1e-9,
            f"(symmetry/zero exact; triangle worst slack {worst_slack:.2e})")
@@ -94,9 +94,10 @@ def test_criterion_3_kmeans_contract():
             base = np.array([[cx - 2, 0.0], [cx, 0.0], [cx + 2, 0.0]])
             bundle.append(Trajectory(f"b{ci}{j}",
                                      base + rng.normal(0, 0.3, base.shape)))
-    tiny = TrajectorySet(tuple(bundle))
+    tiny = TrajectorySet.of(bundle)
     res6 = kmeans(tiny, 2, r=6, seed=0)
-    x = np.stack([resample_all([t], 6)[0].ravel() for t in tiny.trajectories])
+    x = np.stack([resample_all(TrajectorySet.of([t]), 6)[0].ravel()
+                  for t in tiny.trajectories])
     want_labels, want_inertia = best_two_partition(x)
     match = (np.array_equal(res6.assignment == res6.assignment[0],
                             want_labels == want_labels[0])
@@ -112,7 +113,7 @@ def test_criterion_4_fps_oracle():
     for trial in range(8):
         m = int(rng.integers(3, 9))
         ts = random_set(rng, m)
-        matrix = [[frechet_dp(a.points, [b.points])[0] for b in ts.trajectories]
+        matrix = [[frechet_dp(a.points, packed([b.points]))[0] for b in ts.trajectories]
                   for a in ts.trajectories]
         seeds = seed_of_each_start(m)
         if sorted(seeds) != list(range(m)):
@@ -137,15 +138,15 @@ def test_criterion_5_heatmap_invariants():
         assert np.all(hm.direction > -math.pi / 2)
         assert np.all(hm.direction <= math.pi / 2)
         if scene % 10 == 0:  # permutation / reversal on a subsample
-            perm = TrajectorySet(
+            perm = TrajectorySet.of(
                 tuple(ts.trajectories[i] for i in rng.permutation(len(ts))),
                 ts.frame_id, ts.centerline_count)
             hp = rasterize_trajectories(perm, spec)
             assert np.array_equal(hm.density, hp.density)
             assert np.array_equal(hm.direction, hp.direction)
-            rev = TrajectorySet(tuple(Trajectory(t.id, t.points[::-1])
-                                      for t in ts.trajectories),
-                                ts.frame_id, ts.centerline_count)
+            rev = TrajectorySet.of(tuple(Trajectory(t.id, t.points[::-1])
+                                         for t in ts.trajectories),
+                                   ts.frame_id, ts.centerline_count)
             hr = rasterize_trajectories(rev, spec)
             assert np.array_equal(hm.count, hr.count)
             assert np.allclose(hm.direction, hr.direction, atol=1e-12)
@@ -261,7 +262,7 @@ def test_criterion_10_end_to_end_pipeline(tmp_path):
         for sigma in sigmas:
             ts, centerlines = synth_scene(seed, 3, 6, sigma)
             ts = smooth_set(filter_by_length(ts, 5.0), 5)
-            ious[sigma].append(prior_iou(ts.trajectories, centerlines, spec))
+            ious[sigma].append(prior_iou(ts, centerlines, spec))
     means = [float(np.mean(ious[s])) for s in sigmas]
     decreasing = means[0] > means[1] > means[2]
     p_values = []

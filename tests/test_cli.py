@@ -6,14 +6,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trajprior import cli, fusion, ingest, metrics, selection, tensorio
 from trajprior.cli import main
-from trajprior.core import MAX_SAMPLES, FeatureMap, GridSpec
+from trajprior.core import MAX_SAMPLES, FeatureMap, GridSpec, TrajectorySet
 from trajprior.raster import heatmap_to_feature
 
 
@@ -163,8 +162,9 @@ class TestClusterSample:
     def test_sample_tokens_are_the_resampled_picks(self, scene, tmp_path):
         ts = ingest.parse_trajectories((scene / "trajectories.jsonl").read_text())
         labelled = tmp_path / "labelled.jsonl"
-        labelled.write_text(ingest.serialize_trajectories(replace(ts, trajectories=tuple(
-            replace(t, label=f"type{i % 3}") for i, t in enumerate(ts.trajectories)))))
+        labelled.write_text(ingest.serialize_trajectories(TrajectorySet.of(
+            (t._replace(label=f"type{i % 3}") for i, t in enumerate(ts.trajectories)),
+            ts.frame_id, ts.centerline_count)))
         out, tokens = tmp_path / "s.json", tmp_path / "tokens.jsonl"
         assert run("sample", "--input", labelled, "--count", 4, "--seed", 2,
                    "--resample", 9, "--out", out, "--queries-out", tokens) == 0
@@ -173,7 +173,7 @@ class TestClusterSample:
                   for i in json.loads(out.read_text())["indices"]]
         assert [(t.id, t.label) for t in got] == [(t.id, t.label) for t in picked]
         assert np.stack([t.points for t in got]).tobytes() == \
-            selection.resample_all(picked, 9).tobytes()
+            selection.resample_all(TrajectorySet.of(picked), 9).tobytes()
 
 
 def read_tokens(path, scene, tmp_path):
@@ -542,7 +542,7 @@ def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
         argv = ["ingest", "--input", bad]
     assert run(*argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert f"line {line}:" in err and "Traceback" not in err
+    assert f"line {line}: {bad}: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,header", [

@@ -6,7 +6,8 @@ import pytest
 
 from trajprior import core
 from trajprior.core import (MAX_CELLS, MAX_COORD, ContractError, GridSpec, Trajectory,
-                           _segment_lengths, fold_axial)
+                           TrajectorySet, _segment_lengths, fold_axial)
+from trajprior.ingest import filter_by_length
 from trajprior.metrics import sample_polyline_points
 from trajprior.selection import resample_all
 
@@ -60,25 +61,35 @@ class TestFoldAxial:
                 fold_axial(angle), abs=1e-12)
 
 
+def one(tid, points):
+    return TrajectorySet.of([Trajectory(tid, points)])
+
+
+def kept_at(ts, length):
+    """True iff the length filter keeps the one polyline of ts at length."""
+    return len(filter_by_length(ts, length)) == 1
+
+
 class TestTrajectory:
     def test_too_short_rejected(self):
         with pytest.raises(ContractError):
-            Trajectory("x", [[0.0, 0.0]])
+            one("x", [[0.0, 0.0]])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
-            Trajectory("x", [[0.0, 0.0], [float("nan"), 1.0]])
+            one("x", [[0.0, 0.0], [float("nan"), 1.0]])
 
     def test_coordinates_bounded(self):
-        edge = Trajectory("e", [[-MAX_COORD, 0.0], [0.0, MAX_COORD]])
-        assert edge.arc_length == pytest.approx(MAX_COORD * math.sqrt(2.0))
+        edge = one("e", [[-MAX_COORD, 0.0], [0.0, MAX_COORD]])
+        length = MAX_COORD * math.sqrt(2.0)
+        assert kept_at(edge, length * (1 - 1e-6)) and not kept_at(edge, length * (1 + 1e-6))
         for bad in (np.nextafter(MAX_COORD, np.inf), -1e308, float("inf")):
             with pytest.raises(ContractError, match="MAX_COORD"):
-                Trajectory("x", [[0.0, 0.0], [1.0, bad]])
+                one("x", [[0.0, 0.0], [1.0, bad]])
 
     def test_arc_length(self):
-        t = Trajectory("L", [[0, 0], [1, 0], [1, 1]])
-        assert t.arc_length == pytest.approx(2.0)
+        t = one("L", [[0, 0], [1, 0], [1, 1]])
+        assert kept_at(t, 2.0 * (1 - 1e-6)) and not kept_at(t, 2.0 * (1 + 1e-6))
 
     def test_segment_lengths_match_linalg_norm(self):
         """Segments 1e-160 to 1e7 m long, log-uniform, in every direction:
@@ -90,7 +101,9 @@ class TestTrajectory:
         pts[1::2] = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
         want = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert _segment_lengths(pts).tobytes() == want.tobytes()
-        assert Trajectory("s", pts).arc_length == float(want.sum())
+        ts = one("s", pts)
+        assert kept_at(ts, float(want.sum()))
+        assert not kept_at(ts, np.nextafter(want.sum(), np.inf))
 
 
 def random_polylines(rng, count):
@@ -112,7 +125,7 @@ class TestSampleArcLength:
     """`resample_all` and `sample_polyline_points` share one sampler; both
     match the per-polyline loops they replaced byte for byte."""
 
-    POLYLINES = [
+    POLYLINES = TrajectorySet.of([
         Trajectory("two", [[1.5, -2.0], [4.0, 3.25]]),
         Trajectory("zero", [[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]]),
         Trajectory("signed", [[-0.0, 0.0], [3.0, -0.0], [3.0, 4.0], [-0.0, -0.0]]),
@@ -124,7 +137,7 @@ class TestSampleArcLength:
         # so np.linspace's step == 0 branch, which needs a length below
         # (n - 1) * 5e-324, is out of reach and the sampler leaves it out
         Trajectory("tiny", [[0.0, 0.0], [2e-162, 0.0]]),
-    ] + random_polylines(np.random.default_rng(7), 12)
+    ] + random_polylines(np.random.default_rng(7), 12))
 
     @pytest.mark.parametrize("r", [2, 7, 20])
     def test_resample_all_matches_loop(self, r):
@@ -137,21 +150,22 @@ class TestSampleArcLength:
         assert sample_polyline_points(self.POLYLINES, step).tobytes() == want.tobytes()
 
     def test_empty_resample_all(self):
-        got = resample_all([], 7)
+        got = resample_all(TrajectorySet.of(()), 7)
         assert got.shape == (0, 7, 2) and got.tobytes() == b""
         with pytest.raises(ContractError, match="no polylines to sample"):
-            sample_polyline_points([], 0.5)
+            sample_polyline_points(TrajectorySet.of(()), 0.5)
 
     def test_underflowing_lead_segment_pins_start(self):
         # the first segment's norm underflows to 0, so np.interp at arc length
         # 0 reads the second point; the loop of eval returned it, the sampler
         # pins the start, as resample did
-        t = Trajectory("d", [[0.0, 0.0], [5e-324, 0.0], [4.0, 0.0]])
+        ts = one("d", [[0.0, 0.0], [5e-324, 0.0], [4.0, 0.0]])
+        (t,) = ts
         start = np.array([0.0, 0.0]).tobytes()
-        assert resample_all([t], 5)[0, 0].tobytes() == start
+        assert resample_all(ts, 5)[0, 0].tobytes() == start
         assert oracles.resample(t, 5)[0].tobytes() == start
-        assert sample_polyline_points([t], 0.5)[0].tobytes() == start
-        assert oracles.sample_polyline_points([t], 0.5)[0].tobytes() == \
+        assert sample_polyline_points(ts, 0.5)[0].tobytes() == start
+        assert oracles.sample_polyline_points(ts, 0.5)[0].tobytes() == \
             np.array([5e-324, 0.0]).tobytes()
 
     def test_oversized_request_refused_before_interpolating(self, monkeypatch):
@@ -162,6 +176,6 @@ class TestSampleArcLength:
         far = Trajectory("f", [[-1e7, 0.0], [1e7, 0.0]])
         with pytest.raises(ContractError, match="sampling at step 0.001 needs more "
                                                 "than MAX_SAMPLES="):
-            sample_polyline_points([ten, far], step=1e-3)
+            sample_polyline_points(TrajectorySet.of([ten, far]), step=1e-3)
         assert calls == []
 

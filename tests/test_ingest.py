@@ -74,7 +74,7 @@ class TestParse:
         text = (fixtures_dir / "straight3.csv").read_text()
         ts = parse_trajectories(text)
         assert len(ts) == 3
-        assert all(len(t) == 10 for t in ts.trajectories)
+        assert all(len(t.points) == 10 for t in ts.trajectories)
 
     def test_roundtrip_jsonl_fixed_point(self):
         text = make_jsonl([
@@ -160,7 +160,7 @@ class TestFilterByLength:
         assert len(out) == len(ts)
 
     def test_short_trajectory_removed(self):
-        ts = TrajectorySet((Trajectory("s", [[0, 0], [3, 0]]),))
+        ts = TrajectorySet.of([Trajectory("s", [[0, 0], [3, 0]])])
         assert len(filter_by_length(ts, 5.0)) == 0
 
     def test_mixed_fixture(self, fixtures_dir):
@@ -168,6 +168,22 @@ class TestFilterByLength:
         out = filter_by_length(ts, 5.0)
         assert len(out) == 2
         assert [t.id for t in out.trajectories] == ["len6", "len10"]
+
+    def test_threshold_is_the_pairwise_sum(self):
+        """A trajectory is as long as np.sum of its segment norms, a pairwise
+        sum. A left-to-right sum, such as np.add.reduceat's or np.cumsum's,
+        differs from it in the last bit for most polylines of 2 to 60 points,
+        and would move which trajectories the threshold keeps."""
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            pts = rng.normal(0.0, 10.0, (int(rng.integers(2, 61)), 2))
+            norms = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+            if norms.sum() != np.cumsum(norms)[-1]:
+                break
+        assert norms.sum() != np.cumsum(norms)[-1]
+        ts = TrajectorySet.of([Trajectory("t", pts)])
+        assert len(filter_by_length(ts, float(norms.sum()))) == 1
+        assert len(filter_by_length(ts, float(np.nextafter(norms.sum(), np.inf)))) == 0
 
     def test_idempotent(self, fixtures_dir):
         ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text())
@@ -178,14 +194,13 @@ class TestFilterByLength:
 
 def smooth_one(t, window):
     """smooth_set on the one-trajectory set of t."""
-    return smooth_set(TrajectorySet((t,)), window).trajectories[0]
+    return smooth_set(TrajectorySet.of([t]), window).trajectories[0]
 
 
 class TestSmooth:
     def test_window_one_is_identity(self):
-        t = Trajectory("a", [[0, 0], [1, 5], [2, -3]])
-        out = smooth_one(t, 1)
-        assert out is t
+        ts = TrajectorySet.of([Trajectory("a", [[0, 0], [1, 5], [2, -3]])])
+        assert smooth_set(ts, 1) is ts
 
     def test_window_three_midpoint(self):
         t = Trajectory("a", [[0, 0], [1, 1], [2, 0]])
@@ -206,12 +221,12 @@ class TestSmooth:
             n = int(rng.integers(2, 30))
             t = Trajectory("a", rng.normal(0, 100, (n, 2)))
             out = smooth_one(t, 5)
-            assert len(out) == n
+            assert len(out.points) == n
             assert np.all(np.isfinite(out.points))
 
     def test_even_window_rejected(self):
         with pytest.raises(ContractError):
-            smooth_set(TrajectorySet(()), 4)
+            smooth_set(TrajectorySet.of(()), 4)
 
 
 def labelled_set(rng, lengths):
@@ -221,7 +236,7 @@ def labelled_set(rng, lengths):
         pts = rng.normal(0.0, 50.0, (n, 2))
         pts[rng.random((n, 2)) < 0.1] = -0.0
         trajs.append(Trajectory(f"t{i}", pts, label=["x", i, None][i % 3]))
-    return TrajectorySet(tuple(trajs), "f", 3)
+    return TrajectorySet.of(trajs, "f", 3)
 
 
 WINDOWS = list(range(1, 16, 2)) + [201, 10**20 + 1]
@@ -258,11 +273,10 @@ class TestSmoothMatchesPointLoop:
 
     def test_empty_set_and_window_one_keep_objects(self):
         for window in (1, 5):
-            out = smooth_set(TrajectorySet((), "f", 2), window)
+            out = smooth_set(TrajectorySet.of((), "f", 2), window)
             assert len(out) == 0 and (out.frame_id, out.centerline_count) == ("f", 2)
         ts = labelled_set(np.random.default_rng(3), [4, 9])
-        out = smooth_set(ts, 1)
-        assert all(a is b for a, b in zip(out.trajectories, ts.trajectories))
+        assert smooth_set(ts, 1) is ts
 
 
 def test_smooth_reached_once_through_module_attribute(monkeypatch, tmp_path):
@@ -272,7 +286,7 @@ def test_smooth_reached_once_through_module_attribute(monkeypatch, tmp_path):
     kernel = ingest.smooth
 
     def counting(*args):
-        calls.append(len(args[1]))
+        calls.append(len(args[1]) - 1)  # polylines, from the offsets
         return kernel(*args)
 
     monkeypatch.setattr(ingest, "smooth", counting)
@@ -291,7 +305,7 @@ class TestRetention:
         (51, 10, True), (50, 10, False), (0, 0, False)])
     def test_strict_inequality(self, m, centerlines, expected):
         trajs = tuple(Trajectory(f"t{i}", [[0, 0], [1, 0]]) for i in range(m))
-        ts = TrajectorySet(trajs, "f", centerlines)
+        ts = TrajectorySet.of(trajs, "f", centerlines)
         assert retention_check(ts) is expected
 
 

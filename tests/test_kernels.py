@@ -10,6 +10,7 @@ from trajprior.raster import rasterize_trajectories, traverse_cells
 from trajprior.selection import fps, frechet_dp
 
 import oracles
+from conftest import packed
 from oracles import cells_by_dense_sampling, fps_by_full_matrix, seed_of_each_start
 
 
@@ -107,8 +108,8 @@ def test_traverse_batch_matches_per_segment_oracle(monkeypatch):
 
     monkeypatch.setattr(raster, "traverse_cells", counting)
     spec = GridSpec()
-    assert_same_heatmap(rasterize_trajectories(TrajectorySet(tuple(trajs)), spec),
-                        trajs, spec)
+    ts = TrajectorySet.of(trajs)
+    assert_same_heatmap(rasterize_trajectories(ts, spec), ts, spec)
     assert len(calls) >= 2
 
 
@@ -121,11 +122,11 @@ def test_frechet_batch_bit_identical_to_oracle():
         bs = [rng.normal(0, 20, (int(rng.integers(1, 41)), 2))
               for _ in range(int(rng.integers(1, 6)))]
         bs += [a.copy(), np.repeat(a[-1:], 3, axis=0), a[::-1].copy()]
-        got = frechet_dp(a, bs)
+        got = frechet_dp(a, packed(bs))
         want = [oracles.frechet_dp(a, b) for b in bs]
         assert got.tolist() == want
-        assert frechet_dp(a, [bs[0]])[0] == want[0]
-    assert frechet_dp(a, []).shape == (0,)
+        assert frechet_dp(a, packed([bs[0]]))[0] == want[0]
+    assert frechet_dp(a, packed([])).shape == (0,)
 
 
 def test_fps_pruned_matches_full_matrix_every_start(monkeypatch):
@@ -136,8 +137,8 @@ def test_fps_pruned_matches_full_matrix_every_start(monkeypatch):
         x = np.linspace(0.0, 40.0, int(rng.integers(8, 20)))
         y = 3.5 * (i % 4) + rng.normal(0, 0.3, len(x))
         trajs.append(Trajectory(f"t{i}", np.column_stack([x, y])))
-    ts = TrajectorySet(tuple(trajs))
-    matrix = [[frechet_dp(a.points, [b.points])[0] for b in trajs] for a in trajs]
+    ts = TrajectorySet.of(trajs)
+    matrix = [[frechet_dp(a.points, packed([b.points]))[0] for b in trajs] for a in trajs]
     calls = []
 
     def counting(a, bs):
@@ -179,12 +180,12 @@ def test_rasterize_byte_identical_to_segment_loop_oracle():
             Trajectory("outside", [[100.0, 100.0], [120.0, 130.0]]),
             Trajectory("across", [[-1e4, -20.3], [1e4, 20.7]]),
         )
-        trajs = list(ts.trajectories) + list(extra)
+        trajs = TrajectorySet.of(list(ts.trajectories) + list(extra))
         for spec in (GridSpec(), GridSpec(-6.0, 6.0, -4.0, 5.0, 0.4, 0.7)):
-            hm = rasterize_trajectories(TrajectorySet(tuple(trajs)), spec)
+            hm = rasterize_trajectories(trajs, spec)
             assert_same_heatmap(hm, trajs, spec)
             perm = [trajs[i] for i in rng.permutation(len(trajs))]
-            again = rasterize_trajectories(TrajectorySet(tuple(perm)), spec)
+            again = rasterize_trajectories(TrajectorySet.of(perm), spec)
             assert again.direction.tobytes() == hm.direction.tobytes()
             assert again.count.tobytes() == hm.count.tobytes()
 
@@ -193,10 +194,10 @@ def test_rasterize_memory_bounded():
     # 78k segments: traversing them all at once peaks near 38 MB, in
     # chunks near 13 MB
     ts, _ = synth_scene(4, 8, 50, 0.5)
-    long = TrajectorySet(tuple(
+    long = TrajectorySet.of(
         Trajectory(t.id, np.repeat(t.points, 4, axis=0)
                    + np.linspace(0, 0.2, 4 * len(t.points))[:, None])
-        for t in ts.trajectories))
+        for t in ts.trajectories)
     tracemalloc.start()
     try:
         rasterize_trajectories(long, GridSpec())

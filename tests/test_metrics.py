@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajprior import core, metrics, raster
-from trajprior.core import MAX_COORD, ContractError, GridSpec, Trajectory
+from trajprior.core import MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet
 from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
                                sample_polyline_points)
@@ -63,7 +63,8 @@ def chamfer_cases():
     # partial coverage: trajectories of 2 of 6 lanes against all 6
     # centerlines; most centerline queries fall back to brute force
     ts, centerlines = synth_scene(1, 6, 2, 0.4)
-    covered = [t for t in ts.trajectories if t.id.startswith(("lane0_", "lane1_"))]
+    covered = TrajectorySet.of(t for t in ts.trajectories
+                               if t.id.startswith(("lane0_", "lane1_")))
     part = (sample_polyline_points(covered, 2.0), sample_polyline_points(centerlines, 2.0))
     cases += [part, part[::-1]]
     return cases
@@ -216,11 +217,11 @@ def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
     def results():
         hm = rasterize_trajectories(ts, spec)
         return ([ae_dist(a, b).hex() for a, b in chamfer_cases()],
-                rasterize_polylines(ts.trajectories, spec, 0.75).tobytes(),
+                rasterize_polylines(ts, spec, 0.75).tobytes(),
                 rasterize_polylines(centerlines, spec, 0.75).tobytes(),
                 hm.density.tobytes(), hm.direction.tobytes(), hm.count.tobytes(),
-                hm.n_max, sample_polyline_points(ts.trajectories, 0.5).tobytes(),
-                resample_all(ts.trajectories, 9).tobytes())
+                hm.n_max, sample_polyline_points(ts, 0.5).tobytes(),
+                resample_all(ts, 9).tobytes())
 
     want = results()
     monkeypatch.setattr(core if name == "CHUNK" else raster, name, value)
@@ -230,7 +231,7 @@ def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
 class TestPriorIou:
     def test_exact_trajectories_give_one(self):
         ts, centerlines = synth_scene(0, 3, 2, 0.0)
-        assert prior_iou(ts.trajectories, centerlines, GridSpec()) == 1.0
+        assert prior_iou(ts, centerlines, GridSpec()) == 1.0
 
     def test_noise_degrades(self):
         spec = GridSpec()
@@ -239,7 +240,7 @@ class TestPriorIou:
             ious = []
             for seed in range(5):
                 ts, centerlines = synth_scene(seed, 3, 5, sigma)
-                ious.append(prior_iou(ts.trajectories, centerlines, spec))
+                ious.append(prior_iou(ts, centerlines, spec))
             vals.append(np.mean(ious))
         assert vals[0] > vals[1]
         assert 0.0 < vals[1] < 1.0
@@ -248,14 +249,14 @@ class TestPriorIou:
 class TestSamplePolylines:
     def test_step_and_endpoints(self):
         poly = Trajectory("p", [[0.0, 0.0], [10.0, 0.0]])
-        pts = sample_polyline_points([poly], step=0.5)
+        pts = sample_polyline_points(TrajectorySet.of([poly]), step=0.5)
         assert len(pts) == 21
         assert np.allclose(pts[0], [0, 0]) and np.allclose(pts[-1], [10, 0])
 
     def test_sample_count_capped(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_SAMPLES", 21)
         ten = Trajectory("p", [[0.0, 0.0], [10.0, 0.0]])
-        assert len(sample_polyline_points([ten], step=0.5)) == 21
+        assert len(sample_polyline_points(TrajectorySet.of([ten]), step=0.5)) == 21
         point = Trajectory("q", [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ContractError, match="MAX_SAMPLES=21"):
-            sample_polyline_points([ten, point], step=0.5)
+            sample_polyline_points(TrajectorySet.of([ten, point]), step=0.5)

@@ -14,7 +14,7 @@ from oracles import polyline_mask_by_cell_loop
 
 
 def single_set(points, tid="t0"):
-    return TrajectorySet((Trajectory(tid, points),))
+    return TrajectorySet.of([Trajectory(tid, points)])
 
 
 class TestRasterizeTrajectories:
@@ -31,7 +31,7 @@ class TestRasterizeTrajectories:
     def test_two_identical_trajectories_normalize(self):
         spec = GridSpec()
         pts = [[-10, 0.1], [10, 0.1]]
-        ts = TrajectorySet((Trajectory("a", pts), Trajectory("b", pts)))
+        ts = TrajectorySet.of((Trajectory("a", pts), Trajectory("b", pts)))
         hm = rasterize_trajectories(ts, spec)
         hit = hm.count > 0
         assert hm.n_max == 2
@@ -57,7 +57,7 @@ class TestRasterizeTrajectories:
         assert down.direction.tobytes() == up.direction.tobytes()
 
     def test_empty_set_sentinel(self):
-        hm = rasterize_trajectories(TrajectorySet(()), GridSpec())
+        hm = rasterize_trajectories(TrajectorySet.of(()), GridSpec())
         assert hm.n_max == 1
         assert not hm.count.any()
         assert not hm.density.any()
@@ -70,8 +70,8 @@ class TestRasterizeTrajectories:
         ts, _ = synth_scene(5, 3, 4, 0.4)
         spec = GridSpec()
         fwd = rasterize_trajectories(ts, spec)
-        perm = TrajectorySet(tuple(reversed(ts.trajectories)),
-                             ts.frame_id, ts.centerline_count)
+        perm = TrajectorySet.of(tuple(reversed(ts.trajectories)),
+                                ts.frame_id, ts.centerline_count)
         back = rasterize_trajectories(perm, spec)
         assert np.array_equal(fwd.count, back.count)
         assert np.array_equal(fwd.density, back.density)
@@ -81,9 +81,9 @@ class TestRasterizeTrajectories:
         ts, _ = synth_scene(6, 2, 3, 0.3)
         spec = GridSpec()
         fwd = rasterize_trajectories(ts, spec)
-        rev = TrajectorySet(tuple(Trajectory(t.id, t.points[::-1])
-                                  for t in ts.trajectories),
-                            ts.frame_id, ts.centerline_count)
+        rev = TrajectorySet.of(tuple(Trajectory(t.id, t.points[::-1])
+                                     for t in ts.trajectories),
+                               ts.frame_id, ts.centerline_count)
         back = rasterize_trajectories(rev, spec)
         assert np.array_equal(fwd.count, back.count)
         assert np.allclose(fwd.direction, back.direction, atol=1e-12)
@@ -103,14 +103,14 @@ class TestRasterizeTrajectories:
 
 class TestRasterizeCenterlines:
     def test_empty_map(self):
-        mask = rasterize_polylines((), GridSpec(), 0.75)
+        mask = rasterize_polylines(TrajectorySet.of(()), GridSpec(), 0.75)
         assert not mask.any()
 
     def test_width_cutoff_single_row(self):
         # horizontal line through cell centers: own row in, neighbors out
         spec = GridSpec(0, 5, 0, 5, 0.5, 0.5)
         y_line = 2.25  # center of row 4
-        centerlines = (Trajectory("c", [[0.0, y_line], [5.0, y_line]]),)
+        centerlines = TrajectorySet.of([Trajectory("c", [[0.0, y_line], [5.0, y_line]])])
         mask = rasterize_polylines(centerlines, spec, width_m=0.75)
         rows = set(np.nonzero(mask)[0])
         assert rows == {4}  # adjacent centers at 0.5 m > 0.375 m
@@ -161,6 +161,7 @@ class TestRasterizeCenterlines:
                 for y in (ys[i] - r, ys[i] + r):
                     cases.append((spec, [Trajectory("h", [[xs[2], y], [xs[3], y]])], width))
         for spec, polys, width in cases:
+            polys = TrajectorySet.of(polys)
             got = rasterize_polylines(polys, spec, width)
             want = polyline_mask_by_cell_loop([p.points for p in polys], spec, width)
             assert np.array_equal(got, want), (spec, [p.points for p in polys], width)
@@ -175,14 +176,14 @@ class TestRasterizeCenterlines:
         segments = sum(len(t.points) - 1 for t in ts.trajectories)
         tracemalloc.start()
         try:
-            rasterize_polylines(ts.trajectories, GridSpec(), 0.75)
+            rasterize_polylines(ts, GridSpec(), 0.75)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 8 * segments + 24 * 8 * core.CHUNK
 
     def test_nonfinite_width_rejected(self):
-        line = (Trajectory("c", [[0.0, 0.0], [1.0, 0.0]]),)
+        line = TrajectorySet.of([Trajectory("c", [[0.0, 0.0], [1.0, 0.0]])])
         for width in (0.0, float("nan"), float("inf")):
             with pytest.raises(ContractError):
                 rasterize_polylines(line, GridSpec(), width)
@@ -190,7 +191,7 @@ class TestRasterizeCenterlines:
 
 class TestHeatmapToFeature:
     def test_zero_heatmap(self):
-        hm = rasterize_trajectories(TrajectorySet(()), GridSpec())
+        hm = rasterize_trajectories(TrajectorySet.of(()), GridSpec())
         fm = heatmap_to_feature(hm)
         assert fm.channels == 2
         assert not fm.data.any()
@@ -205,7 +206,7 @@ class TestHeatmapToFeature:
 
     def test_linear_scaling_values(self):
         spec = GridSpec(0, 1, 0, 1, 1.0, 1.0)
-        hm = rasterize_trajectories(TrajectorySet(()), spec)
+        hm = rasterize_trajectories(TrajectorySet.of(()), spec)
         object.__setattr__(hm, "density", np.array([[0.5]]))
         object.__setattr__(hm, "direction", np.array([[-math.pi / 4]]))
         fm = heatmap_to_feature(hm)

@@ -8,67 +8,67 @@ from trajprior.core import ContractError, Pcg64, Trajectory, TrajectorySet
 from trajprior import core, selection
 from trajprior.selection import fps, frechet_dp, kmeans, resample_all
 
-from conftest import random_set, random_trajectory
+from conftest import packed, random_set, random_trajectory
 from oracles import (best_two_partition, fps_by_full_matrix, frechet_by_enumeration,
                      seed_of_each_start)
 
 
 class TestResample:
     def test_uniform_on_segment(self):
-        r = resample_all([Trajectory("t", [[0, 0], [1, 0]])], 3)[0]
+        r = resample_all(TrajectorySet.of([Trajectory("t", [[0, 0], [1, 0]])]), 3)[0]
         assert np.allclose(r, [[0, 0], [0.5, 0], [1, 0]])
 
     def test_r2_keeps_endpoints(self):
         t = Trajectory("t", [[0, 0], [3, 1], [5, -2]])
-        r = resample_all([t], 2)[0]
+        r = resample_all(TrajectorySet.of([t]), 2)[0]
         assert np.array_equal(r, [t.points[0], t.points[-1]])
 
     def test_l_shape_midpoint_at_corner(self):
-        r = resample_all([Trajectory("t", [[0, 0], [1, 0], [1, 1]])], 3)[0]
+        r = resample_all(TrajectorySet.of([Trajectory("t", [[0, 0], [1, 0], [1, 1]])]), 3)[0]
         assert np.allclose(r[1], [1, 0])
 
     def test_zero_length_collapses(self):
-        r = resample_all([Trajectory("t", [[2, 3], [2, 3]])], 5)[0]
+        r = resample_all(TrajectorySet.of([Trajectory("t", [[2, 3], [2, 3]])]), 5)[0]
         assert np.all(r == [2, 3])
 
     def test_endpoints_and_monotone_arc_length(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             t = random_trajectory(rng, n_points=int(rng.integers(2, 12)))
-            r = resample_all([t], 20)[0]
+            r = resample_all(TrajectorySet.of([t]), 20)[0]
             assert np.allclose(r[0], t.points[0], atol=1e-9)
             assert np.allclose(r[-1], t.points[-1], atol=1e-9)
 
 
 class TestFrechet:
     def test_identical_zero(self):
-        t = Trajectory("t", [[0, 0], [1, 2], [3, 3]])
-        assert frechet_dp(t.points, [t.points])[0] == 0.0
+        t = Trajectory("t", np.array([[0, 0], [1, 2], [3, 3]], float))
+        assert frechet_dp(t.points, packed([t.points]))[0] == 0.0
 
     def test_parallel_offset(self):
-        a = Trajectory("a", [[0, 0], [5, 0]])
-        b = Trajectory("b", [[0, 1], [5, 1]])
-        assert frechet_dp(a.points, [b.points])[0] == pytest.approx(1.0)
+        a = Trajectory("a", np.array([[0, 0], [5, 0]], float))
+        b = Trajectory("b", np.array([[0, 1], [5, 1]], float))
+        assert frechet_dp(a.points, packed([b.points]))[0] == pytest.approx(1.0)
 
     def test_small_instance_matches_enumeration(self):
         a = np.array([[0, 0], [4, 0]], float)
         b = np.array([[0, 1], [2, 3], [4, 1]], float)
-        assert frechet_dp(a, [b])[0] == frechet_by_enumeration(a, b)
+        assert frechet_dp(a, packed([b]))[0] == frechet_by_enumeration(a, b)
 
     def test_random_instances_match_enumeration(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             a = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
             b = rng.normal(0, 10, (int(rng.integers(1, 7)), 2))
-            assert frechet_dp(a, [b])[0] == frechet_by_enumeration(a, b)
+            assert frechet_dp(a, packed([b]))[0] == frechet_by_enumeration(a, b)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(7)
         trajs = [random_trajectory(rng, tid=f"t{i}").points for i in range(12)]
         for a in trajs:
             for b in trajs:
-                dab = frechet_dp(a, [b])[0]
-                assert dab == frechet_dp(b, [a])[0]
+                dab = frechet_dp(a, packed([b]))[0]
+                assert dab == frechet_dp(b, packed([a]))[0]
                 assert dab >= 0.0
                 if np.array_equal(a, b):
                     assert dab == 0.0
@@ -76,9 +76,9 @@ class TestFrechet:
                     assert dab > 0.0 or np.array_equal(a, b)
         for _ in range(200):
             i, j, k = rng.integers(0, 12, 3)
-            assert (frechet_dp(trajs[i], [trajs[k]])[0] <=
-                    frechet_dp(trajs[i], [trajs[j]])[0] +
-                    frechet_dp(trajs[j], [trajs[k]])[0] + 1e-9)
+            assert (frechet_dp(trajs[i], packed([trajs[k]]))[0] <=
+                    frechet_dp(trajs[i], packed([trajs[j]]))[0] +
+                    frechet_dp(trajs[j], packed([trajs[k]]))[0] + 1e-9)
 
     def test_bounds(self):
         rng = np.random.default_rng(8)
@@ -86,7 +86,7 @@ class TestFrechet:
             n = int(rng.integers(2, 10))
             a = rng.normal(0, 10, (n, 2))
             b = rng.normal(0, 10, (n, 2))
-            d = frechet_dp(a, [b])[0]
+            d = frechet_dp(a, packed([b]))[0]
             identity_bound = float(np.linalg.norm(a - b, axis=1).max())
             assert d <= identity_bound + 1e-12
             # never below the symmetric nearest-neighbor (Chamfer-style) max
@@ -103,7 +103,7 @@ class TestKmeans:
                 base = np.array([[cx - 2, cy], [cx, cy], [cx + 2, cy]])
                 trajs.append(Trajectory(f"b{ci}_{j}",
                                         base + rng.normal(0, spread, base.shape)))
-        return TrajectorySet(tuple(trajs))
+        return TrajectorySet.of(trajs)
 
     def test_k_equals_m_zero_inertia(self):
         rng = np.random.default_rng(9)
@@ -124,7 +124,8 @@ class TestKmeans:
         rng = np.random.default_rng(11)
         ts = self.bundles(rng, [(0, 0), (30, 10)], per=3, spread=0.3)
         res = kmeans(ts, 2, r=6, seed=0)
-        x = np.stack([resample_all([t], 6)[0].ravel() for t in ts.trajectories])
+        x = np.stack([resample_all(TrajectorySet.of([t]), 6)[0].ravel()
+                      for t in ts.trajectories])
         want_labels, want_inertia = best_two_partition(x)
         got = res.assignment
         same = np.array_equal(got == got[0], want_labels == want_labels[0])
@@ -161,7 +162,7 @@ class TestKmeans:
 class TestFps:
     def triangle_set(self):
         # mutual Frechet distances roughly {d01=1, d02=10, d12=10}
-        return TrajectorySet((
+        return TrajectorySet.of((
             Trajectory("a", [[0, 0], [1, 0]]),
             Trajectory("b", [[0, 1], [1, 1]]),
             Trajectory("c", [[0, 10], [1, 10]]),
@@ -188,7 +189,7 @@ class TestFps:
         for _ in range(10):
             m = int(rng.integers(3, 9))
             ts = random_set(rng, m)
-            matrix = [[frechet_dp(a.points, [b.points])[0] for b in ts.trajectories]
+            matrix = [[frechet_dp(a.points, packed([b.points]))[0] for b in ts.trajectories]
                       for a in ts.trajectories]
             seeds = seed_of_each_start(m)
             assert sorted(seeds) == list(range(m))
@@ -203,8 +204,8 @@ class TestFps:
         ts = self.triangle_set()
         seed = seed_of_each_start(3)[0]
         res = fps(ts, 3, seed=seed)
-        perm = TrajectorySet((ts.trajectories[0], ts.trajectories[2],
-                              ts.trajectories[1]))
+        perm = TrajectorySet.of((ts.trajectories[0], ts.trajectories[2],
+                                 ts.trajectories[1]))
         res_p = fps(perm, 3, seed=seed)
         ids = [ts.trajectories[i].id for i in res.indices]
         ids_p = [perm.trajectories[i].id for i in res_p.indices]
@@ -217,12 +218,13 @@ class TestFps:
 
 def test_resample_all_stacks_and_caps(monkeypatch):
     ts = random_set(np.random.default_rng(17), 3)
-    got = resample_all(ts.trajectories, 7)
-    assert np.array_equal(got, np.stack([resample_all([t], 7)[0] for t in ts.trajectories]))
+    got = resample_all(ts, 7)
+    assert np.array_equal(got, np.stack([resample_all(TrajectorySet.of([t]), 7)[0]
+                                         for t in ts.trajectories]))
     monkeypatch.setattr(core, "MAX_SAMPLES", 20)
-    assert resample_all(ts.trajectories[:2], 10).shape == (2, 10, 2)
+    assert resample_all(TrajectorySet.of(ts.trajectories[:2]), 10).shape == (2, 10, 2)
     with pytest.raises(ContractError, match="resample count 7 for 3 trajectories"):
-        resample_all(ts.trajectories, 7)
+        resample_all(ts, 7)
 
 
 @pytest.mark.parametrize("r", [2 ** 62, 2 ** 63 - 1, 2 ** 63])
@@ -231,7 +233,7 @@ def test_resample_count_beyond_cap_refused_before_sampling(r, count, monkeypatch
     # numpy cannot even shape an empty set's (0, r, 2) result at these sizes
     calls = []
     monkeypatch.setattr(selection, "sample_arc_length", lambda *a: calls.append(a))
-    ts = [Trajectory("p", [[0.0, 0.0], [1.0, 0.0]])] * count
+    ts = TrajectorySet.of([Trajectory("p", [[0.0, 0.0], [1.0, 0.0]])] * count)
     with pytest.raises(ContractError, match=f"resample count {r} for {count} "):
         resample_all(ts, r)
     assert calls == []
