@@ -59,8 +59,9 @@ def _cell(text: str) -> tuple:
     return parts if len(parts) == 2 else parts * 2
 
 
-def _load_set(path, parse=ingest.parse_trajectories) -> TrajectorySet:
+def _load_set(path, parse=None) -> TrajectorySet:
     """``parse`` of a UTF-8 text input; its errors name the file and the line."""
+    parse = parse or ingest.parse_trajectories  # looked up per call, wrappers included
     try:
         # not read_text: its universal newlines would end a record at a lone "\r"
         return parse(Path(path).read_bytes().decode("utf-8"))

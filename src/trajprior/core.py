@@ -122,17 +122,17 @@ class Pcg64:
         return np.array([(self._next64() >> 11) * 2.0 ** -53 for _ in range(n)])
 
 
-def _as_points(points) -> np.ndarray:
+def _as_points(points, owner: str = "") -> np.ndarray:
     """The one check raw points pass: a finite float64 (n, 2) array with
-    |coordinate| <= MAX_COORD, else ContractError."""
+    |coordinate| <= MAX_COORD, else ContractError, its message led by ``owner``."""
     try:
         arr = np.asarray(points, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as e:
-        raise ContractError(f"points must be numbers: {e}") from e
+        raise ContractError(f"{owner}points must be numbers: {e}") from e
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ContractError(f"expected (n, 2) point array, got shape {arr.shape}")
+        raise ContractError(f"{owner}expected (n, 2) point array, got shape {arr.shape}")
     if not np.all(np.abs(arr) <= MAX_COORD):
-        raise ContractError(f"points must be finite with |coordinate| <= "
+        raise ContractError(f"{owner}points must be finite with |coordinate| <= "
                             f"MAX_COORD={MAX_COORD:g}")
     return arr
 
@@ -178,7 +178,12 @@ class TrajectorySet(Sequence):
            centerline_count: int = 0) -> "TrajectorySet":
         """The set of ``trajectories``, in order."""
         records = tuple(trajectories)
-        points = np.concatenate([t.points for t in records]) if records else np.empty((0, 2))
+        try:
+            points = np.concatenate([t.points for t in records]) if records else np.empty((0, 2))
+        except (TypeError, ValueError):  # name the first record of no (n, 2) array
+            for t in records:
+                _as_points(t.points, f"trajectory {t.id!r}: ")
+            raise
         return cls(points, np.cumsum([0] + [len(t.points) for t in records]),
                    tuple(t.id for t in records), tuple(t.label for t in records),
                    frame_id, centerline_count)
@@ -356,12 +361,12 @@ class GridSpec:
         return ys, xs
 
 
-def fold_axial(angle: float) -> float:
-    """Fold an angle mod pi into (-pi/2, pi/2] (orientation without heading)."""
-    folded = math.remainder(angle, math.pi)
-    if folded <= -math.pi / 2:
-        folded += math.pi
-    return folded
+def fold_axial(angle: np.ndarray) -> np.ndarray:
+    """Fold angles mod pi into (-pi/2, pi/2] (orientation without heading),
+    elementwise; ``np.fmod`` and each step of pi (Sterbenz's lemma) are exact."""
+    r = np.fmod(angle, math.pi)
+    r = np.where(r > math.pi / 2, r - math.pi, r)
+    return np.where(r <= -math.pi / 2, r + math.pi, r)
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,21 @@ checked boundary. `params` is a plain dict of the six parameter arrays keyed
 by stage argument, `w1, b1, w2, b2, weight, bias`; `_param_shapes` is the one
 place their shapes are written, and `fuse_pipeline` checks them once.
 
-`predict_offsets` is two 3x3 convolutions. `_conv3x3` copies x (..., H, W, C)
-once into a zeroed buffer with one row above, two below and one column
-either side, flattened to (..., (H+3)(W+2), C). Tap (i, j) is then the
-contiguous slice of H(W+2) rows starting at i(W+2)+j, so the convolution is
-nine BLAS matmuls of those slices with the tap's weights; the two columns of
-each output row that read across the row wrap are dropped. `_taps` lays the
-weights out as contiguous (..., 3, 3, C, O) matrices, so each matmul takes
-its right-hand side as is. `_conv3x3_grad` takes d_w from the same slices
-against a zero-padded upstream gradient, and d_x from `_conv3x3` with w
-turned 180 degrees and its channel axes swapped. No 3x3 patch tensor is
-built: a 9C-wide copy of every stacked input would multiply the memory of
-the finite-difference check.
-
-`warp` and `warp_grad` read each of the four bilinear neighbours with
-`_gather`, one `take` of whole channel rows from the flattened grids.
+One layout makes every read off the grid a zero: `_padded` copies x (...,
+H, W, C) into zeros with two rows and columns before it and three after,
+flattened to (..., (H+5)(W+5), C), so cell (r, c) is row (r+2)(W+5)+c+2 and
+a 3x3 tap or a clipped bilinear position reads the grid or a zero.
+`predict_offsets` is two 3x3 convolutions. In `_conv3x3`, tap (i, j) is the
+contiguous slice of H(W+5) rows from (i+1)(W+5)+j+1, so the convolution is
+nine BLAS matmuls of those slices with the tap's weights, laid out by `_taps`
+as contiguous (..., 3, 3, C, O) matrices; the five columns of each output row
+that cross the row wrap are dropped. `_conv3x3_grad` takes d_w from the same
+slices against the upstream gradient in the same layout, and d_x from
+`_conv3x3` with w turned 180 degrees and its channel axes swapped. No 3x3
+patch tensor is built: a 9C-wide copy of every stacked input would multiply
+the memory of the finite-difference check. `warp` and `warp_grad` get each
+position's top-left neighbour as a row `at` from `_bilinear`; neighbour
+(dr, dc) is row at + dr(W+5) + dc, read by one `take` of whole channel rows.
 
 `finite_difference_check` checks every stage argument on one fixed instance:
 a 5x6 grid, 3 channels, 4 hidden channels and step 1e-6, drawn uniform in
@@ -94,12 +94,12 @@ def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                            np.broadcast_to(b, batch + b.shape[-3:])], axis=-1)
 
 
-def _flat_padded(x: np.ndarray) -> np.ndarray:
-    """x (..., H, W, C) zero-padded by one row above, two below and one
-    column either side, flattened to (..., (H+3)(W+2), C)."""
+def _padded(x: np.ndarray) -> np.ndarray:
+    """x (..., H, W, C) in zeros with two rows and columns before it and three
+    after, flattened to (..., (H+5)(W+5), C): cell (r, c) is row (r+2)(W+5)+c+2."""
     h, w, c = x.shape[-3:]
-    xp = np.zeros(x.shape[:-3] + (h + 3, w + 2, c))
-    xp[..., 1:1 + h, 1:1 + w, :] = x
+    xp = np.zeros(x.shape[:-3] + (h + 5, w + 5, c))
+    xp[..., 2:2 + h, 2:2 + w, :] = x
     return xp.reshape(x.shape[:-3] + (-1, c))
 
 
@@ -110,35 +110,35 @@ def _taps(w: np.ndarray) -> np.ndarray:
 
 def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     h, wd = x.shape[-3:-1]
-    row = wd + 2
+    row = wd + 5
     n = h * row
-    flat = _flat_padded(x)
+    flat = _padded(x)
     taps = _taps(w)
     out = np.zeros(np.broadcast_shapes(x.shape[:-3], w.shape[:-4])
                    + (n, w.shape[-4]))
     term = np.empty_like(out)
     for i in range(3):
         for j in range(3):
-            s = i * row + j
+            s = (i + 1) * row + j + 1
             np.matmul(flat[..., s:s + n, :], taps[..., i, j, :, :], out=term)
             out += term
     del flat, term  # lowers the peak at the bias add
-    # output column wd and wd+1 of each row read across the row wrap: drop them
+    # output columns wd to wd+4 of each row read across the row wrap: drop them
     out = out.reshape(out.shape[:-2] + (h, row, -1))[..., :wd, :]
     return out + b[..., None, None, :]
 
 
 def _conv3x3_grad(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     h, wd, c = x.shape
-    row = wd + 2
+    row = wd + 5
     n = h * row
-    flat = _flat_padded(x)
-    # zero rows at the two wrap-around columns keep them out of d_w
-    d = np.pad(d_out, ((0, 0), (0, 2), (0, 0))).reshape(n, -1)
+    flat = _padded(x)
+    # d_out from its cell (0, 0) on: the wrap columns read zeros, out of d_w
+    d = _padded(d_out)[2 * row + 2:2 * row + 2 + n]
     d_w = np.empty_like(w)
     for i in range(3):
         for j in range(3):
-            s = i * row + j
+            s = (i + 1) * row + j + 1
             d_w[:, :, i, j] = d.T @ flat[s:s + n]
     d_x = _conv3x3(d_out, np.swapaxes(w[:, :, ::-1, ::-1], 0, 1), np.zeros(c))
     return d_x, d_w, d_out.sum(axis=(0, 1))
@@ -159,66 +159,54 @@ def predict_offsets_grad(bev, prior, w1, b1, w2, b2, upstream):
     return (*np.split(d_x, [bev.shape[-1]], axis=-1), d_w1, d_b1, d_w2, d_b2)
 
 
-def _gather(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """data[..., rows, cols, :]: each leading index reads its own grid."""
+def _bilinear(data: np.ndarray, off: np.ndarray):
+    """(flat, at, tr, tc) of sampling data (..., H, W, C) at (h + off_row,
+    w + off_col): data `_padded` over the leading axes of both, as (-1, C)
+    rows; each position's top-left neighbour as a row of it; its fractions."""
     h, w, c = data.shape[-3:]
-    batch = np.broadcast_shapes(data.shape[:-3], rows.shape[:-2])
-    flat = np.broadcast_to(data, batch + (h, w, c)).reshape(-1, c)
-    base = np.arange(flat.shape[0] // (h * w)).reshape(batch + (1, 1)) * (h * w)
-    return flat.take(base + rows * w + cols, axis=0)
-
-
-def _warp_terms(off: np.ndarray, h: int, w: int):
-    """Yield (weight, d_weight_d_row, d_weight_d_col, rows, cols, valid)
-    for the four bilinear neighbors of each sample position."""
-    # Positions past one cell beyond the border have no valid neighbor either
-    # way; clipping them keeps the int64 cast in range for any finite offset.
+    batch = np.broadcast_shapes(data.shape[:-3], off.shape[:-3])
+    flat = _padded(np.broadcast_to(data, batch + (h, w, c))).reshape(-1, c)
+    # Positions past one cell beyond the border read only zeros either way;
+    # clipping them keeps the int64 cast in range for any finite offset.
     rows = np.clip(np.arange(h)[:, None] + off[..., 0], -2, h + 1)
     cols = np.clip(np.arange(w)[None, :] + off[..., 1], -2, w + 1)
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    tr = rows - r0
-    tc = cols - c0
-    for dr in (0, 1):
-        for dc in (0, 1):
-            rr = r0 + dr
-            cc = c0 + dc
-            wr = tr if dr else 1.0 - tr
-            wc = tc if dc else 1.0 - tc
-            d_wr = 1.0 if dr else -1.0
-            d_wc = 1.0 if dc else -1.0
-            valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-            rrc = np.clip(rr, 0, h - 1)
-            ccc = np.clip(cc, 0, w - 1)
-            yield wr * wc, d_wr * wc, wr * d_wc, rrc, ccc, valid
+    r0, c0 = np.floor(rows), np.floor(cols)
+    base = np.arange(math.prod(batch)).reshape(batch + (1, 1)) * ((h + 5) * (w + 5))
+    at = base + (r0.astype(np.int64) + 2) * (w + 5) + c0.astype(np.int64) + 2
+    return flat, at, rows - r0, cols - c0
 
 
 def warp(data: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Bilinear resample of data (..., H, W, C) at (h + off_row, w + off_col)
     per cell; out-of-bounds neighbors contribute zero."""
-    h, w = data.shape[-3:-1]
-    out = np.zeros(np.broadcast_shapes(data.shape[:-3], off.shape[:-3])
-                   + data.shape[-3:])
-    for wgt, _, _, rr, cc, valid in _warp_terms(off, h, w):
-        out += (wgt * valid)[..., None] * _gather(data, rr, cc)
+    flat, at, tr, tc = _bilinear(data, off)
+    row = data.shape[-2] + 5
+    out = np.zeros(at.shape + data.shape[-1:])
+    for dr in (0, 1):
+        wr = tr if dr else 1.0 - tr
+        for dc in (0, 1):
+            wc = tc if dc else 1.0 - tc
+            out += (wr * wc)[..., None] * flat.take(at + dr * row + dc, axis=0)
     return out
 
 
 def warp_grad(data, off, upstream):
-    """Adjoint of warp: (d_data, d_off).
-
-    Exact away from integer offset crossings (where bilinear weights kink).
-    """
-    d_data = np.zeros_like(data)
-    d_off = np.zeros_like(off)
+    """Adjoint of warp: (d_data, d_off). Exact away from integer offset
+    crossings (where bilinear weights kink)."""
+    flat, at, tr, tc = _bilinear(data, off)
     h, w = data.shape[:2]
-    for wgt, dw_r, dw_c, rr, cc, valid in _warp_terms(off, h, w):
-        vals = _gather(data, rr, cc) * valid[:, :, None]
-        np.add.at(d_data, (rr, cc), (wgt * valid)[:, :, None] * upstream)
-        proj = (upstream * vals).sum(axis=2)
-        d_off[:, :, 0] += dw_r * proj
-        d_off[:, :, 1] += dw_c * proj
-    return d_data, d_off
+    d_flat = np.zeros_like(flat)
+    d_off = np.zeros_like(off)
+    for dr in (0, 1):
+        wr, d_wr = (tr, 1.0) if dr else (1.0 - tr, -1.0)
+        for dc in (0, 1):
+            wc, d_wc = (tc, 1.0) if dc else (1.0 - tc, -1.0)
+            near = at + dr * (w + 5) + dc
+            np.add.at(d_flat, near, (wr * wc)[:, :, None] * upstream)
+            proj = (upstream * flat.take(near, axis=0)).sum(axis=2)
+            d_off[:, :, 0] += (d_wr * wc) * proj
+            d_off[:, :, 1] += (wr * d_wc) * proj
+    return d_flat.reshape(h + 5, w + 5, -1)[2:2 + h, 2:2 + w], d_off
 
 
 def compute_logits(bev: np.ndarray, prior: np.ndarray, weight: np.ndarray,

@@ -125,8 +125,9 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
     density = count.astype(np.float64) / float(n_max)
     direction = np.zeros(h * w, dtype=np.float64)
     hit = np.flatnonzero(count)
-    direction[hit] = [fold_axial(math.atan2(y, x))
-                      for y, x in zip(sum_y[hit].tolist(), sum_x[hit].tolist())]
+    # math.atan2: np.arctan2 may round the angle differently
+    angle = map(math.atan2, sum_y[hit].tolist(), sum_x[hit].tolist())
+    direction[hit] = fold_axial(np.fromiter(angle, dtype=np.float64, count=len(hit)))
     return Heatmap(spec, density.reshape(h, w), direction.reshape(h, w),
                    count.reshape(h, w), n_max)
 

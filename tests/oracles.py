@@ -237,8 +237,8 @@ def rasterize_by_segment_loop(trajectories, spec):
     n_max = max(int(count.max()), 1)
     direction = np.zeros((h, w))
     for row, col in zip(*np.nonzero(count)):
-        angle = math.remainder(math.atan2(sum_y[row, col], sum_x[row, col]), math.pi)
-        direction[row, col] = angle + math.pi if angle <= -math.pi / 2 else angle
+        direction[row, col] = fold_axial_by_remainder(
+            math.atan2(sum_y[row, col], sum_x[row, col]))
     return count, count / float(n_max), direction
 
 
@@ -296,6 +296,60 @@ def gather_by_fancy_index(data, rows, cols):
     flat = np.broadcast_to(data, batch + (h, w, c)).reshape(-1, c)
     base = np.arange(flat.shape[0] // (h * w)).reshape(batch + (1, 1)) * (h * w)
     return flat[base + rows * w + cols]
+
+
+def _warp_terms_clipped(off, h, w):
+    """(weight, d_weight_d_row, d_weight_d_col, rows, cols, valid) of the four
+    bilinear neighbours of each position, in the order 00, 01, 10, 11, with
+    out-of-grid neighbours clipped onto the grid and masked out by valid."""
+    rows = np.clip(np.arange(h)[:, None] + off[..., 0], -2, h + 1)
+    cols = np.clip(np.arange(w)[None, :] + off[..., 1], -2, w + 1)
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    tr = rows - r0
+    tc = cols - c0
+    for dr in (0, 1):
+        for dc in (0, 1):
+            rr = r0 + dr
+            cc = c0 + dc
+            wr = tr if dr else 1.0 - tr
+            wc = tc if dc else 1.0 - tc
+            d_wr = 1.0 if dr else -1.0
+            d_wc = 1.0 if dc else -1.0
+            valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+            yield (wr * wc, d_wr * wc, wr * d_wc, np.clip(rr, 0, h - 1),
+                   np.clip(cc, 0, w - 1), valid)
+
+
+def warp_clip_and_mask(data, off):
+    """Bilinear warp of data (..., H, W, C), each neighbour read clipped onto
+    the grid by fancy index and weighted by weight * valid."""
+    h, w = data.shape[-3:-1]
+    out = np.zeros(np.broadcast_shapes(data.shape[:-3], off.shape[:-3])
+                   + data.shape[-3:])
+    for wgt, _, _, rr, cc, valid in _warp_terms_clipped(off, h, w):
+        out += (wgt * valid)[..., None] * gather_by_fancy_index(data, rr, cc)
+    return out
+
+
+def warp_grad_clip_and_mask(data, off, upstream):
+    """Adjoint of warp_clip_and_mask for one (H, W, C) instance: (d_data, d_off)."""
+    d_data = np.zeros_like(data)
+    d_off = np.zeros_like(off)
+    h, w = data.shape[:2]
+    for wgt, dw_r, dw_c, rr, cc, valid in _warp_terms_clipped(off, h, w):
+        vals = gather_by_fancy_index(data, rr, cc) * valid[:, :, None]
+        np.add.at(d_data, (rr, cc), (wgt * valid)[:, :, None] * upstream)
+        proj = (upstream * vals).sum(axis=2)
+        d_off[:, :, 0] += dw_r * proj
+        d_off[:, :, 1] += dw_c * proj
+    return d_data, d_off
+
+
+def fold_axial_by_remainder(angle):
+    """One angle mod pi in (-pi/2, pi/2] by math.remainder, then -pi/2 folded up."""
+    folded = math.remainder(angle, math.pi)
+    return folded + math.pi if folded <= -math.pi / 2 else folded
 
 
 def fd_grad_by_coordinate(f, x, step):

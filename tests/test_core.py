@@ -60,6 +60,20 @@ class TestFoldAxial:
             assert fold_axial(angle + math.pi) == pytest.approx(
                 fold_axial(angle), abs=1e-12)
 
+    def test_bits_of_remainder_fold(self):
+        """The array fold gives math.remainder's bits, signed zeros included,
+        at multiples of pi/2, huge and subnormal angles and their neighbours."""
+        pi = math.pi
+        edges = np.array([0.0, pi / 2, pi, 3 * pi / 2, 2 * pi, 1e300, 5e-324,
+                          2.2250738585072014e-308, 1e-300, 1.0, 1e16, math.atan2(1, -1)])
+        edges = np.concatenate([edges, -edges])
+        angles = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                 np.nextafter(edges, -np.inf),
+                                 np.random.default_rng(4).uniform(-10, 10, 2000)])
+        want = np.array([oracles.fold_axial_by_remainder(a) for a in angles.tolist()])
+        assert np.array_equal(fold_axial(angles).view(np.int64), want.view(np.int64))
+        assert str(fold_axial(-pi)) == "-0.0"
+
 
 def one(tid, points):
     return TrajectorySet.of([Trajectory(tid, points)])
@@ -74,6 +88,13 @@ class TestTrajectory:
     def test_too_short_rejected(self):
         with pytest.raises(ContractError):
             one("x", [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("points", [{"a": 1}, "xy", 3.0, [[0.0, 0.0], [1.0]]],
+                             ids=["dict", "string", "number", "ragged"])
+    def test_bad_points_named(self, points):
+        good = Trajectory("good", [[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ContractError, match="trajectory 'bad': "):
+            TrajectorySet.of([good, Trajectory("bad", points), Trajectory("also", points)])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):

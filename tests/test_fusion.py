@@ -17,7 +17,8 @@ from trajprior.fusion import (compute_logits, compute_logits_grad, confidence_fu
                               random_params, warp, warp_grad)
 
 from oracles import (conv3x3_grad_taps, conv3x3_sliding_window, conv3x3_taps,
-                     fd_grad_by_coordinate, gather_by_fancy_index)
+                     fd_grad_by_coordinate, gather_by_fancy_index, warp_clip_and_mask,
+                     warp_grad_clip_and_mask)
 
 SHAPE = (6, 7)
 
@@ -108,36 +109,59 @@ class TestWarpGrad:
 WARP_BATCHES = [((3,), ()), ((), (3,)), ((2, 1), (1, 3))]
 
 
+def bits(a):
+    """a's float64 bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def warp_offsets(rng, shape, kind):
+    """Offsets uniform in [-3, 3) ("near"), also beyond the grid on every side
+    ("clipped"), or in whole or half cells ("integer", "half")."""
+    if kind == "integer":
+        return rng.integers(-4, 5, shape).astype(np.float64)
+    if kind == "half":
+        return rng.integers(-8, 9, shape) / 2.0
+    off = rng.uniform(-3, 3, shape)
+    if kind == "clipped":
+        off[..., ::2, :, 0] = 1e100
+        off[..., 1::3, 1] = -1e100
+    return off
+
+
 class TestGather:
-    """`_gather` (`take` on the flattened grids) against the fancy-index
-    gather it replaced, bit for bit."""
+    """`warp` and `warp_grad` read every neighbour from one zero-padded grid.
+    They must equal, bit for bit and signed zeros included, the forms that
+    clipped each neighbour onto the grid, read it by fancy index and masked
+    it out (`oracles.warp_clip_and_mask`)."""
 
     @pytest.mark.parametrize("batches", WARP_BATCHES, ids=["data", "off", "both"])
     def test_gather_matches_fancy_index(self, batches):
+        """At whole-cell offsets the warp is a gather: the shifted cell, or
+        +0.0 off the grid."""
         rng = np.random.default_rng(31)
         data = rng.normal(0, 1, batches[0] + SHAPE + (3,))
-        rows = rng.integers(0, SHAPE[0], batches[1] + SHAPE)
-        cols = rng.integers(0, SHAPE[1], batches[1] + SHAPE)
-        assert np.array_equal(fusion._gather(data, rows, cols),
-                              gather_by_fancy_index(data, rows, cols))
+        shift = rng.integers(-3, 4, batches[1] + SHAPE + (2,))
+        rows = np.arange(SHAPE[0])[:, None] + shift[..., 0]
+        cols = np.arange(SHAPE[1]) + shift[..., 1]
+        inside = (rows >= 0) & (rows < SHAPE[0]) & (cols >= 0) & (cols < SHAPE[1])
+        cells = gather_by_fancy_index(data, np.clip(rows, 0, SHAPE[0] - 1),
+                                      np.clip(cols, 0, SHAPE[1] - 1))
+        want = np.where(inside[..., None], cells, 0.0)
+        assert np.array_equal(bits(warp(data, shift.astype(np.float64))), bits(want))
 
-    @pytest.mark.parametrize("far", [False, True], ids=["near", "clipped"])
+    @pytest.mark.parametrize("kind", ["near", "clipped", "integer", "half"])
     @pytest.mark.parametrize("batches", WARP_BATCHES, ids=["data", "off", "both"])
-    def test_warp_matches_fancy_index(self, batches, far, monkeypatch):
+    def test_warp_matches_fancy_index(self, batches, kind):
         rng = np.random.default_rng(32)
         data = rng.normal(0, 1, batches[0] + SHAPE + (3,))
-        off = rng.uniform(-3, 3, batches[1] + SHAPE + (2,))
-        if far:  # positions clipped beyond the grid on every side
-            off[..., ::2, :, 0] = 1e100
-            off[..., 1::3, 1] = -1e100
+        data[..., 1::3, ::2, 0] = -0.0  # a sum of signed zeros keeps its sign
+        off = warp_offsets(rng, batches[1] + SHAPE + (2,), kind)
+        assert np.array_equal(bits(warp(data, off)), bits(warp_clip_and_mask(data, off)))
         # the adjoint takes one instance: the first of each stack
         one = (data[(0,) * len(batches[0])], off[(0,) * len(batches[1])],
                rng.normal(0, 1, SHAPE + (3,)))
-        got, got_grads = warp(data, off), warp_grad(*one)
-        monkeypatch.setattr(fusion, "_gather", gather_by_fancy_index)
-        assert np.array_equal(got, warp(data, off))
-        for g, want in zip(got_grads, warp_grad(*one)):
-            assert np.array_equal(g, want)
+        for got, want in zip(warp_grad(*one), warp_grad_clip_and_mask(*one)):
+            assert np.array_equal(bits(got), bits(want))
 
 
 class TestConfidenceWeights:

@@ -115,3 +115,22 @@ def test_every_public_definition_has_a_caller():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
     assert not unused, f"public but unused by the package and the benchmark: {unused}"
+
+
+def test_no_package_function_as_a_default():
+    """A default argument is evaluated once, when its module is imported, so
+    a default ``parse=ingest.parse_trajectories`` keeps the function that was
+    there then and never sees a wrapper installed on the module later (as
+    the benchmark's tracer does). A function reaches another module's
+    function at call time instead."""
+    trees = {path.stem: parse(path.name) for path in sorted(PACKAGE.glob("*.py"))}
+    functions = {name: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+                 for name, tree in trees.items()}
+    bound = [f"{name}.py:{func.lineno} {func.name}"
+             for name, tree in trees.items()
+             for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for default in func.args.defaults + func.args.kw_defaults
+             if isinstance(default, ast.Attribute) and isinstance(default.value, ast.Name)
+             and default.attr in functions.get(default.value.id, ())]
+    assert not bound, f"package functions bound as defaults at import: {bound}"

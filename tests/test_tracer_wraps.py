@@ -32,8 +32,8 @@ def test_traced_chain_counts_numbers(tmp_path, monkeypatch, capsys):
     """The tracer's counters read the arguments and results of what it wraps
     (a set's length, its polylines' points, rasterize_polylines' argument
     iterated), so a change to those types breaks traced runs while the names
-    still resolve. A small chain runs under the tracer, in process, and every
-    counter it records is a number."""
+    still resolve. A small chain runs under the tracer, in process: every
+    counter it records is a number, and every parse it makes is a span."""
     tracer = load_tracer()
     modules = {mod: importlib.import_module(f"trajprior.{mod}")
                for mod in {mod for mod, *_ in tracer.WRAPS}}
@@ -54,6 +54,9 @@ def test_traced_chain_counts_numbers(tmp_path, monkeypatch, capsys):
         assert tr.span(f"cli.{argv[0]}", cli.main, [str(a) for a in argv]) == 0, \
             capsys.readouterr().err
     names = {span[0] for span in tr.spans}
+    # every trajectory or centerline file the chain reads goes through a
+    # traced parser: one each for ingest, rasterize, cluster and sample, two for eval
+    assert [span[0] for span in tr.spans].count("ingest.parse") == 6
     assert {"ingest.filter", "raster.rasterize_trajectories", "raster.rasterize_polylines",
             "selection.kmeans", "selection.fps", "metrics.ae_dist"} <= names
     counters = [value for span in tr.spans for value in span[4].values()]
