@@ -6,13 +6,12 @@ Exit codes: 0 success, 2 usage/input error, 3 verification failure.
 """
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 from . import fusion, ingest, metrics, raster, selection, tensorio
-from .core import ContractError, GridSpec, Trajectory, TrajectorySet
+from .core import ContractError, GridSpec, Trajectory, TrajectorySet, encode_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -22,11 +21,7 @@ GRAD_CHECK_TOL = 1e-4
 
 
 def _dump_json(path, obj) -> None:
-    # compact, keys sorted; NaN and infinity are not JSON, and refusing them
-    # (ValueError, exit 2) keeps every report and sidecar loadable by a strict reader
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n",
-        encoding="utf-8")
+    Path(path).write_text(encode_json(obj) + "\n", encoding="utf-8")
 
 
 class _UsageError(Exception):

@@ -3,9 +3,14 @@
 All grid products use row-major H x W layout: row indexes y, col indexes x,
 and cell (0, 0) sits at the (y_min, x_min) corner. Cell extents are
 half-open [low, high) so every in-ROI point maps to exactly one cell.
+
+One strict JSON codec (RFC 8259) reads and writes every record, report,
+sidecar and ``.tp`` header: ``decode_json`` and ``encode_json`` (sorted keys,
+no spaces) both refuse ``NaN``, ``Infinity`` and ``-Infinity`` (ValueError).
 """
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -44,6 +49,15 @@ class ContractError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ContractError(msg)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+decode_json = json.JSONDecoder(parse_constant=_refuse_constant).decode
+encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                               allow_nan=False).encode
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

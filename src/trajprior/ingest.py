@@ -15,7 +15,8 @@ File formats (coordinates in meters, ego/BEV frame):
 Records of both JSONL kinds may carry an optional ``"type"`` field, the
 discrete lane label that ``TrajectorySet.labels`` holds and the
 attribute-error metric scores; ``"type": null`` counts as no label. Every
-malformed record raises a ``ParseError`` that names its line.
+malformed record, such as one holding ``NaN`` (not JSON) or a label beyond
+float range, raises a ``ParseError`` that names its line.
 
 Smoothing is a centered moving average whose window shrinks symmetrically
 at a polyline's ends. ``smooth_set`` runs it over a set's packed points in
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import replace
 from itertools import islice
@@ -36,7 +36,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from .core import (MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet,
-                   _as_points, _segment_lengths)
+                   _as_points, _segment_lengths, decode_json, encode_json)
 
 # A frame passes the retention check with more than this many trajectories
 # per centerline. An int, so the check stays exact for any integer count.
@@ -59,11 +59,9 @@ def _records(lines: List[str]) -> Iterator[Tuple[int, dict]]:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(line_no, f"invalid JSON: {e.msg}") from e
-        except (ValueError, RecursionError) as e:  # too many digits, too deep
-            raise ParseError(line_no, f"invalid JSON: {e}") from e
+            rec = decode_json(line)
+        except (ValueError, RecursionError) as e:  # a constant, too many digits, too deep
+            raise ParseError(line_no, f"invalid JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(rec, dict):
             raise ParseError(line_no, "record is not an object")
         yield line_no, rec
@@ -78,21 +76,28 @@ def _polylines(lines: List[str], key: str, skip: int = 0, frame_id: str = "unkno
     the records of ``lines`` after the first ``skip``, each read into an array
     as it is decoded (lists held to the end cost the garbage collector a
     second at 24,000 records), then checked at once. When that fails, they are
-    read again and checked one by one, to name the first bad line."""
+    read again and checked one by one, to name the first bad line. Labels
+    pass the encoder, which refuses what decodes to infinity (``1e400``)."""
     try:
-        return TrajectorySet.of((Trajectory(str(rec.get("id", f"{_DEFAULT_ID[key]}{n}")),
-                                            np.asarray(rec[key], dtype=np.float64),
-                                            rec.get("type"))
-                                 for n, rec in islice(_records(lines), skip, None)),
-                                frame_id, centerline_count)
+        ts = TrajectorySet.of((Trajectory(str(rec.get("id", f"{_DEFAULT_ID[key]}{n}")),
+                                          np.asarray(rec[key], dtype=np.float64),
+                                          rec.get("type"))
+                               for n, rec in islice(_records(lines), skip, None)),
+                              frame_id, centerline_count)
+        encode_json(ts.labels)
+        return ts
     except (KeyError, TypeError, ValueError, OverflowError):
         for line_no, rec in islice(_records(lines), skip, None):
             if key not in rec:
                 raise ParseError(line_no, f"record missing {key!r}") from None
             try:
                 TrajectorySet.of([Trajectory("", _as_points(rec[key]))])
+                encode_json(rec.get("type"))
             except ContractError as e:
                 raise ParseError(line_no, str(e)) from None
+            except ValueError:  # the encoder's: a label beyond float range
+                raise ParseError(line_no, f"type {rec['type']!r} holds a number "
+                                 "beyond float range") from None
         raise
 
 
@@ -102,10 +107,6 @@ def _to_record(t: Trajectory, key: str = "points") -> dict:
     if t.label is not None:
         rec["type"] = t.label
     return rec
-
-
-def _dumps(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def parse_trajectories(text: str) -> TrajectorySet:
@@ -171,9 +172,9 @@ def _parse_csv(text: str) -> TrajectorySet:
 
 
 def serialize_trajectories(ts: TrajectorySet) -> str:
-    lines = [_dumps({"frame_id": ts.frame_id,
-                     "centerline_count": ts.centerline_count})]
-    lines += [_dumps(_to_record(t)) for t in ts]
+    lines = [encode_json({"frame_id": ts.frame_id,
+                          "centerline_count": ts.centerline_count})]
+    lines += [encode_json(_to_record(t)) for t in ts]
     return "\n".join(lines) + "\n"
 
 
@@ -182,7 +183,7 @@ def parse_centerlines(text: str) -> TrajectorySet:
 
 
 def serialize_centerlines(polylines: TrajectorySet) -> str:
-    return "\n".join(_dumps(_to_record(p, "centerlines"))
+    return "\n".join(encode_json(_to_record(p, "centerlines"))
                      for p in polylines) + "\n"
 
 

@@ -7,7 +7,6 @@ the same tensors twice produces byte-identical files.
 """
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import asdict, fields
@@ -15,17 +14,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ContractError, FeatureMap, GridSpec, Heatmap
+from .core import ContractError, FeatureMap, GridSpec, Heatmap, decode_json, encode_json
 
 MAGIC = b"TRAJPRI1"
-
-
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not JSON")
-
-
-# NaN, Infinity and -Infinity are not JSON: headers refuse them both ways
-_HEADER_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
 
 _DTYPES = {"float64": "<f8", "int64": "<i8"}
 
@@ -48,9 +39,7 @@ def save_tensors(path, tensors: Dict[str, np.ndarray], meta: dict | None = None)
                         "dtype": dtype, "offset": offset})
         payloads.append(raw)
         offset += len(raw)
-    header = json.dumps({"tensors": entries, "meta": meta or {}},
-                        sort_keys=True, separators=(",", ":"),
-                        allow_nan=False).encode("utf-8")
+    header = encode_json({"tensors": entries, "meta": meta or {}}).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
@@ -70,7 +59,7 @@ def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
         raise ContractError(f"{path}: not a tensor container (bad magic)")
     body = 12 + struct.unpack_from("<I", blob, 8)[0]
     try:  # a truncated header fails to parse, a deeply nested one recurses
-        header = _HEADER_JSON.decode(blob[12:body].decode("utf-8"))
+        header = decode_json(blob[12:body].decode("utf-8"))
     except (ValueError, RecursionError) as e:
         raise ContractError(f"{path}: header is not JSON ({e})") from None
     payload = memoryview(blob)[body:]

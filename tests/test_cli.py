@@ -530,19 +530,54 @@ MALFORMED = {
 }
 
 
+def reader_argv(kind, bad, tmp_path):
+    """The command that reads ``bad``: ``eval --gt`` for centerlines, else
+    ``ingest``."""
+    if kind == "centerlines":
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(GOOD_TRAJ)
+        return ["eval", "--pred", pred, "--gt", bad]
+    return ["ingest", "--input", bad]
+
+
 @pytest.mark.parametrize("kind,text,line", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
-    if kind == "centerlines":
-        pred = tmp_path / "pred.jsonl"
-        pred.write_text(GOOD_TRAJ)
-        argv = ["eval", "--pred", pred, "--gt", bad]
-    else:
-        argv = ["ingest", "--input", bad]
-    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert run(*reader_argv(kind, bad, tmp_path), "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"line {line}: {bad}: " in err and "Traceback" not in err
+
+
+# (file kind, text with %s where the value goes, line the error must name)
+NOT_JSON_AT = {
+    "point": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": [[0, 0], [%s, 1]]}\n', 2),
+    "type": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": [[0, 0], [9, 1]], "type": %s}\n', 2),
+    "type-list": ("jsonl", GOOD_TRAJ
+                  + '{"id": "b", "points": [[0, 0], [9, 1]], "type": ["x", %s]}\n', 2),
+    "id": ("jsonl", GOOD_TRAJ + '{"id": %s, "points": [[0, 0], [9, 1]]}\n', 2),
+    "count": ("jsonl", HEADER + GOOD_TRAJ, 1),
+    "centerline-type": ("centerlines", GOOD_CL
+                        + '{"id": "d", "centerlines": [[0, 0], [9, 0]], "type": %s}\n', 2),
+}
+# every JSON constant anywhere, and labels that decode to an infinity
+NOT_JSON = ([(at, value) for at in NOT_JSON_AT for value in ("NaN", "Infinity", "-Infinity")]
+            + [(at, value) for at in ("type", "type-list", "centerline-type")
+               for value in ("1e400", "-1e400")])
+
+
+@pytest.mark.parametrize("at,value", NOT_JSON, ids=[f"{at}-{v}" for at, v in NOT_JSON])
+def test_value_that_is_not_json_exit_2_names_line(at, value, tmp_path, capsys):
+    """NaN, Infinity and -Infinity are not JSON (RFC 8259), and a label
+    beyond float range could only be written back as one: a record holding
+    either exits 2, naming its file and line, and nothing is written."""
+    kind, text, line = NOT_JSON_AT[at]
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_text(text % value)
+    assert run(*reader_argv(kind, bad, tmp_path), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: {bad}: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text,header", [

@@ -144,6 +144,14 @@ class TestParse:
         again = parse_centerlines(serialize_centerlines(centerlines))
         assert [p.label for p in again] == types
 
+    def test_nonfinite_label_is_never_written(self):
+        for label in (float("nan"), [float("inf")]):
+            ts = TrajectorySet.of([Trajectory("a", [[0, 0], [1, 0]], label)])
+            with pytest.raises(ValueError):
+                serialize_trajectories(ts)
+            with pytest.raises(ValueError):
+                serialize_centerlines(ts)
+
     def test_smooth_and_filter_keep_labels(self):
         ts = parse_trajectories(make_jsonl([
             {"id": "a", "points": [[0, 0], [3, 0], [9, 0]], "type": "x"},

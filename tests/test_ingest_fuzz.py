@@ -2,15 +2,16 @@
 never a traceback.
 
 Each `ingest` case mutates a valid JSONL or CSV file (truncation, flipped
-bytes, dropped keys or fields, wrong types, huge and non-finite numbers) and
-runs `cli.main(["ingest", ...])` in process. Each `fuse` case mutates one of
-its three `.tp` inputs (truncation, flipped bits, non-finite or huge payload
-words, wrong types in a tensor entry or the grid spec) and runs
-`cli.main(["fuse", ...])` with warnings as errors. The mutations come from
-stdlib `random` seeded per case, so a failing case reruns alone from its
-number.
+bytes, dropped keys or fields, wrong types, huge numbers, and in CSV
+non-finite ones) and runs `cli.main(["ingest", ...])` in process. Each
+`fuse` case mutates one of its three `.tp` inputs (truncation, flipped
+bits, non-finite or huge payload words, wrong types in a tensor entry or
+the grid spec) and runs `cli.main(["fuse", ...])` with warnings as errors.
+The mutations come from stdlib `random` seeded per case, so a failing case
+reruns alone from its number.
 """
 import json
+import math
 import random
 import struct
 import warnings
@@ -37,29 +38,33 @@ WINDOWS = (1, 3, 5, 9, 10**20 + 1)
 ODD_VALUES = (None, True, "x", "", [], {}, [[0, 0]], [[1, 2, 3], [4, 5, 6]],
               0, -0.0, 7, 2.5, 1e308, -1e308, float("inf"), float("-inf"),
               float("nan"), 10**400, -(10**400))
+# NaN and the infinities, written by json.dumps as constants no JSON record
+# may hold, always exit 2; the JSONL mutator leaves them out, the .tp one not
+RECORD_VALUES = tuple(v for v in ODD_VALUES if not isinstance(v, float) or math.isfinite(v))
 ODD_FIELDS = ("", "x", "[1]", "1e308", "-1e308", "1e400", "nan", "inf", "-inf",
               "9" * 400, "0x10", "1_0", " 3 ", "-0.0")
 CASES = 1200
 
 
-def mutate_value(rng, value):
-    """value with one nested entry replaced or dropped."""
+def mutate_value(rng, value, odd=ODD_VALUES):
+    """value with one nested entry replaced or dropped, or replaced by one
+    of ``odd``."""
     if isinstance(value, (dict, list)) and value and rng.random() < 0.75:
         keys = sorted(value) if isinstance(value, dict) else range(len(value))
         key = rng.choice(list(keys))
         if rng.random() < 0.2:
             del value[key]
         else:
-            value[key] = mutate_value(rng, value[key])
+            value[key] = mutate_value(rng, value[key], odd)
         return value
-    return rng.choice(ODD_VALUES)
+    return rng.choice(odd)
 
 
 def mutate_jsonl(rng):
     records = [json.loads(line) for line in JSONL.splitlines()]
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(records))
-        records[i] = mutate_value(rng, records[i])
+        records[i] = mutate_value(rng, records[i], RECORD_VALUES)
     return "\n".join(json.dumps(r) for r in records) + "\n"
 
 

@@ -134,3 +134,30 @@ def test_no_package_function_as_a_default():
              if isinstance(default, ast.Attribute) and isinstance(default.value, ast.Name)
              and default.attr in functions.get(default.value.id, ())]
     assert not bound, f"package functions bound as defaults at import: {bound}"
+
+
+
+# the json module's own codecs, which core's strict ones replace
+JSON_CODECS = {"dump", "dumps", "load", "loads", "JSONEncoder", "JSONDecoder"}
+
+
+def json_codecs_named(tree):
+    """(line, name) of each of the json module's codecs a module names."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "json" and node.attr in JSON_CODECS):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from ((node.lineno, a.name) for a in node.names if a.name in JSON_CODECS)
+
+
+def test_json_only_through_the_core_codec():
+    """Every JSON file is read by ``core.decode_json`` and written by
+    ``core.encode_json``, which refuse ``NaN`` and the infinities and write
+    sorted, compact keys. A module that calls ``json.dumps`` or
+    ``json.loads``, or builds its own ``JSONEncoder`` or ``JSONDecoder``,
+    has rules of its own, and ``json.loads`` reads ``NaN``."""
+    spelled = [f"{path.name}:{line} json.{name}"
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+               for line, name in json_codecs_named(parse(path.name))]
+    assert not spelled, f"JSON read or written around core's codec: {spelled}"
