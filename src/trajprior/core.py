@@ -160,7 +160,7 @@ def _segment_lengths(pts: np.ndarray) -> np.ndarray:
 
 
 class Trajectory(NamedTuple):
-    """One polyline, unchecked: a set checks all its records' points at once.
+    """One polyline, unchecked: a set checks all its records' fields at once.
     ``label`` is a lane type scored by ``metrics.ae_type``; None is no label."""
 
     id: str
@@ -172,20 +172,30 @@ class Trajectory(NamedTuple):
 class TrajectorySet(Sequence):
     """A frame's polylines end to end, plus scene metadata, built by ``of``:
     ``self[i]`` is polyline i, whose points are the view
-    ``points[offsets[i]:offsets[i + 1]]``, with ``ids[i]`` and ``labels[i]``."""
+    ``points[offsets[i]:offsets[i + 1]]``, with ``ids[i]`` and ``labels[i]``.
+    The record schema lives here: ``__post_init__`` checks every field below."""
 
     points: np.ndarray   # (N, 2) float64, checked by one _as_points call
     offsets: np.ndarray  # (M + 1,) int64, from 0 to N
-    ids: Tuple[str, ...]
-    labels: Tuple[object, ...]
-    frame_id: str = "unknown"
-    centerline_count: int = 0
+    ids: Tuple[str, ...]  # str each: a JSON string, or a CSV field's text
+    labels: Tuple[object, ...]  # each passes encode_json; None is no label
+    frame_id: str = "unknown"  # nonempty
+    centerline_count: int = 0  # >= 0; a bool is an int but not a JSON integer
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points))
         _require(bool(np.all(np.diff(self.offsets) >= 2)), "trajectory shorter than 2 points")
-        _require(bool(self.frame_id), "frame_id must be nonempty")
-        _require(self.centerline_count >= 0, "centerline_count must be >= 0")
+        for tid in self.ids:
+            if not isinstance(tid, str):
+                raise ContractError(f"id must be a string, got {type(tid).__name__}")
+        try:
+            encode_json(self.labels)
+        except (TypeError, ValueError) as e:  # NaN, a number beyond float range, not JSON
+            raise ContractError(f"type must be JSON without NaN or Infinity: {e}") from None
+        _require(isinstance(self.frame_id, str) and self.frame_id != "",
+                 f"frame_id must be a nonempty string, got {self.frame_id!r}")
+        _require(type(self.centerline_count) is int and self.centerline_count >= 0,
+                 f"centerline_count must be a non-negative integer, got {self.centerline_count!r}")
 
     @classmethod
     def of(cls, trajectories: Iterable[Trajectory], frame_id: str = "unknown",

@@ -3,8 +3,7 @@
 File formats (coordinates in meters, ego/BEV frame):
 
 * JSONL trajectories: optional header object on the first nonblank line
-  ``{"frame_id": str, "centerline_count": int}``, where ``centerline_count``
-  is a non-negative JSON integer; each following line
+  ``{"frame_id": str, "centerline_count": int}``; each following line
   ``{"id": str, "points": [[x, y], ...]}``.
 * CSV trajectories, read by every trajectory input: columns
   ``traj_id,seq,x,y``, optionally named by a header on the first nonblank
@@ -14,9 +13,9 @@ File formats (coordinates in meters, ego/BEV frame):
 
 Records of both JSONL kinds may carry an optional ``"type"`` field, the
 discrete lane label that ``TrajectorySet.labels`` holds and the
-attribute-error metric scores; ``"type": null`` counts as no label. Every
-malformed record, such as one holding ``NaN`` (not JSON) or a label beyond
-float range, raises a ``ParseError`` that names its line.
+attribute-error metric scores; ``"type": null`` counts as no label. The
+record schema lives in ``core.TrajectorySet``: a header or record that it or
+the JSON decoder refuses raises a ``ParseError`` that names its line.
 
 Smoothing is a centered moving average whose window shrinks symmetrically
 at a polyline's ends. ``smooth_set`` runs it over a set's packed points in
@@ -67,37 +66,28 @@ def _records(lines: List[str]) -> Iterator[Tuple[int, dict]]:
         yield line_no, rec
 
 
-_DEFAULT_ID = {"points": "traj", "centerlines": "cl"}
-
-
 def _polylines(lines: List[str], key: str, skip: int = 0, frame_id: str = "unknown",
                centerline_count: int = 0) -> TrajectorySet:
     """The set of the polylines under ``key`` ("points" or "centerlines") of
     the records of ``lines`` after the first ``skip``, each read into an array
     as it is decoded (lists held to the end cost the garbage collector a
-    second at 24,000 records), then checked at once. When that fails, they are
-    read again and checked one by one, to name the first bad line. Labels
-    pass the encoder, which refuses what decodes to infinity (``1e400``)."""
+    second at 24,000 records), then checked at once by ``TrajectorySet``.
+    When that fails, they are read again and checked one by one, to name the
+    first bad line."""
     try:
-        ts = TrajectorySet.of((Trajectory(str(rec.get("id", f"{_DEFAULT_ID[key]}{n}")),
-                                          np.asarray(rec[key], dtype=np.float64),
-                                          rec.get("type"))
-                               for n, rec in islice(_records(lines), skip, None)),
-                              frame_id, centerline_count)
-        encode_json(ts.labels)
-        return ts
+        return TrajectorySet.of((Trajectory(rec["id"], np.asarray(rec[key], dtype=np.float64),
+                                            rec.get("type"))
+                                 for _, rec in islice(_records(lines), skip, None)),
+                                frame_id, centerline_count)
     except (KeyError, TypeError, ValueError, OverflowError):
         for line_no, rec in islice(_records(lines), skip, None):
-            if key not in rec:
-                raise ParseError(line_no, f"record missing {key!r}") from None
+            for field in (key, "id"):
+                if field not in rec:
+                    raise ParseError(line_no, f"record missing {field!r}") from None
             try:
-                TrajectorySet.of([Trajectory("", _as_points(rec[key]))])
-                encode_json(rec.get("type"))
+                TrajectorySet.of([Trajectory(rec["id"], _as_points(rec[key]), rec.get("type"))])
             except ContractError as e:
                 raise ParseError(line_no, str(e)) from None
-            except ValueError:  # the encoder's: a label beyond float range
-                raise ParseError(line_no, f"type {rec['type']!r} holds a number "
-                                 "beyond float range") from None
         raise
 
 
@@ -124,15 +114,12 @@ def _parse_jsonl(text: str) -> TrajectorySet:
     lines = text.split("\n")
     line_no, rec = next(_records(lines), (0, {}))
     if "points" not in rec and ("frame_id" in rec or "centerline_count" in rec):
-        frame_id = str(rec.get("frame_id", "unknown"))
-        centerline_count = rec.get("centerline_count", 0)
-        # bool is an int subclass but not a JSON integer
-        if type(centerline_count) is not int or centerline_count < 0:
-            raise ParseError(line_no, "centerline_count must be a "
-                             f"non-negative integer, got {centerline_count!r}")
-        if not frame_id:
-            raise ParseError(line_no, "frame_id must be nonempty")
-        return _polylines(lines, "points", 1, frame_id, centerline_count)
+        header = rec.get("frame_id", "unknown"), rec.get("centerline_count", 0)
+        try:
+            TrajectorySet.of([], *header)
+        except ContractError as e:
+            raise ParseError(line_no, str(e)) from None
+        return _polylines(lines, "points", 1, *header)
     return _polylines(lines, "points")
 
 

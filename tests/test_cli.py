@@ -527,6 +527,9 @@ MALFORMED = {
     "jsonl-late-header": ("jsonl", "\n" + GOOD_TRAJ + HEADER % 1, 3),
     "csv-late-header": ("csv", "\nt0,0,0,0\nt0,1,9,0\ntraj_id,seq,x,y\n", 4),
     "csv-second-header": ("csv", "traj_id,seq,x,y\n\ntraj_id,seq,x,y\nt0,0,0,0\n", 3),
+    # an id is required, and never made up
+    "jsonl-no-id": ("jsonl", GOOD_TRAJ + '{"points": [[0, 0], [9, 1]]}\n', 2),
+    "centerline-no-id": ("centerlines", GOOD_CL + '{"centerlines": [[0, 0], [9, 0]]}\n', 2),
 }
 
 
@@ -547,6 +550,7 @@ def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
     assert run(*reader_argv(kind, bad, tmp_path), "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"line {line}: {bad}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # (file kind, text with %s where the value goes, line the error must name)
@@ -559,18 +563,26 @@ NOT_JSON_AT = {
     "count": ("jsonl", HEADER + GOOD_TRAJ, 1),
     "centerline-type": ("centerlines", GOOD_CL
                         + '{"id": "d", "centerlines": [[0, 0], [9, 0]], "type": %s}\n', 2),
+    "centerline-id": ("centerlines", GOOD_CL + '{"id": %s, "centerlines": [[0, 0], [9, 0]]}\n',
+                      2),
+    "frame-id": ("jsonl", '{"frame_id": %s}\n' + GOOD_TRAJ, 1),
 }
-# every JSON constant anywhere, and labels that decode to an infinity
+# every JSON constant anywhere, labels that decode to an infinity, and every
+# other JSON value as an id or frame_id, which are nonempty strings
 NOT_JSON = ([(at, value) for at in NOT_JSON_AT for value in ("NaN", "Infinity", "-Infinity")]
             + [(at, value) for at in ("type", "type-list", "centerline-type")
-               for value in ("1e400", "-1e400")])
+               for value in ("1e400", "-1e400")]
+            + [(at, value) for at in ("id", "centerline-id")
+               for value in ("null", "true", "7", "2.5", "[]", "{}", "1e400", "9" * 400)]
+            + [("frame-id", value) for value in ("3", "null", '""')])
 
 
-@pytest.mark.parametrize("at,value", NOT_JSON, ids=[f"{at}-{v}" for at, v in NOT_JSON])
+@pytest.mark.parametrize("at,value", NOT_JSON, ids=[f"{at}-{v[:9]}" for at, v in NOT_JSON])
 def test_value_that_is_not_json_exit_2_names_line(at, value, tmp_path, capsys):
-    """NaN, Infinity and -Infinity are not JSON (RFC 8259), and a label
-    beyond float range could only be written back as one: a record holding
-    either exits 2, naming its file and line, and nothing is written."""
+    """NaN, Infinity and -Infinity are not JSON (RFC 8259), a label beyond
+    float range could only be written back as one, and an id or frame_id is
+    a string (section 7), a frame_id a nonempty one: a record holding any
+    other value exits 2, naming its file and line, and nothing is written."""
     kind, text, line = NOT_JSON_AT[at]
     bad, out = tmp_path / "bad", tmp_path / "out"
     bad.write_text(text % value)

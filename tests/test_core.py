@@ -127,6 +127,41 @@ class TestTrajectory:
         assert not kept_at(ts, np.nextafter(want.sum(), np.inf))
 
 
+LINE = [[0.0, 0.0], [1.0, 0.0]]
+
+
+class TestSchema:
+    """TrajectorySet is the one check of a record's fields."""
+
+    @pytest.mark.parametrize("tid", [None, True, 7, 2.5, math.inf, 10**400, [], {}],
+                             ids=["none", "bool", "int", "float", "inf", "huge", "list", "dict"])
+    def test_id_must_be_a_string(self, tid):
+        good = Trajectory("good", LINE)
+        with pytest.raises(ContractError, match="id must be a string"):
+            TrajectorySet.of([good, Trajectory(tid, LINE)])
+
+    @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, [1, math.inf],
+                                       {"k": math.nan}])
+    def test_label_must_be_json(self, label):
+        with pytest.raises(ContractError, match="type must be JSON"):
+            TrajectorySet.of([Trajectory("a", LINE, label)])
+
+    @pytest.mark.parametrize("frame_id", [3, None, b"f", ""])
+    def test_frame_id_must_be_a_nonempty_string(self, frame_id):
+        with pytest.raises(ContractError, match="frame_id must be"):
+            TrajectorySet.of([Trajectory("a", LINE)], frame_id)
+
+    @pytest.mark.parametrize("count", [True, False, -1, 1.0, "1", None])
+    def test_centerline_count_must_be_a_non_negative_int(self, count):
+        with pytest.raises(ContractError, match="centerline_count must be"):
+            TrajectorySet.of([], "f", count)
+
+    def test_every_json_value_is_a_label(self):
+        labels = (None, "solid", 2, -0.5, True, [1, "x", None], {"k": [2.5]})
+        ts = TrajectorySet.of(Trajectory(str(i), LINE, v) for i, v in enumerate(labels))
+        assert ts.labels == labels
+
+
 def random_polylines(rng, count):
     """Random polylines of 2 to 29 points at scales 0.01 to 100 m: as drawn,
     with every point repeated, or of zero length, in turn."""
