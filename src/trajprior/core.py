@@ -178,7 +178,7 @@ class TrajectorySet(Sequence):
     points: np.ndarray   # (N, 2) float64, checked by one _as_points call
     offsets: np.ndarray  # (M + 1,) int64, from 0 to N
     ids: Tuple[str, ...]  # str each: a JSON string, or a CSV field's text
-    labels: Tuple[object, ...]  # each passes encode_json; None is no label
+    labels: Tuple[object, ...]  # each a JSON value that round-trips; None is no label
     frame_id: str = "unknown"  # nonempty
     centerline_count: int = 0  # >= 0; a bool is an int but not a JSON integer
 
@@ -189,9 +189,11 @@ class TrajectorySet(Sequence):
             if not isinstance(tid, str):
                 raise ContractError(f"id must be a string, got {type(tid).__name__}")
         try:
-            encode_json(self.labels)
+            back = decode_json(encode_json(self.labels))
         except (TypeError, ValueError) as e:  # NaN, a number beyond float range, not JSON
             raise ContractError(f"type must be JSON without NaN or Infinity: {e}") from None
+        _require(back == list(self.labels), "type must read back as written, "
+                 "with no tuple and no object key that is not a string")
         _require(isinstance(self.frame_id, str) and self.frame_id != "",
                  f"frame_id must be a nonempty string, got {self.frame_id!r}")
         _require(type(self.centerline_count) is int and self.centerline_count >= 0,

@@ -108,9 +108,9 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
         x0, y0, x1, y1 = a[lo:hi, 0], a[lo:hi, 1], b[lo:hi, 0], b[lo:hi, 1]
         seg, row, col = traverse_cells(x0, y0, x1, y1, spec)
         ddx, ddy = x1 - x0, y1 - y0
-        # core._segment_lengths' formula: sqrt, multiply and add are
-        # correctly rounded, so every CPU path gives the same norms
-        norm = np.sqrt(ddx * ddx + ddy * ddy)
+        # math.hypot: np.hypot may round the norm differently
+        norm = np.fromiter(map(math.hypot, ddx.tolist(), ddy.tolist()),
+                           dtype=np.float64, count=len(ddx))
         # visits come sorted by segment, so each (trajectory, cell) group
         # sums its unit vectors in segment order
         pair, inv = np.unique(owner[lo + seg] * (h * w) + row * w + col,

@@ -211,7 +211,7 @@ def rasterize_by_segment_loop(trajectories, spec):
     """(count, density, direction) of a trajectory heatmap, one segment at a time.
 
     Per trajectory: the cells of every non-degenerate segment from
-    traverse_cells, each adding the segment's unit vector (norm sqrt(dx*dx + dy*dy)).
+    traverse_cells, each adding the segment's unit vector (math.hypot norm).
     Trajectories are merged sorted by (id, coordinates); a cell's direction
     is the folded angle of its summed vectors.
     """
@@ -225,12 +225,11 @@ def rasterize_by_segment_loop(trajectories, spec):
         for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:]):
             if x0 == x1 and y0 == y1:
                 continue
-            dx, dy = x1 - x0, y1 - y0
-            norm = math.sqrt(dx * dx + dy * dy)
+            norm = math.hypot(x1 - x0, y1 - y0)
             for row, col in traverse_cells(x0, y0, x1, y1, spec):
                 acc = vec.setdefault((row, col), [0.0, 0.0])
-                acc[0] += dx / norm
-                acc[1] += dy / norm
+                acc[0] += (x1 - x0) / norm
+                acc[1] += (y1 - y0) / norm
         for (row, col), (vx, vy) in vec.items():
             count[row, col] += 1
             sum_x[row, col] += vx

@@ -146,6 +146,13 @@ class TestSchema:
         with pytest.raises(ContractError, match="type must be JSON"):
             TrajectorySet.of([Trajectory("a", LINE, label)])
 
+    @pytest.mark.parametrize("label", [(1, 2), {1: "x"}, {True: 1}, {"k": [(0.5,)]}],
+                             ids=["tuple", "int-key", "bool-key", "nested-tuple"])
+    def test_label_must_read_back_as_written(self, label):
+        # the encoder would write these as [1,2], {"1":"x"} and {"true":1}
+        with pytest.raises(ContractError, match="type must read back as written"):
+            TrajectorySet.of([Trajectory("a", LINE, "solid"), Trajectory("b", LINE, label)])
+
     @pytest.mark.parametrize("frame_id", [3, None, b"f", ""])
     def test_frame_id_must_be_a_nonempty_string(self, frame_id):
         with pytest.raises(ContractError, match="frame_id must be"):

@@ -179,10 +179,16 @@ def test_rasterize_byte_identical_to_segment_loop_oracle():
                                 [10.0, 5.0], [-60.0, -30.0]]),
             Trajectory("outside", [[100.0, 100.0], [120.0, 130.0]]),
             Trajectory("across", [[-1e4, -20.3], [1e4, 20.7]]),
+            # steps whose squares underflow to 0 or to subnormals, where a
+            # norm of sqrt(dx*dx + dy*dy) is 0 (a NaN direction) or inexact
+            Trajectory("tiny", [[0.0, 0.0], [1e-170, 0.0], [10.0, 0.0]]),
+            Trajectory("subnormal", [[-3.0, -3.0], [0.0, 0.0], [1e-155, 1e-155],
+                                     [3.0, -3.0]]),
         )
         trajs = TrajectorySet.of(list(ts.trajectories) + list(extra))
         for spec in (GridSpec(), GridSpec(-6.0, 6.0, -4.0, 5.0, 0.4, 0.7)):
             hm = rasterize_trajectories(trajs, spec)
+            assert np.isfinite(hm.direction).all()
             assert_same_heatmap(hm, trajs, spec)
             perm = [trajs[i] for i in rng.permutation(len(trajs))]
             again = rasterize_trajectories(TrajectorySet.of(perm), spec)
