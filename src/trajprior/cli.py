@@ -30,8 +30,8 @@ class _UsageError(Exception):
 
 # flag converters: a bad value exits 2 before any file is written, naming its flag
 def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise _UsageError(f"expected a non-negative integer, got {text!r}")
+    if not (text.isdecimal() and int(text) < 2**64):
+        raise _UsageError(f"expected an integer from 0 to 2**64 - 1, got {text!r}")
     return int(text)
 
 
@@ -118,7 +118,7 @@ def cmd_cluster(args) -> int:
         "inertia": result.inertia_trace[-1],
         "inertia_trace": result.inertia_trace,
         "iterations": result.iterations,
-        "centers": [{"points": c.tolist()} for c in result.centers],
+        "centers": [{"points": c} for c in result.centers],
     }
     _write_report(args, doc, ts, (Trajectory(f"cluster{j}", c)
                                   for j, c in enumerate(result.centers)))

@@ -4,20 +4,22 @@ All grid products use row-major H x W layout: row indexes y, col indexes x,
 and cell (0, 0) sits at the (y_min, x_min) corner. Cell extents are
 half-open [low, high) so every in-ROI point maps to exactly one cell.
 
-One strict JSON codec (RFC 8259) reads and writes every record, report,
-sidecar and ``.tp`` header: ``decode_json`` and ``encode_json`` (sorted keys,
-no spaces) both refuse ``NaN``, ``Infinity`` and ``-Infinity`` (ValueError).
+One strict JSON codec (RFC 8259, on orjson) reads and writes every record,
+report, sidecar and ``.tp`` header: ``decode_json`` and ``encode_json`` (UTF-8,
+sorted keys, no spaces) refuse NaN, ±Infinity and nesting beyond MAX_DEPTH.
 """
 from __future__ import annotations
 
-import json
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+import orjson
 
 # Largest grid any product may use. rasterize holds five H x W float64/int64
 # arrays, so 1e7 cells keep it near 400 MB.
@@ -51,13 +53,41 @@ def _require(cond: bool, msg: str) -> None:
         raise ContractError(msg)
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not JSON")
+# Deepest nesting of any JSON text: orjson.dumps writes no deeper. The scan in
+# decode_json exists for orjson 3.8.3, whose loads recurses and overflows the C
+# stack on objects nested 100,000 deep. A string is "", and one left open runs
+# to the end of the text, so the scan stays linear.
+MAX_DEPTH = 255
+_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"?|([][{}])', re.S)
 
 
-decode_json = json.JSONDecoder(parse_constant=_refuse_constant).decode
-encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                               allow_nan=False).encode
+def decode_json(text: str):
+    """The value of a strict JSON text, else ValueError."""
+    brackets = text.count("[") + text.count("{") > MAX_DEPTH and "".join(_BRACKETS.findall(text))
+    if brackets and max(accumulate(1 if c in "[{" else -1 for c in brackets)) > MAX_DEPTH:
+        raise ValueError(f"JSON nested deeper than MAX_DEPTH={MAX_DEPTH} levels")
+    return orjson.loads(text)
+
+
+def _finite(value) -> bool:
+    """No NaN or infinity in a float, an array, or a list, tuple or dict of them."""
+    if isinstance(value, (list, tuple, dict)):  # a dict's keys too
+        return all(map(_finite, value.items() if isinstance(value, dict) else value))
+    return (not isinstance(value, (float, np.floating, np.ndarray))
+            or bool(np.isfinite(value).all()))
+
+
+def encode_json(value) -> str:
+    """One line, keys sorted, numpy values as numbers and a key that is not a
+    string as one, as the json module writes it; else ValueError."""
+    try:
+        text = orjson.dumps(value, option=orjson.OPT_SORT_KEYS | orjson.OPT_NON_STR_KEYS
+                            | orjson.OPT_SERIALIZE_NUMPY)
+    except orjson.JSONEncodeError as e:  # beyond 64 bits or MAX_DEPTH, not C-contiguous
+        raise ValueError(f"not JSON: {e}") from None
+    # orjson writes NaN and the infinities as null, so a text without one has none
+    _require(b"null" not in text or _finite(value), "NaN and Infinity are not JSON compliant")
+    return text.decode()
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -136,11 +166,19 @@ class Pcg64:
         return np.array([(self._next64() >> 11) * 2.0 ** -53 for _ in range(n)])
 
 
+def _numbers(values) -> np.ndarray:
+    """``values`` read with no dtype forced; TypeError unless integers or floats."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":  # a string, None, or only true and false
+        raise TypeError(f"got {arr.dtype.name} values")
+    return arr
+
+
 def _as_points(points, owner: str = "") -> np.ndarray:
-    """The one check raw points pass: a finite float64 (n, 2) array with
+    """The one check raw points pass: a finite C-contiguous float64 (n, 2) array,
     |coordinate| <= MAX_COORD, else ContractError, its message led by ``owner``."""
-    try:
-        arr = np.asarray(points, dtype=np.float64)
+    try:  # float64 first: the bound below would pass np.abs of INT64_MIN, itself
+        arr = np.ascontiguousarray(_numbers(points), dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as e:
         raise ContractError(f"{owner}points must be numbers: {e}") from e
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -190,7 +228,7 @@ class TrajectorySet(Sequence):
                 raise ContractError(f"id must be a string, got {type(tid).__name__}")
         try:
             back = decode_json(encode_json(self.labels))
-        except (TypeError, ValueError) as e:  # NaN, a number beyond float range, not JSON
+        except ValueError as e:  # NaN, an integer beyond 64 bits, not JSON
             raise ContractError(f"type must be JSON without NaN or Infinity: {e}") from None
         _require(back == list(self.labels), "type must read back as written, "
                  "with no tuple and no object key that is not a string")

@@ -35,7 +35,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from .core import (MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet,
-                   _as_points, _segment_lengths, decode_json, encode_json)
+                   _as_points, _numbers, _segment_lengths, decode_json, encode_json)
 
 # A frame passes the retention check with more than this many trajectories
 # per centerline. An int, so the check stays exact for any integer count.
@@ -59,7 +59,7 @@ def _records(lines: List[str]) -> Iterator[Tuple[int, dict]]:
             continue
         try:
             rec = decode_json(line)
-        except (ValueError, RecursionError) as e:  # a constant, too many digits, too deep
+        except ValueError as e:  # a constant, a number beyond float range, too deep
             raise ParseError(line_no, f"invalid JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(rec, dict):
             raise ParseError(line_no, "record is not an object")
@@ -70,13 +70,12 @@ def _polylines(lines: List[str], key: str, skip: int = 0, frame_id: str = "unkno
                centerline_count: int = 0) -> TrajectorySet:
     """The set of the polylines under ``key`` ("points" or "centerlines") of
     the records of ``lines`` after the first ``skip``, each read into an array
-    as it is decoded (lists held to the end cost the garbage collector a
-    second at 24,000 records), then checked at once by ``TrajectorySet``.
-    When that fails, they are read again and checked one by one, to name the
-    first bad line."""
+    of numbers as it is decoded (lists held to the end cost the garbage
+    collector a second at 24,000 records), then checked at once by
+    ``TrajectorySet``. When that fails, they are read again and checked one
+    by one, to name the first bad line."""
     try:
-        return TrajectorySet.of((Trajectory(rec["id"], np.asarray(rec[key], dtype=np.float64),
-                                            rec.get("type"))
+        return TrajectorySet.of((Trajectory(rec["id"], _numbers(rec[key]), rec.get("type"))
                                  for _, rec in islice(_records(lines), skip, None)),
                                 frame_id, centerline_count)
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -93,7 +92,7 @@ def _polylines(lines: List[str], key: str, skip: int = 0, frame_id: str = "unkno
 
 def _to_record(t: Trajectory, key: str = "points") -> dict:
     """The JSON record of a polyline; ``type`` only when it has a label."""
-    rec = {"id": t.id, key: t.points.tolist()}
+    rec = {"id": t.id, key: t.points}
     if t.label is not None:
         rec["type"] = t.label
     return rec

@@ -46,10 +46,11 @@ def frechet_dp(a: np.ndarray, bs: TrajectorySet) -> np.ndarray:
 
     Runs the coupling-table DP of all candidates at once, one anti-diagonal
     i + j = s at a time: cell (i, j) needs only diagonals s-1 and s-2, so
-    memory is O(K * (n + M)) for K candidates of up to M points. Point
-    distances use sqrt(dx*dx + dy*dy) and the recurrence only max and min,
-    so every result is the exact value of the row-by-row DP. All are taken
-    unchecked as nonempty float64 (n, 2) polylines, as a set checks them.
+    memory is O(K * (n + M)) for K candidates of up to M points. The DP runs
+    on squared distances dx*dx + dy*dy with one sqrt per result: sqrt is
+    monotone and correctly rounded, so it commutes with max and min and each
+    result is exactly the row-by-row DP's. All are taken unchecked as
+    nonempty float64 (n, 2) polylines, as a set checks them.
     """
     lens = np.diff(bs.offsets)
     k = len(lens)
@@ -70,7 +71,7 @@ def frechet_dp(a: np.ndarray, bs: TrajectorySet) -> np.ndarray:
         lo, hi = m - 1 - s + i0, m - s + i1
         dx = a[i0:i1 + 1, 0] - rx[:, lo:hi]
         dy = a[i0:i1 + 1, 1] - ry[:, lo:hi]
-        d = np.sqrt(dx * dx + dy * dy)
+        d = dx * dx + dy * dy
         out = cur[:, i0 + 1:i1 + 2]
         if s == 0:
             out[:] = d
@@ -80,7 +81,7 @@ def frechet_dp(a: np.ndarray, bs: TrajectorySet) -> np.ndarray:
             np.maximum(d, best, out=out)
         if i1 == n - 1:
             last[:, s - n + 1] = cur[:, n]
-    return last[np.arange(k), lens - 1]
+    return np.sqrt(last[np.arange(k), lens - 1])
 
 
 def _assign(x: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

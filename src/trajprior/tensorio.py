@@ -58,9 +58,9 @@ def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
     if blob[:8] != MAGIC or len(blob) < 12:
         raise ContractError(f"{path}: not a tensor container (bad magic)")
     body = 12 + struct.unpack_from("<I", blob, 8)[0]
-    try:  # a truncated header fails to parse, a deeply nested one recurses
+    try:  # a truncated or too deeply nested header fails to parse
         header = decode_json(blob[12:body].decode("utf-8"))
-    except (ValueError, RecursionError) as e:
+    except ValueError as e:
         raise ContractError(f"{path}: header is not JSON ({e})") from None
     payload = memoryview(blob)[body:]
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)

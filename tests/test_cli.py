@@ -352,7 +352,8 @@ class TestFuse:
         assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
                    "--out", tmp_path / "f.tp") == 2
         err = capsys.readouterr().err
-        assert f"{prior}: bad or missing grid spec" in err and "Traceback" not in err
+        assert f"{prior}: header is not JSON (number is infinity" in err
+        assert "Traceback" not in err
 
     def test_deeply_nested_header_exit_2_names_file(self, fused_inputs, tmp_path,
                                                     capsys):
@@ -375,7 +376,8 @@ class TestFuse:
         assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
                    "--out", tmp_path / "f.tp") == 2
         err = capsys.readouterr().err
-        assert f"{prior}: header is not JSON (NaN" in err and "Traceback" not in err
+        assert f"{prior}: header is not JSON (unexpected character" in err
+        assert "Traceback" not in err
 
     def test_truncated_params_exit_2(self, fused_inputs, tmp_path, capsys):
         bev, prior, params = fused_inputs
@@ -492,6 +494,7 @@ GOOD_TRAJ = '{"id": "a", "points": [[0, 0], [9, 0]]}\n'
 GOOD_CL = '{"id": "c", "centerlines": [[0, 0], [9, 0]]}\n'
 HEADER = '{"frame_id": "f", "centerline_count": %s}\n'
 DEEP = "[" * 1000 + "]" * 1000
+INT64_MIN = '{"id": "b", "%s": [[-9223372036854775808, 0], [0, 0]]}\n'
 
 # (file kind, text, line the error must name)
 MALFORMED = {
@@ -530,6 +533,10 @@ MALFORMED = {
     # an id is required, and never made up
     "jsonl-no-id": ("jsonl", GOOD_TRAJ + '{"points": [[0, 0], [9, 1]]}\n', 2),
     "centerline-no-id": ("centerlines", GOOD_CL + '{"centerlines": [[0, 0], [9, 0]]}\n', 2),
+    # bounded as doubles: in int64, np.abs(-2**63) is -2**63, below MAX_COORD
+    "jsonl-int64-min": ("jsonl", INT64_MIN % "points", 1),
+    "jsonl-int64-min-after-good": ("jsonl", GOOD_TRAJ + INT64_MIN % "points", 2),
+    "centerline-int64-min": ("centerlines", GOOD_CL + INT64_MIN % "centerlines", 2),
 }
 
 
@@ -590,6 +597,54 @@ def test_value_that_is_not_json_exit_2_names_line(at, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"line {line}: {bad}: " in err and "Traceback" not in err
     assert not out.exists()
+
+
+def nested(depth):
+    """A JSON text of ``depth`` nested arrays."""
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("depth,code", [(255, 0), (256, 2)])
+def test_record_nests_at_most_max_depth_levels(depth, code, tmp_path, capsys):
+    """A record nested MAX_DEPTH levels, itself included, is read and written
+    back; one level more exits 2, naming its file and line."""
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text(GOOD_TRAJ + '{"id": "b", "points": [[0, 0], [9, 1]], "type": %s}\n'
+                   % nested(depth - 1))
+    assert run("ingest", "--input", src, "--min-length", 0, "--out", out) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"line 2: {src}: invalid JSON: JSON nested deeper than MAX_DEPTH=255" in err
+        assert "Traceback" not in err and not out.exists()
+    else:
+        assert out.read_text().splitlines()[2].endswith(',"type":%s}' % nested(depth - 1))
+
+
+@pytest.mark.parametrize("depth,code", [(255, 0), (256, 2)])
+def test_tp_header_nests_at_most_max_depth_levels(depth, code, fused_inputs, tmp_path,
+                                                  capsys):
+    bev, prior, params = fused_inputs
+    edit_header(prior, lambda h: h["meta"].update(deep=json.loads(nested(depth - 2))))
+    assert run("fuse", "--bev", bev, "--prior", prior, "--params", params,
+               "--out", tmp_path / "f.tp") == code
+    err = capsys.readouterr().err
+    assert (f"{prior}: header is not JSON (JSON nested deeper" in err) == bool(code)
+    assert "Traceback" not in err
+
+
+def test_record_nested_100000_objects_deep_exits_2(tmp_path):
+    """orjson reads nesting by recursion, and an object nested 100,000 deep
+    overflows its C stack: the process dies by SIGSEGV unless the depth is
+    refused first. Run in a child, which such a crash would end."""
+    src = tmp_path / "deep.jsonl"
+    src.write_text('{"id": "a", "points": [[0, 0], [9, 1]], "type": %s1%s}\n'
+                   % ('{"a":' * 100_000, "}" * 100_000))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "trajprior.cli", "ingest", "--input", str(src),
+                           "--out", str(tmp_path / "out.jsonl")],
+                          env=env, timeout=60, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert f"line 1: {src}: invalid JSON" in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("text,header", [
@@ -745,6 +800,26 @@ def test_negative_seed_exit_2_at_parse_time(command, scene, fused_inputs,
     assert run(command, "--seed", -1, *inputs[command], tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "argument --seed" in err and "'-1'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command",
+                         ["synth", "gen-params", "cluster", "sample", "fuse"])
+def test_seed_beyond_64_bits_exit_2_at_parse_time(command, scene, fused_inputs,
+                                                  tmp_path, capsys):
+    """A report holds its seed as a JSON integer, which the codec writes only
+    within 64 bits: a larger seed is refused before any work."""
+    bev, prior, params = fused_inputs
+    trajectories = scene / "trajectories.jsonl"
+    inputs = {"synth": ["--out-dir"], "gen-params": ["--out"],
+              "cluster": ["--input", trajectories, "--k", 2, "--out"],
+              "sample": ["--input", trajectories, "--count", 2, "--out"],
+              "fuse": ["--bev", bev, "--prior", prior, "--params", params,
+                       "--check-grads", "--out"]}
+    assert run(command, "--seed", 2**64, *inputs[command], tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "'18446744073709551616'" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "out.json").exists()
 

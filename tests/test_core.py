@@ -1,4 +1,6 @@
+import json
 import math
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 from trajprior import core
 from trajprior.core import (MAX_CELLS, MAX_COORD, ContractError, GridSpec, Trajectory,
-                           TrajectorySet, _segment_lengths, fold_axial)
+                           TrajectorySet, _segment_lengths, decode_json, encode_json,
+                           fold_axial)
 from trajprior.ingest import filter_by_length
 from trajprior.metrics import sample_polyline_points
 from trajprior.selection import resample_all
@@ -167,6 +170,52 @@ class TestSchema:
         labels = (None, "solid", 2, -0.5, True, [1, "x", None], {"k": [2.5]})
         ts = TrajectorySet.of(Trajectory(str(i), LINE, v) for i, v in enumerate(labels))
         assert ts.labels == labels
+
+
+class TestJsonCodec:
+    """core's one codec: every value it writes reads back as written."""
+
+    def test_round_trip_keeps_every_bit(self):
+        rng = np.random.default_rng(36)
+        bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+        floats = np.concatenate([
+            bits.view(np.float64)[np.isfinite(bits.view(np.float64))],  # every exponent
+            rng.uniform(1e-5, 1e-4, 500),  # spelled positionally, 0.0000xyz
+            [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, MAX_COORD, -MAX_COORD,
+             np.finfo(np.float64).max]])
+        for value in (floats, floats.tolist()):
+            assert np.array(decode_json(encode_json(value))).tobytes() == floats.tobytes()
+        ints = [2**53 + 1, 2**63 - 1, 2**64 - 1, -2**63]
+        back = decode_json(encode_json(ints))
+        assert back == ints and all(type(i) is int for i in back)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, [v]], lambda v: {"k": v},
+                                      lambda v: np.array([[1.0, v]])],
+                             ids=["float", "list", "dict-value", "array"])
+    def test_encode_refuses_nonfinite(self, bad, wrap):
+        """orjson alone would write each of these as null."""
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            encode_json(wrap(bad))
+
+    @pytest.mark.parametrize("text", ['"%s"' % ("]" * 300 + "[" * 300),
+                                      '["\\"%s"]' % ("[" * 300),
+                                      '{"k": "%s"}' % ("{" * 300)],
+                             ids=["unbalanced", "after-an-escaped-quote", "in-an-object"])
+    def test_brackets_inside_strings_do_not_count(self, text):
+        """Only a text of more than MAX_DEPTH brackets is scanned for its
+        depth, and a bracket in a string nests nothing."""
+        assert decode_json(text) == json.loads(text)
+
+    def test_unclosed_string_is_scanned_in_linear_time(self):
+        """A string with no closing quote runs to the end of the text; were
+        each escaped quote in it to start a new string, this 200 kB line
+        would take about 2.5e9 regex steps."""
+        text = "[" * 256 + '"' + '\\"' * 100_000
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            decode_json(text)
+        assert time.perf_counter() - start < 5.0
 
 
 def random_polylines(rng, count):

@@ -159,6 +159,37 @@ class TestParse:
         assert [(t.id, t.label) for t in out.trajectories] == [("a", "x")]
 
 
+class TestCodecLimits:
+    """What the JSON codec reads and writes at the edges of a record."""
+
+    def test_integer_beyond_64_bits_reads_as_nearest_double(self):
+        ts = parse_trajectories('{"id": "a", "points": [[0, 0], [1, 1]], '
+                                '"type": 18446744073709551616}\n')
+        assert ts.labels == (1.8446744073709552e+19,) and type(ts.labels[0]) is float
+        assert serialize_trajectories(ts).endswith('"type":1.8446744073709552e19}\n')
+
+    def test_non_ascii_id_survives_round_trip(self):
+        tid = "voie-\u00e9-\u8eca-\U0001f697-\u2028"
+        ts = TrajectorySet.of([Trajectory(tid, [[0.0, 0.0], [1.0, 1.0]])])
+        text = serialize_trajectories(ts)
+        assert f'"id":"{tid}"' in text  # UTF-8, not escapes
+        assert parse_trajectories(text).ids == (tid,)
+
+    @pytest.mark.parametrize("points", [[["1", "2"], ["3", "4.5"]], [[True, False], [True, True]],
+                                        [[0, None], [1, 1]]],
+                             ids=["numeric-strings", "bools", "null"])
+    @pytest.mark.parametrize("first", [True, False], ids=["alone", "after-a-good-record"])
+    def test_coordinates_that_are_not_numbers_name_their_line(self, points, first):
+        """numpy would cast strings and booleans to float64; a record that
+        holds them is refused on the path that reads the whole set and on the
+        one that then names its line."""
+        records = [{"id": "b", "points": points}]
+        if not first:
+            records.insert(0, {"id": "a", "points": [[0, 0], [9, 0]]})
+        with pytest.raises(ParseError, match=f"line {len(records)}: points must be numbers"):
+            parse_trajectories(make_jsonl(records))
+
+
 class TestFilterByLength:
     def test_zero_threshold_is_identity(self):
         ts = parse_trajectories(make_jsonl(

@@ -142,13 +142,20 @@ JSON_CODECS = {"dump", "dumps", "load", "loads", "JSONEncoder", "JSONDecoder"}
 
 
 def json_codecs_named(tree):
-    """(line, name) of each of the json module's codecs a module names."""
+    """(line, name) of each of the json module's codecs a module names, and
+    of each import or use of orjson, which only core may name."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id == "json" and node.attr in JSON_CODECS):
-            yield node.lineno, node.attr
+            yield node.lineno, f"json.{node.attr}"
         elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            yield from ((node.lineno, a.name) for a in node.names if a.name in JSON_CODECS)
+            yield from ((node.lineno, f"json.{a.name}") for a in node.names
+                        if a.name in JSON_CODECS)
+        elif isinstance(node, ast.Name) and node.id == "orjson":
+            yield node.lineno, "orjson"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "orjson" in (
+                [getattr(node, "module", None)] + [a.name.split(".")[0] for a in node.names]):
+            yield node.lineno, "import orjson"
 
 
 def test_json_only_through_the_core_codec():
@@ -156,8 +163,9 @@ def test_json_only_through_the_core_codec():
     ``core.encode_json``, which refuse ``NaN`` and the infinities and write
     sorted, compact keys. A module that calls ``json.dumps`` or
     ``json.loads``, or builds its own ``JSONEncoder`` or ``JSONDecoder``,
-    has rules of its own, and ``json.loads`` reads ``NaN``."""
-    spelled = [f"{path.name}:{line} json.{name}"
+    has rules of its own, and ``json.loads`` reads ``NaN``; so has one that
+    calls orjson, which writes ``NaN`` as ``null``."""
+    spelled = [f"{path.name}:{line} {name}"
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
                for line, name in json_codecs_named(parse(path.name))]
     assert not spelled, f"JSON read or written around core's codec: {spelled}"
