@@ -45,7 +45,13 @@ CHUNK = 1 << 12
 
 
 class ContractError(ValueError):
-    """An operation was called with inputs that violate its contract."""
+    """An operation was called with inputs that violate its contract. A failed
+    TrajectorySet check names polyline ``index`` by id before ``msg``, the
+    reason, and ``point`` is the row within it of a bad point."""
+
+    def __init__(self, msg: str, index: Optional[int] = None, tid=None, point=None):
+        super().__init__(msg if index is None else f"trajectory {tid!r}: {msg}")
+        self.msg, self.index, self.point = msg, index, point
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -166,26 +172,29 @@ class Pcg64:
         return np.array([(self._next64() >> 11) * 2.0 ** -53 for _ in range(n)])
 
 
-def _numbers(values) -> np.ndarray:
-    """``values`` read with no dtype forced; TypeError unless integers or floats."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":  # a string, None, or only true and false
-        raise TypeError(f"got {arr.dtype.name} values")
+def _point_array(points) -> np.ndarray:
+    """``points`` read with no dtype forced: an (n, 2) array of integers or
+    floats, else ContractError."""
+    try:
+        arr = np.asarray(points)
+        if arr.dtype.kind not in "iuf":  # a string, None, or only true and false
+            raise TypeError(f"got {arr.dtype.name} values")
+    except (TypeError, ValueError, OverflowError) as e:  # ragged rows too
+        raise ContractError(f"points must be numbers: {e}") from None
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ContractError(f"expected (n, 2) point array, got shape {arr.shape}")
     return arr
 
 
-def _as_points(points, owner: str = "") -> np.ndarray:
+def _as_points(points) -> np.ndarray:
     """The one check raw points pass: a finite C-contiguous float64 (n, 2) array,
-    |coordinate| <= MAX_COORD, else ContractError, its message led by ``owner``."""
-    try:  # float64 first: the bound below would pass np.abs of INT64_MIN, itself
-        arr = np.ascontiguousarray(_numbers(points), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ContractError(f"{owner}points must be numbers: {e}") from e
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ContractError(f"{owner}expected (n, 2) point array, got shape {arr.shape}")
-    if not np.all(np.abs(arr) <= MAX_COORD):
-        raise ContractError(f"{owner}points must be finite with |coordinate| <= "
-                            f"MAX_COORD={MAX_COORD:g}")
+    |coordinate| <= MAX_COORD, else ContractError, ``point`` its first bad row."""
+    # float64 first: the bound below would pass np.abs of INT64_MIN, itself
+    arr = np.ascontiguousarray(_point_array(points), dtype=np.float64)
+    within = np.abs(arr) <= MAX_COORD
+    if not within.all():
+        raise ContractError(f"points must be finite with |coordinate| <= MAX_COORD={MAX_COORD:g}",
+                            point=int(np.argmin(within.all(axis=1))))
     return arr
 
 
@@ -206,12 +215,30 @@ class Trajectory(NamedTuple):
     label: Optional[object] = None
 
 
+# The keys each kind of record may hold, as README's field table names them.
+HEADER_KEYS = frozenset({"frame_id", "centerline_count"})
+TRAJECTORY_KEYS = frozenset({"id", "points", "type"})
+CENTERLINE_KEYS = frozenset({"id", "centerlines", "type"})
+
+
+def _label_fault(labels: tuple) -> Optional[str]:
+    """Why ``labels`` do not read back from JSON as written, or None."""
+    try:
+        if decode_json(encode_json(labels)) == list(labels):
+            return None
+    except ValueError as e:  # NaN, an integer beyond 64 bits, not JSON
+        return f"type must be JSON without NaN or Infinity: {e}"
+    return "type must read back as written, with no tuple and no object key that is not a string"
+
+
 @dataclass(frozen=True)
 class TrajectorySet(Sequence):
     """A frame's polylines end to end, plus scene metadata, built by ``of``:
     ``self[i]`` is polyline i, whose points are the view
     ``points[offsets[i]:offsets[i + 1]]``, with ``ids[i]`` and ``labels[i]``.
-    The record schema lives here: ``__post_init__`` checks every field below."""
+    The record schema lives here: ``__post_init__`` checks every field below,
+    the header's first, then each one of every polyline at once, and names the
+    first polyline that fails."""
 
     points: np.ndarray   # (N, 2) float64, checked by one _as_points call
     offsets: np.ndarray  # (M + 1,) int64, from 0 to N
@@ -221,35 +248,46 @@ class TrajectorySet(Sequence):
     centerline_count: int = 0  # >= 0; a bool is an int but not a JSON integer
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _as_points(self.points))
-        _require(bool(np.all(np.diff(self.offsets) >= 2)), "trajectory shorter than 2 points")
-        for tid in self.ids:
-            if not isinstance(tid, str):
-                raise ContractError(f"id must be a string, got {type(tid).__name__}")
-        try:
-            back = decode_json(encode_json(self.labels))
-        except ValueError as e:  # NaN, an integer beyond 64 bits, not JSON
-            raise ContractError(f"type must be JSON without NaN or Infinity: {e}") from None
-        _require(back == list(self.labels), "type must read back as written, "
-                 "with no tuple and no object key that is not a string")
         _require(isinstance(self.frame_id, str) and self.frame_id != "",
                  f"frame_id must be a nonempty string, got {self.frame_id!r}")
         _require(type(self.centerline_count) is int and self.centerline_count >= 0,
                  f"centerline_count must be a non-negative integer, got {self.centerline_count!r}")
+        try:
+            object.__setattr__(self, "points", _as_points(self.points))
+        except ContractError as e:  # a bad row, in the polyline that holds it
+            if e.point is None:
+                raise
+            i = int(np.searchsorted(self.offsets, e.point, "right")) - 1
+            self._fail(e.msg, i, e.point - int(self.offsets[i]))
+        short = np.diff(self.offsets) < 2
+        if short.any():
+            self._fail("trajectory shorter than 2 points", int(short.argmax()))
+        for i, tid in enumerate(self.ids):
+            if not isinstance(tid, str):
+                self._fail(f"id must be a string, got {type(tid).__name__}", i)
+        if _label_fault(self.labels):  # a label fails alone as it fails among the rest
+            self._fail(*next((why, i) for i, label in enumerate(self.labels)
+                             if (why := _label_fault((label,)))))
+
+    def _fail(self, msg: str, i: int, point: Optional[int] = None):
+        """Raise polyline i's ContractError, its bad point at row ``point`` of it."""
+        raise ContractError(msg, i, self.ids[i], point)
 
     @classmethod
     def of(cls, trajectories: Iterable[Trajectory], frame_id: str = "unknown",
            centerline_count: int = 0) -> "TrajectorySet":
-        """The set of ``trajectories``, in order."""
-        records = tuple(trajectories)
-        try:
-            points = np.concatenate([t.points for t in records]) if records else np.empty((0, 2))
-        except (TypeError, ValueError):  # name the first record of no (n, 2) array
-            for t in records:
-                _as_points(t.points, f"trajectory {t.id!r}: ")
-            raise
-        return cls(points, np.cumsum([0] + [len(t.points) for t in records]),
-                   tuple(t.id for t in records), tuple(t.label for t in records),
+        """The set of ``trajectories``, in order. Each one's points become an
+        array as it is taken, so a generator of decoded records holds no lists."""
+        ids, labels, arrays = [], [], []
+        for t in trajectories:
+            try:
+                arrays.append(_point_array(t.points))
+            except ContractError as e:
+                raise ContractError(e.msg, len(ids), t.id) from None
+            ids.append(t.id)
+            labels.append(t.label)
+        return cls(np.concatenate(arrays) if arrays else np.empty((0, 2)),
+                   np.cumsum([0] + [len(p) for p in arrays]), tuple(ids), tuple(labels),
                    frame_id, centerline_count)
 
     def __len__(self) -> int:

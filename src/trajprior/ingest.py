@@ -14,8 +14,9 @@ File formats (coordinates in meters, ego/BEV frame):
 Records of both JSONL kinds may carry an optional ``"type"`` field, the
 discrete lane label that ``TrajectorySet.labels`` holds and the
 attribute-error metric scores; ``"type": null`` counts as no label. The
-record schema lives in ``core.TrajectorySet``: a header or record that it or
-the JSON decoder refuses raises a ``ParseError`` that names its line.
+record schema lives in ``core``: its key sets and ``TrajectorySet``. Each
+line is decoded once, and a header, record or CSV row that fails any check
+raises a ``ParseError`` that names its line.
 
 Smoothing is a centered moving average whose window shrinks symmetrically
 at a polyline's ends. ``smooth_set`` runs it over a set's packed points in
@@ -29,13 +30,13 @@ import csv
 import io
 import math
 from dataclasses import replace
-from itertools import islice
+from itertools import chain
 from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .core import (MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet,
-                   _as_points, _numbers, _segment_lengths, decode_json, encode_json)
+from .core import (CENTERLINE_KEYS, HEADER_KEYS, TRAJECTORY_KEYS, ContractError, GridSpec,
+                   Trajectory, TrajectorySet, _segment_lengths, decode_json, encode_json)
 
 # A frame passes the retention check with more than this many trajectories
 # per centerline. An int, so the check stays exact for any integer count.
@@ -66,28 +67,34 @@ def _records(lines: List[str]) -> Iterator[Tuple[int, dict]]:
         yield line_no, rec
 
 
-def _polylines(lines: List[str], key: str, skip: int = 0, frame_id: str = "unknown",
-               centerline_count: int = 0) -> TrajectorySet:
+def _check_keys(line_no: int, rec: dict, keys: frozenset) -> None:
+    if not rec.keys() <= keys:
+        raise ParseError(line_no, f"unknown key {min(rec.keys() - keys)!r}")
+
+
+def _polylines(records: Iterator[Tuple[int, dict]], key: str, header_line: int = 0,
+               **header) -> TrajectorySet:
     """The set of the polylines under ``key`` ("points" or "centerlines") of
-    the records of ``lines`` after the first ``skip``, each read into an array
-    of numbers as it is decoded (lists held to the end cost the garbage
-    collector a second at 24,000 records), then checked at once by
-    ``TrajectorySet``. When that fails, they are read again and checked one
-    by one, to name the first bad line."""
-    try:
-        return TrajectorySet.of((Trajectory(rec["id"], _numbers(rec[key]), rec.get("type"))
-                                 for _, rec in islice(_records(lines), skip, None)),
-                                frame_id, centerline_count)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        for line_no, rec in islice(_records(lines), skip, None):
-            for field in (key, "id"):
-                if field not in rec:
-                    raise ParseError(line_no, f"record missing {field!r}") from None
+    ``records`` and of the ``header`` read at ``header_line``. Each record goes
+    to ``TrajectorySet.of`` as it is decoded, so no list of points outlives it
+    (at 24,000 records they cost the garbage collector a second)."""
+    keys = TRAJECTORY_KEYS if key == "points" else CENTERLINE_KEYS
+    lines = []  # each record's, in polyline order
+
+    def trajectories() -> Iterator[Trajectory]:
+        for line_no, rec in records:
+            _check_keys(line_no, rec, keys)
             try:
-                TrajectorySet.of([Trajectory(rec["id"], _as_points(rec[key]), rec.get("type"))])
-            except ContractError as e:
-                raise ParseError(line_no, str(e)) from None
-        raise
+                points, tid = rec[key], rec["id"]
+            except KeyError as e:
+                raise ParseError(line_no, f"record missing {e.args[0]!r}") from None
+            lines.append(line_no)
+            yield Trajectory(tid, points, rec.get("type"))
+
+    try:
+        return TrajectorySet.of(trajectories(), **header)
+    except ContractError as e:  # a polyline's line, else the header's
+        raise ParseError(header_line if e.index is None else lines[e.index], e.msg) from None
 
 
 def _to_record(t: Trajectory, key: str = "points") -> dict:
@@ -110,16 +117,13 @@ def parse_trajectories(text: str) -> TrajectorySet:
 
 
 def _parse_jsonl(text: str) -> TrajectorySet:
-    lines = text.split("\n")
-    line_no, rec = next(_records(lines), (0, {}))
-    if "points" not in rec and ("frame_id" in rec or "centerline_count" in rec):
-        header = rec.get("frame_id", "unknown"), rec.get("centerline_count", 0)
-        try:
-            TrajectorySet.of([], *header)
-        except ContractError as e:
-            raise ParseError(line_no, str(e)) from None
-        return _polylines(lines, "points", 1, *header)
-    return _polylines(lines, "points")
+    records = _records(text.split("\n"))
+    for line_no, rec in records:  # the first record, or the header
+        if "points" in rec or HEADER_KEYS.isdisjoint(rec):
+            return _polylines(chain([(line_no, rec)], records), "points")
+        _check_keys(line_no, rec, HEADER_KEYS)
+        return _polylines(records, "points", line_no, **rec)
+    return TrajectorySet.of(())
 
 
 def _parse_csv(text: str) -> TrajectorySet:
@@ -140,21 +144,17 @@ def _parse_csv(text: str) -> TrajectorySet:
                 seq, x, y = int(row[1]), float(row[2]), float(row[3])
             except ValueError as e:
                 raise ParseError(line_no, f"bad numeric field: {e}") from e
-            # NaN fails the comparison too
-            if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
-                raise ParseError(line_no, "points must be finite with |coordinate| "
-                                 f"<= MAX_COORD={MAX_COORD:g}")
-            if tid not in groups:
-                groups[tid] = []
-            groups[tid].append((seq, x, y, line_no))
+            groups.setdefault(tid, []).append((seq, x, y, line_no))
     except csv.Error as e:  # e.g. a field beyond csv.field_size_limit()
         raise ParseError(end + 1, f"bad CSV record: {e}") from e
-    for rows in groups.values():
+    rows_of = list(groups.values())
+    for rows in rows_of:
         rows.sort(key=lambda r: r[0])
-        if len(rows) < 2:
-            raise ParseError(rows[0][3], "trajectory shorter than 2 points")
-    return TrajectorySet.of([Trajectory(tid, [r[1:3] for r in rows])
-                             for tid, rows in groups.items()])
+    try:
+        return TrajectorySet.of([Trajectory(tid, [r[1:3] for r in rows])
+                                 for tid, rows in groups.items()])
+    except ContractError as e:  # the line of a bad point, else of its polyline's first
+        raise ParseError(rows_of[e.index][e.point or 0][3], e.msg) from None
 
 
 def serialize_trajectories(ts: TrajectorySet) -> str:
@@ -165,7 +165,7 @@ def serialize_trajectories(ts: TrajectorySet) -> str:
 
 
 def parse_centerlines(text: str) -> TrajectorySet:
-    return _polylines(text.split("\n"), "centerlines")
+    return _polylines(_records(text.split("\n")), "centerlines")
 
 
 def serialize_centerlines(polylines: TrajectorySet) -> str:
@@ -178,7 +178,8 @@ def filter_by_length(ts: TrajectorySet, min_length_m: float) -> TrajectorySet:
     segment norms, is >= min_length_m."""
     if not min_length_m >= 0:  # NaN fails too
         raise ContractError(f"min_length_m must be >= 0, got {min_length_m}")
-    kept = [t for t in ts if _segment_lengths(t.points).sum() >= min_length_m]
+    seg, ends = _segment_lengths(ts.points), ts.offsets.tolist()
+    kept = [t for t, a, b in zip(ts, ends, ends[1:]) if seg[a:b - 1].sum() >= min_length_m]
     return TrajectorySet.of(kept, ts.frame_id, ts.centerline_count)
 
 

@@ -537,6 +537,12 @@ MALFORMED = {
     "jsonl-int64-min": ("jsonl", INT64_MIN % "points", 1),
     "jsonl-int64-min-after-good": ("jsonl", GOOD_TRAJ + INT64_MIN % "points", 2),
     "centerline-int64-min": ("centerlines", GOOD_CL + INT64_MIN % "centerlines", 2),
+    # a key outside the schema, misspelt or extra
+    "header-unknown-key": ("jsonl", '{"frame_id": "f", "centerline_cnt": 1}\n' + GOOD_TRAJ, 1),
+    "jsonl-unknown-key": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": [[0, 0], [9, 1]], '
+                          '"tpye": "x"}\n', 2),
+    "centerline-unknown-key": ("centerlines", GOOD_CL + '{"id": "d", "centerlines": '
+                               '[[0, 0], [9, 0]], "lane": 1}\n', 2),
 }
 
 
@@ -558,6 +564,21 @@ def test_malformed_record_exit_2_names_line(kind, text, line, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"line {line}: {bad}: " in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case,key", [("header-unknown-key", "centerline_cnt"),
+                                      ("jsonl-unknown-key", "tpye"),
+                                      ("centerline-unknown-key", "lane")])
+def test_unknown_key_exit_2_names_line_and_key(case, key, tmp_path, capsys):
+    """A misspelt header key no longer reads as the default count, so the
+    retention check cannot pass on it."""
+    kind, text, line = MALFORMED[case]
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    assert run(*reader_argv(kind, bad, tmp_path), "--out", tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    assert f"line {line}: {bad}: unknown key {key!r}" in captured.err
+    assert "retention_check" not in captured.out
 
 
 # (file kind, text with %s where the value goes, line the error must name)

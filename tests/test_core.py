@@ -99,6 +99,13 @@ class TestTrajectory:
         with pytest.raises(ContractError, match="trajectory 'bad': "):
             TrajectorySet.of([good, Trajectory("bad", points), Trajectory("also", points)])
 
+    @pytest.mark.parametrize("points", [{"a": 1}, "xy", [[0.0, 0.0], [1.0]], np.zeros((3, 3))],
+                             ids=["dict", "string", "ragged", "n-by-3"])
+    def test_record_of_no_point_array_is_indexed(self, points):
+        with pytest.raises(ContractError, match="^trajectory 'x': ") as e:
+            TrajectorySet.of([Trajectory("x", points)])
+        assert (e.value.index, e.value.point) == (0, None)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
             one("x", [[0.0, 0.0], [float("nan"), 1.0]])
@@ -170,6 +177,36 @@ class TestSchema:
         labels = (None, "solid", 2, -0.5, True, [1, "x", None], {"k": [2.5]})
         ts = TrajectorySet.of(Trajectory(str(i), LINE, v) for i, v in enumerate(labels))
         assert ts.labels == labels
+
+
+GOOD = Trajectory("g", [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+FAULTS = {  # a bad polyline, the row of its first bad point, and the reason
+    "bound": (Trajectory("b", [[0.0, 0.0], [1.0, 1.0], [math.inf, 0.0], [2.0, math.nan]]), 2,
+              "points must be finite"),
+    "length": (Trajectory("b", [[0.0, 0.0]]), None, "trajectory shorter than 2 points"),
+    "id": (Trajectory(7, LINE), None, "id must be a string, got int"),
+    "label": (Trajectory("b", LINE, (1, 2)), None, "type must read back as written"),
+    "nan-label": (Trajectory("b", LINE, [math.nan]), None, "type must be JSON"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_check_names_the_first_bad_polyline_and_point(fault):
+    """The set's one check says where it failed: the polyline, and the row
+    within it of the first bad point, so a reader can name a line."""
+    bad, point, reason = FAULTS[fault]
+    with pytest.raises(ContractError) as e:
+        TrajectorySet.of([GOOD, GOOD, bad, GOOD, bad])
+    assert (e.value.index, e.value.point) == (2, point)
+    assert e.value.msg.startswith(reason)
+    assert str(e.value) == f"trajectory {bad.id!r}: {e.value.msg}"
+
+
+def test_bad_point_after_an_empty_polyline_is_not_the_empty_ones():
+    bad, point, _ = FAULTS["bound"]
+    with pytest.raises(ContractError) as e:
+        TrajectorySet.of([GOOD, Trajectory("e", np.empty((0, 2))), bad])
+    assert (e.value.index, e.value.point) == (2, point)
 
 
 class TestJsonCodec:

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import smooth_by_point_loop
 from trajprior import cli, ingest
-from trajprior.core import ContractError, Trajectory, TrajectorySet
+from trajprior.core import ContractError, Trajectory, TrajectorySet, decode_json
 from trajprior.ingest import (ParseError, filter_by_length,
                               parse_centerlines, parse_trajectories,
                               retention_check, serialize_centerlines,
@@ -181,13 +181,55 @@ class TestCodecLimits:
     @pytest.mark.parametrize("first", [True, False], ids=["alone", "after-a-good-record"])
     def test_coordinates_that_are_not_numbers_name_their_line(self, points, first):
         """numpy would cast strings and booleans to float64; a record that
-        holds them is refused on the path that reads the whole set and on the
-        one that then names its line."""
+        holds them is refused, naming its line, alone or after a good one."""
         records = [{"id": "b", "points": points}]
         if not first:
             records.insert(0, {"id": "a", "points": [[0, 0], [9, 0]]})
         with pytest.raises(ParseError, match=f"line {len(records)}: points must be numbers"):
             parse_trajectories(make_jsonl(records))
+
+
+class TestOnePass:
+    """Each line of a record file is decoded once, whether the file is good
+    or not, and the set's one check names the line of a bad record."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return decode_json(text)
+
+        monkeypatch.setattr(ingest, "decode_json", counting)
+        return texts
+
+    def test_good_file(self, fixtures_dir, decoded):
+        text = (fixtures_dir / "mixed_lengths.jsonl").read_text()
+        assert len(parse_trajectories(text)) == 3
+        assert decoded == text.splitlines()
+
+    @pytest.mark.parametrize("bad,read", [('{"id": "x", "points": [[0, 0], [1e300, 0]]}', 6),
+                                          ('{"id": "x", "points": [[0, 0]]}', 6),
+                                          ('{"id": 5, "points": [[0, 0], [1, 0]]}', 6),
+                                          ('{"id": "x", "points": [[0, 0], [1, 0, 2]]}', 5)],
+                             ids=["bound", "length", "id", "ragged"])
+    def test_bad_record_names_its_line(self, fixtures_dir, decoded, bad, read):
+        """The set checks a field of every record at once, after the last
+        line is read; points that make no (n, 2) array stop the read."""
+        lines = (fixtures_dir / "mixed_lengths.jsonl").read_text().splitlines()
+        lines += [bad, lines[-1].replace("len10", "len11")]
+        with pytest.raises(ParseError, match="^line 5: "):
+            parse_trajectories("\n".join(lines) + "\n")
+        assert decoded == lines[:read]
+
+    def test_centerlines(self, decoded):
+        lines = ['{"id": "c0", "centerlines": [[0, 0], [5, 0]]}',
+                 '{"id": "c1", "centerlines": [[0, 1], [5, 1e300]]}',
+                 '{"id": "c2", "centerlines": [[0, 2], [5, 2]]}']
+        with pytest.raises(ParseError, match="^line 2: points must be finite"):
+            parse_centerlines("\n".join(lines))
+        assert decoded == lines
 
 
 class TestFilterByLength:
@@ -222,6 +264,17 @@ class TestFilterByLength:
         ts = TrajectorySet.of([Trajectory("t", pts)])
         assert len(filter_by_length(ts, float(norms.sum()))) == 1
         assert len(filter_by_length(ts, float(np.nextafter(norms.sum(), np.inf)))) == 0
+
+    def test_each_polyline_sums_its_own_segments(self):
+        """The segments of one packed ``_segment_lengths`` call, sliced per
+        polyline, keep what a norm per polyline keeps."""
+        rng = np.random.default_rng(5)
+        ts = TrajectorySet.of(Trajectory(f"t{i}", rng.normal(0.0, 3.0, (int(n), 2)))
+                              for i, n in enumerate(rng.integers(2, 9, 300)))
+        for threshold in (0.0, 5.0, 12.0, 30.0):
+            want = [t.id for t in ts
+                    if np.linalg.norm(np.diff(t.points, axis=0), axis=1).sum() >= threshold]
+            assert filter_by_length(ts, threshold).ids == tuple(want)
 
     def test_idempotent(self, fixtures_dir):
         ts = parse_trajectories((fixtures_dir / "mixed_lengths.jsonl").read_text())

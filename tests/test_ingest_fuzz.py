@@ -3,7 +3,8 @@ never a traceback.
 
 Each `ingest` case mutates a valid JSONL or CSV file (truncation, flipped
 bytes, dropped keys or fields, wrong types, huge numbers, and in CSV
-non-finite ones) and runs `cli.main(["ingest", ...])` in process. Each
+non-finite ones) and runs `cli.main(["ingest", ...])` in process. A JSONL
+case may instead only reformat the file, which must then exit 0. Each
 `fuse` case mutates one of its three `.tp` inputs (truncation, flipped
 bits, non-finite or huge payload words, wrong types in a tensor entry or
 the grid spec) and runs `cli.main(["fuse", ...])` with warnings as errors.
@@ -73,6 +74,23 @@ def mutate_jsonl(rng):
     return "\n".join(json.dumps(r) for r in records) + "\n"
 
 
+def reformat_jsonl(rng):
+    """JSONL of the same records: keys in random order, JSON whitespace
+    around separators and records, and blank lines between them."""
+    def space():
+        return rng.choice(("", " ", "\t", "\r", "  \t"))
+
+    lines = [space()] * rng.randint(0, 2)
+    for line in JSONL.splitlines():
+        rec = json.loads(line)
+        keys = sorted(rec)
+        rng.shuffle(keys)
+        text = json.dumps({k: rec[k] for k in keys},
+                          separators=(space() + "," + space(), space() + ":" + space()))
+        lines += [space() + text + space()] + [space()] * rng.randint(0, 2)
+    return "\n".join(lines) + "\n"
+
+
 def mutate_csv(rng):
     rows = [line.split(",") for line in CSV.splitlines()]
     for _ in range(rng.randint(1, 3)):
@@ -87,7 +105,9 @@ def mutate_csv(rng):
 def mutate(rng, fmt):
     """(kind, bytes) of one mutated input file."""
     base = JSONL if fmt == "jsonl" else CSV
-    kind = rng.choice(("truncate", "flip", "structure"))
+    kind = rng.choice(("truncate", "flip", "structure") + (("reformat",) if fmt == "jsonl" else ()))
+    if kind == "reformat":
+        return kind, reformat_jsonl(rng).encode()
     if kind == "truncate":
         return kind, base.encode()[:rng.randrange(len(base))]
     if kind == "flip":
@@ -116,6 +136,7 @@ def test_mutated_input_exits_0_or_2(fmt, tmp_path, capsys):
             pytest.fail(f"case {case} ({kind}, window {window}) raised {e!r} "
                         f"on {data[:300]!r}")
         assert code in codes, f"case {case} ({kind}) exit {code} on {data[:300]!r}"
+        assert kind != "reformat" or code == 0, f"case {case} exit {code} on {data[:300]!r}"
         codes[code] += 1
         capsys.readouterr()
     # the mutations reach both outcomes, not only the parser's first check

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trajprior import cli, tensorio
+from trajprior.core import CENTERLINE_KEYS, HEADER_KEYS, TRAJECTORY_KEYS
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -75,6 +76,21 @@ def test_readme_names_no_flag_its_command_lacks():
             mentions += len(flags)
             unknown += [f"{words[0]} {flag}" for flag in flags if flag not in known]
     assert mentions and not unknown
+
+
+def test_readme_field_table_is_the_record_schema():
+    """README's field table names exactly the keys that core lets each kind
+    of record hold, so no key goes undocumented or stays documented once
+    dropped."""
+    rows = re.findall(r"^\| `(\w+)` \| ([\w ]+) \|", README.read_text(encoding="utf-8"),
+                      re.M)
+    where = {"header": {"header"}, "trajectory": {"each record", "trajectory record"},
+             "centerline": {"each record", "centerline record"}}
+    assert {place for _, place in rows} == set().union(*where.values())
+    table = {kind: {field for field, place in rows if place in places}
+             for kind, places in where.items()}
+    assert table == {"header": HEADER_KEYS, "trajectory": TRAJECTORY_KEYS,
+                     "centerline": CENTERLINE_KEYS}
 
 
 # What README's CLI section promises: fuse's outputs agree within this bound,
