@@ -130,7 +130,7 @@ def cmd_cluster(args) -> int:
 def cmd_sample(args) -> int:
     ts = _load_set(args.input)
     result = selection.fps(ts, args.count, seed=args.seed)
-    picked = TrajectorySet.of([ts[i] for i in result.indices])
+    picked = ts.take(result.indices)
     points = selection.resample_all(picked, args.resample)  # refused before any write
     doc = {
         "count": args.count,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
@@ -223,8 +223,9 @@ CENTERLINE_KEYS = frozenset({"id", "centerlines", "type"})
 
 def _label_fault(labels: tuple) -> Optional[str]:
     """Why ``labels`` do not read back from JSON as written, or None."""
+    labels = [label for label in labels if label is not None]  # null reads back as None
     try:
-        if decode_json(encode_json(labels)) == list(labels):
+        if decode_json(encode_json(labels)) == labels:
             return None
     except ValueError as e:  # NaN, an integer beyond 64 bits, not JSON
         return f"type must be JSON without NaN or Infinity: {e}"
@@ -233,12 +234,12 @@ def _label_fault(labels: tuple) -> Optional[str]:
 
 @dataclass(frozen=True)
 class TrajectorySet(Sequence):
-    """A frame's polylines end to end, plus scene metadata, built by ``of``:
-    ``self[i]`` is polyline i, whose points are the view
-    ``points[offsets[i]:offsets[i + 1]]``, with ``ids[i]`` and ``labels[i]``.
-    The record schema lives here: ``__post_init__`` checks every field below,
-    the header's first, then each one of every polyline at once, and names the
-    first polyline that fails."""
+    """A frame's polylines end to end, plus scene metadata: ``self[i]`` is
+    polyline i, the view ``points[offsets[i]:offsets[i + 1]]``, with
+    ``ids[i]`` and ``labels[i]``. ``of`` builds a set from records, ``take``
+    and ``dataclasses.replace`` from a set. The record schema lives here:
+    ``__post_init__`` checks every field below, the header's first, then each
+    one of every polyline at once, and names the first polyline that fails."""
 
     points: np.ndarray   # (N, 2) float64, checked by one _as_points call
     offsets: np.ndarray  # (M + 1,) int64, from 0 to N
@@ -289,6 +290,16 @@ class TrajectorySet(Sequence):
         return cls(np.concatenate(arrays) if arrays else np.empty((0, 2)),
                    np.cumsum([0] + [len(p) for p in arrays]), tuple(ids), tuple(labels),
                    frame_id, centerline_count)
+
+    def take(self, indices) -> "TrajectorySet":
+        """The polylines at ``indices``, in that order, under this set's header."""
+        picks = np.asarray(indices, dtype=np.int64)
+        sizes = np.diff(self.offsets)[picks]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        rows = np.repeat(self.offsets[:-1][picks] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        ids, labels = ([field[i] for i in picks.tolist()] for field in (self.ids, self.labels))
+        return replace(self, points=self.points.take(rows, axis=0), offsets=offsets,
+                       ids=tuple(ids), labels=tuple(labels))
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -51,8 +51,8 @@ class ParseError(ValueError):
         self.line_no, self.msg = line_no, msg
 
 
-def _records(lines: List[str]) -> Iterator[Tuple[int, dict]]:
-    """(line number, object) for every nonblank line of a JSONL text split
+def _records(lines: List[str]) -> Iterator[Tuple[int, str, dict]]:
+    """(line number, line, object) for every nonblank line of a JSONL text split
     at "\n" alone: JSON strings may hold U+0085, U+2028 and U+2029 raw, and a
     trailing "\r" is JSON whitespace."""
     for line_no, line in enumerate(lines, start=1):
@@ -64,7 +64,7 @@ def _records(lines: List[str]) -> Iterator[Tuple[int, dict]]:
             raise ParseError(line_no, f"invalid JSON: {getattr(e, 'msg', e)}") from e
         if not isinstance(rec, dict):
             raise ParseError(line_no, "record is not an object")
-        yield line_no, rec
+        yield line_no, line, rec
 
 
 def _check_keys(line_no: int, rec: dict, keys: frozenset) -> None:
@@ -72,7 +72,11 @@ def _check_keys(line_no: int, rec: dict, keys: frozenset) -> None:
         raise ParseError(line_no, f"unknown key {min(rec.keys() - keys)!r}")
 
 
-def _polylines(records: Iterator[Tuple[int, dict]], key: str, header_line: int = 0,
+def _holds_bool(pts) -> bool:  # numpy would read a row [true, 2.5] as [1.0, 2.5]
+    return type(pts) is list and any(type(v) is bool for r in pts if type(r) is list for v in r)
+
+
+def _polylines(records: Iterator[Tuple[int, str, dict]], key: str, header_line: int = 0,
                **header) -> TrajectorySet:
     """The set of the polylines under ``key`` ("points" or "centerlines") of
     ``records`` and of the ``header`` read at ``header_line``. Each record goes
@@ -82,12 +86,14 @@ def _polylines(records: Iterator[Tuple[int, dict]], key: str, header_line: int =
     lines = []  # each record's, in polyline order
 
     def trajectories() -> Iterator[Trajectory]:
-        for line_no, rec in records:
+        for line_no, line, rec in records:
             _check_keys(line_no, rec, keys)
             try:
                 points, tid = rec[key], rec["id"]
             except KeyError as e:
                 raise ParseError(line_no, f"record missing {e.args[0]!r}") from None
+            if ("true" in line or "false" in line) and _holds_bool(points):
+                raise ParseError(line_no, "points must be numbers: got bool values")
             lines.append(line_no)
             yield Trajectory(tid, points, rec.get("type"))
 
@@ -118,9 +124,9 @@ def parse_trajectories(text: str) -> TrajectorySet:
 
 def _parse_jsonl(text: str) -> TrajectorySet:
     records = _records(text.split("\n"))
-    for line_no, rec in records:  # the first record, or the header
+    for line_no, line, rec in records:  # the first record, or the header
         if "points" in rec or HEADER_KEYS.isdisjoint(rec):
-            return _polylines(chain([(line_no, rec)], records), "points")
+            return _polylines(chain([(line_no, line, rec)], records), "points")
         _check_keys(line_no, rec, HEADER_KEYS)
         return _polylines(records, "points", line_no, **rec)
     return TrajectorySet.of(())
@@ -174,13 +180,12 @@ def serialize_centerlines(polylines: TrajectorySet) -> str:
 
 
 def filter_by_length(ts: TrajectorySet, min_length_m: float) -> TrajectorySet:
-    """Keep trajectories whose arc length, the pairwise ``np.sum`` of their
-    segment norms, is >= min_length_m."""
+    """The set's ``take`` of the trajectories whose arc length, the pairwise
+    ``np.sum`` of their segment norms, is >= min_length_m."""
     if not min_length_m >= 0:  # NaN fails too
         raise ContractError(f"min_length_m must be >= 0, got {min_length_m}")
-    seg, ends = _segment_lengths(ts.points), ts.offsets.tolist()
-    kept = [t for t, a, b in zip(ts, ends, ends[1:]) if seg[a:b - 1].sum() >= min_length_m]
-    return TrajectorySet.of(kept, ts.frame_id, ts.centerline_count)
+    seg, off = _segment_lengths(ts.points), ts.offsets.tolist()
+    return ts.take([i for i in range(len(ts)) if seg[off[i]:off[i + 1] - 1].sum() >= min_length_m])
 
 
 def smooth(points: np.ndarray, offsets: np.ndarray, window: int) -> np.ndarray:

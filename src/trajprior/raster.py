@@ -93,8 +93,8 @@ def rasterize_trajectories(ts: TrajectorySet, spec: GridSpec) -> Heatmap:
     count = np.zeros(h * w, dtype=np.int64)
     sum_x = np.zeros(h * w, dtype=np.float64)
     sum_y = np.zeros(h * w, dtype=np.float64)
-    canonical = sorted(ts, key=lambda t: (t.id, t.points.tobytes()))
-    a, b, owner = TrajectorySet.of(canonical).segments()
+    canonical = sorted(range(len(ts)), key=lambda i: (ts.ids[i], ts[i].points.tobytes()))
+    a, b, owner = ts.take(canonical).segments()
     real = (a[:, 0] != b[:, 0]) | (a[:, 1] != b[:, 1])
     a, b, owner = a[real], b[real], owner[real]
     # whole trajectories per chunk, so each per-trajectory sum is made in

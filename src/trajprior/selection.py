@@ -163,7 +163,7 @@ def fps(ts: TrajectorySet, count: int, seed: int = 0) -> SampleResult:
                                    dt[:, 0] * dt[:, 0] + dt[:, 1] * dt[:, 1]))
         todo = np.flatnonzero(bound < min_d)
         if len(todo):
-            dists = frechet_dp(ts[pick].points, TrajectorySet.of([ts[k] for k in todo]))
+            dists = frechet_dp(ts[pick].points, ts.take(todo))
             min_d[todo] = np.minimum(min_d[todo], dists)
         pick = int(min_d.argmax())
         min_dists.append(float(min_d[pick]))

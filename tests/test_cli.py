@@ -543,6 +543,11 @@ MALFORMED = {
                           '"tpye": "x"}\n', 2),
     "centerline-unknown-key": ("centerlines", GOOD_CL + '{"id": "d", "centerlines": '
                                '[[0, 0], [9, 0]], "lane": 1}\n', 2),
+    # numpy would read true and false among numbers as 1 and 0
+    "point-bools-among-numbers": ("jsonl", GOOD_TRAJ + '{"id": "b", "points": '
+                                  '[[true, false], [1, 1]]}\n', 2),
+    "centerline-point-bool": ("centerlines", GOOD_CL + '{"id": "d", "centerlines": '
+                              '[[1.5, true], [2, 2]]}\n', 2),
 }
 
 

@@ -1,12 +1,12 @@
 import json
 import math
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from trajprior import core
+from trajprior import cli, core, raster, selection
 from trajprior.core import (MAX_CELLS, MAX_COORD, ContractError, GridSpec, Trajectory,
                            TrajectorySet, _segment_lengths, decode_json, encode_json,
                            fold_axial)
@@ -15,7 +15,7 @@ from trajprior.metrics import sample_polyline_points
 from trajprior.selection import resample_all
 
 import oracles
-from conftest import random_trajectory
+from conftest import random_set, random_trajectory
 
 
 class TestGridSpec:
@@ -207,6 +207,76 @@ def test_bad_point_after_an_empty_polyline_is_not_the_empty_ones():
     with pytest.raises(ContractError) as e:
         TrajectorySet.of([GOOD, Trajectory("e", np.empty((0, 2))), bad])
     assert (e.value.index, e.value.point) == (2, point)
+
+
+def test_check_of_an_unlabelled_set_walks_no_label(monkeypatch):
+    """null always reads back as None, so no label of an unlabelled set is
+    written and read back, and none is walked for NaN in Python."""
+    ts = TrajectorySet.of([Trajectory(f"t{i}", LINE) for i in range(1000)])
+    calls = []
+    finite = core._finite
+    monkeypatch.setattr(core, "_finite", lambda value: calls.append(value) or finite(value))
+    replace(ts)
+    assert calls == []
+
+
+def bits(ts):
+    return (ts.points.tobytes(), ts.points.dtype, ts.offsets.tobytes(), ts.offsets.dtype,
+            ts.ids, ts.labels, ts.frame_id, ts.centerline_count)
+
+
+class TestTake:
+    """``take`` builds a set from another set's polylines by one row gather."""
+
+    def test_order_and_repeats_kept(self):
+        rng = np.random.default_rng(2)
+        ts = TrajectorySet.of([Trajectory(str(i), rng.normal(size=(2 + i % 3, 2)), f"l{i}")
+                               for i in range(5)], "f", 3)
+        out = ts.take([3, 0, 3, 4, -1])
+        assert out.ids == ("3", "0", "3", "4", "4")
+        assert out.labels == ("l3", "l0", "l3", "l4", "l4")
+        for t, i in zip(out, [3, 0, 3, 4, 4]):
+            assert t.points.tobytes() == ts[i].points.tobytes()
+        assert (out.frame_id, out.centerline_count) == ("f", 3)
+
+    @pytest.mark.parametrize("indices", [[], range(0), np.empty(0, dtype=np.int64)],
+                             ids=["list", "range", "array"])
+    def test_empty_indices_give_an_empty_set_under_the_header(self, indices):
+        ts = TrajectorySet.of([Trajectory("a", LINE)], "f", 2)
+        assert bits(ts.take(indices)) == bits(TrajectorySet.of([], "f", 2))
+
+    def test_points_are_contiguous_float64(self):
+        ts = random_set(np.random.default_rng(3), 20)
+        points = ts.take(range(19, -1, -2)).points
+        assert points.dtype == np.float64 and points.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bits_equal_those_of_the_records(self, seed):
+        """The same bits as ``TrajectorySet.of`` of the records it picks."""
+        rng = np.random.default_rng(seed)
+        ts = random_set(rng, int(rng.integers(1, 40)))
+        picks = rng.integers(0, len(ts), int(rng.integers(0, 60))).tolist()
+        want = TrajectorySet.of([ts[i] for i in picks], ts.frame_id, ts.centerline_count)
+        assert bits(ts.take(picks)) == bits(want)
+
+    def test_subsets_are_taken_not_rebuilt(self, monkeypatch, tmp_path):
+        """The length filter, FPS, the rasterizer and ``sample`` take their
+        subsets from the set they hold: no record's points are read again, so
+        the one ``_point_array`` call of each set's check is the only one."""
+        ts = random_set(np.random.default_rng(4), 30)
+        checks, reads = [], []
+        post_init, point_array = TrajectorySet.__post_init__, core._point_array
+        monkeypatch.setattr(TrajectorySet, "__post_init__",
+                            lambda self: checks.append(self) or post_init(self))
+        monkeypatch.setattr(core, "_point_array",
+                            lambda points: reads.append(points) or point_array(points))
+        assert len(filter_by_length(ts, 20.0)) < len(ts)
+        selection.fps(ts, 6, seed=1)
+        raster.rasterize_trajectories(ts, GridSpec())
+        monkeypatch.setattr(cli, "_load_set", lambda path: ts)
+        assert cli.main(["sample", "--input", "in.jsonl", "--count", "4",
+                         "--out", str(tmp_path / "s.json")]) == 0
+        assert len(checks) > 4 and len(reads) == len(checks)
 
 
 class TestJsonCodec:

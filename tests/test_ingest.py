@@ -188,6 +188,19 @@ class TestCodecLimits:
         with pytest.raises(ParseError, match=f"line {len(records)}: points must be numbers"):
             parse_trajectories(make_jsonl(records))
 
+    def test_true_outside_the_points_is_read(self):
+        ts = parse_trajectories('{"id": "true", "points": [[0, 0], [1, 1]], "type": true}\n')
+        assert (ts.ids, ts.labels) == (("true",), (True,))
+
+    def test_points_are_walked_only_on_a_line_holding_true_or_false(self, monkeypatch):
+        walked = []
+        holds_bool = ingest._holds_bool
+        monkeypatch.setattr(ingest, "_holds_bool",
+                            lambda value: walked.append(value) or holds_bool(value))
+        parse_trajectories(make_jsonl([{"id": "a", "points": [[1, 2], [3, 4]], "type": None},
+                                       {"id": "b", "points": [[5, 6], [7, 8]], "type": False}]))
+        assert walked == [[[5, 6], [7, 8]]]
+
 
 class TestOnePass:
     """Each line of a record file is decoded once, whether the file is good

@@ -169,3 +169,22 @@ def test_json_only_through_the_core_codec():
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
                for line, name in json_codecs_named(parse(path.name))]
     assert not spelled, f"JSON read or written around core's codec: {spelled}"
+
+
+# The functions that build a TrajectorySet from records: the readers, the
+# synthetic scene and the token writer of cluster and sample.
+SET_BUILDERS = {("ingest", "_polylines"), ("ingest", "_parse_jsonl"), ("ingest", "_parse_csv"),
+                ("ingest", "synth_scene"), ("cli", "_write_report")}
+
+
+def test_sets_from_records_only_where_records_are_read():
+    """A set taken from another set goes through ``take`` or
+    ``dataclasses.replace``, one gather and one check; ``TrajectorySet.of``
+    would turn its polylines back into records and read each one again."""
+    builders = {(path.stem, getattr(top, "name", "<module>"))
+                for path in sorted(PACKAGE.glob("*.py"))
+                for top in parse(path.name).body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "of"
+                and ast.unparse(node.value).split(".")[-1] == "TrajectorySet"}
+    assert builders <= SET_BUILDERS, f"sets built from records: {builders - SET_BUILDERS}"
