@@ -12,20 +12,24 @@ checked boundary. `params` is a plain dict of the six parameter arrays keyed
 by stage argument, `w1, b1, w2, b2, weight, bias`; `_param_shapes` is the one
 place their shapes are written, and `fuse_pipeline` checks them once.
 
-One layout makes every read off the grid a zero: `_padded` copies x (...,
-H, W, C) into zeros with two rows and columns before it and three after,
-flattened to (..., (H+5)(W+5), C), so cell (r, c) is row (r+2)(W+5)+c+2 and
-a 3x3 tap or a clipped bilinear position reads the grid or a zero.
-`predict_offsets` is two 3x3 convolutions. In `_conv3x3`, tap (i, j) is the
-contiguous slice of H(W+5) rows from (i+1)(W+5)+j+1, so the convolution is
-nine BLAS matmuls of those slices with the tap's weights, laid out by `_taps`
-as contiguous (..., 3, 3, C, O) matrices; the five columns of each output row
-that cross the row wrap are dropped. `_conv3x3_grad` takes d_w from the same
-slices against the upstream gradient in the same layout, and d_x from
-`_conv3x3` with w turned 180 degrees and its channel axes swapped. No 3x3
-patch tensor is built: a 9C-wide copy of every stacked input would multiply
-the memory of the finite-difference check. `warp` and `warp_grad` get each
-position's top-left neighbour as a row `at` from `_bilinear`; neighbour
+One layout makes every read off the grid a zero: `_padded` copies the
+channels of its (..., H, W, C_k) arrays into zeros with two rows and columns
+before the grid and three after, so flattened to (..., (H+5)(W+5), C) rows,
+cell (r, c) is row (r+2)(W+5)+c+2 and a 3x3 tap or a clipped bilinear
+position reads the grid or a zero. `predict_offsets` is two 3x3
+convolutions; [bev, prior] go straight into one padded buffer, and conv1's
+tanh into conv2's. `_conv3x3` works in bands of output rows, at most `_BAND`
+entries in each of two reused buffers. For a band from flat row q, tap (i, j)
+is the contiguous slice of rows from q + (i+1)(W+5)+j+1, so the band is nine
+BLAS matmuls of those slices with the tap's weights, laid out by `_taps` as
+contiguous (..., 3, 3, C, O) matrices, summed in tap order: each output is
+the same sum in any band. The five columns of each output row that cross
+the row wrap are dropped. `_conv3x3_grad` takes d_w from whole-grid slices
+against the upstream gradient in the same layout, and d_x from `_conv3x3`
+with w turned 180 degrees and its channel axes swapped. No 3x3 patch tensor
+is built: a 9C-wide copy of every stacked input would multiply the memory of
+the finite-difference check. `warp`, in the same bands, and `warp_grad` get
+each position's top-left neighbour as a row `at` from `_bilinear`; neighbour
 (dr, dc) is row at + dr(W+5) + dc, read by one `take` of whole channel rows.
 
 `finite_difference_check` checks every stage argument on one fixed instance:
@@ -87,20 +91,20 @@ def _check_same_grid(a: FeatureMap, b: FeatureMap) -> None:
             f"{b.spec.shape}x{b.channels}")
 
 
-def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Channel concatenation of two (..., H, W, C) arrays."""
-    batch = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-    return np.concatenate([np.broadcast_to(a, batch + a.shape[-3:]),
-                           np.broadcast_to(b, batch + b.shape[-3:])], axis=-1)
+def _concat(*xs: np.ndarray, out=None) -> np.ndarray:
+    """Channel concatenation of (..., H, W, C_k) arrays over their broadcast leading axes."""
+    batch = np.broadcast_shapes(*(x.shape[:-3] for x in xs))
+    return np.concatenate([np.broadcast_to(x, batch + x.shape[-3:]) for x in xs], -1, out=out)
 
 
-def _padded(x: np.ndarray) -> np.ndarray:
-    """x (..., H, W, C) in zeros with two rows and columns before it and three
-    after, flattened to (..., (H+5)(W+5), C): cell (r, c) is row (r+2)(W+5)+c+2."""
-    h, w, c = x.shape[-3:]
-    xp = np.zeros(x.shape[:-3] + (h + 5, w + 5, c))
-    xp[..., 2:2 + h, 2:2 + w, :] = x
-    return xp.reshape(x.shape[:-3] + (-1, c))
+def _padded(*xs: np.ndarray) -> np.ndarray:
+    """`_concat(*xs)` (..., H, W, C) in zeros with two rows and columns before
+    it and three after: (..., H+5, W+5, C), cell (r, c) at [..., r+2, c+2, :]."""
+    h, w = xs[0].shape[-3:-1]
+    xp = np.zeros(np.broadcast_shapes(*(x.shape[:-3] for x in xs))
+                  + (h + 5, w + 5, sum(x.shape[-1] for x in xs)))
+    _concat(*xs, out=xp[..., 2:2 + h, 2:2 + w, :])
+    return xp
 
 
 def _taps(w: np.ndarray) -> np.ndarray:
@@ -108,93 +112,115 @@ def _taps(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(w, (-4, -3), (-1, -2)))
 
 
-def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    h, wd = x.shape[-3:-1]
-    row = wd + 5
-    n = h * row
-    flat = _padded(x)
-    taps = _taps(w)
-    out = np.zeros(np.broadcast_shapes(x.shape[:-3], w.shape[:-4])
-                   + (n, w.shape[-4]))
-    term = np.empty_like(out)
-    for i in range(3):
-        for j in range(3):
-            s = (i + 1) * row + j + 1
-            np.matmul(flat[..., s:s + n, :], taps[..., i, j, :, :], out=term)
-            out += term
-    del flat, term  # lowers the peak at the bias add
-    # output columns wd to wd+4 of each row read across the row wrap: drop them
-    out = out.reshape(out.shape[:-2] + (h, row, -1))[..., :wd, :]
-    return out + b[..., None, None, :]
+_BAND = 3 << 12  # most output entries per band: 96 KiB buffers, under the mmap threshold
 
 
-def _conv3x3_grad(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
-    h, wd, c = x.shape
-    row = wd + 5
-    n = h * row
-    flat = _padded(x)
+def _conv3x3(xp: np.ndarray, w: np.ndarray, b: np.ndarray, out=None, act=None) -> np.ndarray:
+    """act(3x3 convolution of the `_padded` grid xp (..., H+5, W+5, C) with w
+    (..., O, C, 3, 3), plus b) written to out (..., H, W, O), new if None."""
+    h, row, o = xp.shape[-3] - 5, xp.shape[-2], w.shape[-4]
+    taps, batch = _taps(w), np.broadcast_shapes(xp.shape[:-3], w.shape[:-4])
+    if out is None:
+        out = np.empty(np.broadcast_shapes(batch, b.shape[:-1]) + (h, row - 5, o))
+    flat = xp.reshape(xp.shape[:-3] + (-1, xp.shape[-1]))
+    rows = max(1, min(h, _BAND // (math.prod(batch) * row * o)))  # grid rows per band
+    acc, term = np.empty(batch + (rows * row, o)), np.empty(batch + (rows * row, o))
+    for r in range(0, h, rows):
+        n = min(rows, h - r) * row
+        a, t = acc[..., :n, :], term[..., :n, :]
+        a.fill(0.0)
+        for i in range(3):
+            for j in range(3):
+                s = (r + i + 1) * row + j + 1
+                np.matmul(flat[..., s:s + n, :], taps[..., i, j, :, :], out=t)
+                a += t
+        # output columns W to W+4 of each row read across the row wrap: drop them
+        dst = out[..., r:r + rows, :, :]
+        np.add(a.reshape(batch + (-1, row, o))[..., :-5, :], b[..., None, None, :], out=dst)
+        if act is not None:
+            act(dst, out=dst)
+    return out
+
+
+def _conv3x3_grad(xp: np.ndarray, w: np.ndarray, d_out: np.ndarray):
+    """Adjoint of `_conv3x3` for one `_padded` instance xp: (d_x, d_w, d_b)."""
+    row, c = xp.shape[-2:]
+    n = d_out.shape[0] * row
+    dp = _padded(d_out)
     # d_out from its cell (0, 0) on: the wrap columns read zeros, out of d_w
-    d = _padded(d_out)[2 * row + 2:2 * row + 2 + n]
+    d = dp.reshape(-1, d_out.shape[-1])[2 * row + 2:2 * row + 2 + n]
     d_w = np.empty_like(w)
     for i in range(3):
         for j in range(3):
             s = (i + 1) * row + j + 1
-            d_w[:, :, i, j] = d.T @ flat[s:s + n]
-    d_x = _conv3x3(d_out, np.swapaxes(w[:, :, ::-1, ::-1], 0, 1), np.zeros(c))
+            d_w[:, :, i, j] = d.T @ xp.reshape(-1, c)[s:s + n]
+    d_x = _conv3x3(dp, np.swapaxes(w[:, :, ::-1, ::-1], 0, 1), np.zeros(c))
     return d_x, d_w, d_out.sum(axis=(0, 1))
+
+
+def _hidden(bev, prior, w1, b1):
+    """(xp, ap): [bev, prior] `_padded`, and conv1's tanh `_padded` as conv2 reads it."""
+    xp = _padded(bev, prior)
+    ap = np.zeros(np.broadcast_shapes(xp.shape[:-3], w1.shape[:-4], b1.shape[:-1])
+                  + xp.shape[-3:-1] + (w1.shape[-4],))
+    _conv3x3(xp, w1, b1, ap[..., 2:-3, 2:-3, :], np.tanh)
+    return xp, ap
 
 
 def predict_offsets(bev: np.ndarray, prior: np.ndarray, w1: np.ndarray,
                     b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """(..., H, W, 2) offsets from the channels [bev, prior] (..., H, W, 2C)."""
-    return _conv3x3(np.tanh(_conv3x3(_concat(bev, prior), w1, b1)), w2, b2)
+    return _conv3x3(_hidden(bev, prior, w1, b1)[1], w2, b2)
 
 
 def predict_offsets_grad(bev, prior, w1, b1, w2, b2, upstream):
     """Adjoint of predict_offsets: (d_bev, d_prior, d_w1, d_b1, d_w2, d_b2)."""
-    x = _concat(bev, prior)
-    a1 = np.tanh(_conv3x3(x, w1, b1))
-    d_a1, d_w2, d_b2 = _conv3x3_grad(a1, w2, upstream)
-    d_x, d_w1, d_b1 = _conv3x3_grad(x, w1, d_a1 * (1.0 - a1 * a1))
+    xp, ap = _hidden(bev, prior, w1, b1)
+    a1 = ap[2:-3, 2:-3]
+    d_a1, d_w2, d_b2 = _conv3x3_grad(ap, w2, upstream)
+    d_x, d_w1, d_b1 = _conv3x3_grad(xp, w1, d_a1 * (1.0 - a1 * a1))
     return (*np.split(d_x, [bev.shape[-1]], axis=-1), d_w1, d_b1, d_w2, d_b2)
 
 
-def _bilinear(data: np.ndarray, off: np.ndarray):
-    """(flat, at, tr, tc) of sampling data (..., H, W, C) at (h + off_row,
-    w + off_col): data `_padded` over the leading axes of both, as (-1, C)
-    rows; each position's top-left neighbour as a row of it; its fractions."""
-    h, w, c = data.shape[-3:]
-    batch = np.broadcast_shapes(data.shape[:-3], off.shape[:-3])
-    flat = _padded(np.broadcast_to(data, batch + (h, w, c))).reshape(-1, c)
+def _bilinear(off: np.ndarray, batch: tuple, h: int, w: int, r: int = 0):
+    """(at, tr, tc) of sampling an (H, W) grid at (i + off_row, j + off_col) for
+    the cells of off (..., K, W, 2), rows i from r: each top-left neighbour as a
+    row of the grid `_padded` over `batch` and flattened, and its fractions."""
     # Positions past one cell beyond the border read only zeros either way;
     # clipping them keeps the int64 cast in range for any finite offset.
-    rows = np.clip(np.arange(h)[:, None] + off[..., 0], -2, h + 1)
+    rows = np.clip(np.arange(r, r + off.shape[-3])[:, None] + off[..., 0], -2, h + 1)
     cols = np.clip(np.arange(w)[None, :] + off[..., 1], -2, w + 1)
     r0, c0 = np.floor(rows), np.floor(cols)
     base = np.arange(math.prod(batch)).reshape(batch + (1, 1)) * ((h + 5) * (w + 5))
     at = base + (r0.astype(np.int64) + 2) * (w + 5) + c0.astype(np.int64) + 2
-    return flat, at, rows - r0, cols - c0
+    return at, rows - r0, cols - c0
 
 
 def warp(data: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Bilinear resample of data (..., H, W, C) at (h + off_row, w + off_col)
     per cell; out-of-bounds neighbors contribute zero."""
-    flat, at, tr, tc = _bilinear(data, off)
-    row = data.shape[-2] + 5
-    out = np.zeros(at.shape + data.shape[-1:])
-    for dr in (0, 1):
-        wr = tr if dr else 1.0 - tr
-        for dc in (0, 1):
-            wc = tc if dc else 1.0 - tc
-            out += (wr * wc)[..., None] * flat.take(at + dr * row + dc, axis=0)
+    h, w, c = data.shape[-3:]
+    batch = np.broadcast_shapes(data.shape[:-3], off.shape[:-3])
+    flat = _padded(np.broadcast_to(data, batch + (h, w, c))).reshape(-1, c)
+    out = np.zeros(batch + (h, w, c))
+    rows = max(1, _BAND // (math.prod(batch) * w * c))
+    for r in range(0, h, rows):
+        at, tr, tc = _bilinear(off[..., r:r + rows, :, :], batch, h, w, r)
+        band = out[..., r:r + rows, :, :]
+        for dr in (0, 1):
+            wr = tr if dr else 1.0 - tr
+            for dc in (0, 1):
+                wc = tc if dc else 1.0 - tc
+                band += (wr * wc)[..., None] * flat.take(at + dr * (w + 5) + dc, axis=0)
     return out
 
 
 def warp_grad(data, off, upstream):
     """Adjoint of warp: (d_data, d_off). Exact away from integer offset
     crossings (where bilinear weights kink)."""
-    flat, at, tr, tc = _bilinear(data, off)
-    h, w = data.shape[:2]
+    h, w, c = data.shape
+    flat = _padded(data).reshape(-1, c)
+    at, tr, tc = _bilinear(off, (), h, w)
     d_flat = np.zeros_like(flat)
     d_off = np.zeros_like(off)
     for dr in (0, 1):

@@ -1,6 +1,9 @@
 import inspect
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -298,7 +301,7 @@ class TestConv3x3:
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     def test_forward_matches_taps_oracle(self, shape):
         x, w, b = conv_operands(np.random.default_rng(26), *shape)
-        got = fusion._conv3x3(x, w, b)
+        got = fusion._conv3x3(fusion._padded(x), w, b)
         assert got.shape == shape[:2] + (shape[3],)
         assert rel_diff(got, conv3x3_taps(x, w, b)) < 1e-12
 
@@ -307,7 +310,7 @@ class TestConv3x3:
         rng = np.random.default_rng(27)
         x, w, _ = conv_operands(rng, *shape)
         d_out = rng.normal(0, 1, shape[:2] + (shape[3],))
-        got = fusion._conv3x3_grad(x, w, d_out)
+        got = fusion._conv3x3_grad(fusion._padded(x), w, d_out)
         want = conv3x3_grad_taps(x, w, d_out)
         for g, wnt in zip(got, want):
             assert g.shape == wnt.shape and rel_diff(g, wnt) < 1e-12
@@ -317,7 +320,7 @@ class TestConv3x3:
                              ids=["x", "w", "b", "all"])
     def test_stacked_matches_taps_oracle(self, batches):
         x, w, b = conv_operands(np.random.default_rng(28), 4, 5, 2, 3, *batches)
-        got = fusion._conv3x3(x, w, b)
+        got = fusion._conv3x3(fusion._padded(x), w, b)
         want = conv3x3_taps(x, w, b)
         assert got.shape == want.shape and rel_diff(got, want) < 1e-12
 
@@ -325,11 +328,63 @@ class TestConv3x3:
         # the batched finite-difference check relies on this bit for bit
         x, w, b = conv_operands(np.random.default_rng(29), 5, 6, 8, 4,
                                 x_batch=(7,), w_batch=(7,))
-        by_x = fusion._conv3x3(x, w[0], b)
-        by_w = fusion._conv3x3(x[0], w, b)
+        xp = fusion._padded(x)
+        by_x = fusion._conv3x3(xp, w[0], b)
+        by_w = fusion._conv3x3(xp[0], w, b)
         for k in range(7):
-            assert np.array_equal(by_x[k], fusion._conv3x3(x[k], w[0], b))
-            assert np.array_equal(by_w[k], fusion._conv3x3(x[0], w[k], b))
+            assert np.array_equal(by_x[k], fusion._conv3x3(xp[k], w[0], b))
+            assert np.array_equal(by_w[k], fusion._conv3x3(xp[0], w[k], b))
+
+
+# Banded `_conv3x3` against one band and one grid row per band, in a child
+# process: the convolutions at the CLI's shape, stacked as the gradient check
+# stacks them, with one output channel, and the check itself
+BAND_CHILD = """
+import numpy as np
+from trajprior import fusion
+rng = np.random.default_rng(5)
+x = rng.normal(0, 1, (100, 200, 4))
+cases = [(x, rng.normal(0, 0.1, (8, 4, 3, 3)), rng.normal(0, 0.1, 8)),
+         (x, rng.normal(0, 0.1, (2, 4, 3, 3)), rng.normal(0, 0.1, 2)),
+         (x[:37, :53, :1], rng.normal(0, 1, (1, 1, 3, 3)), np.zeros(1)),
+         (rng.normal(0, 1, (16, 5, 6, 6)), rng.normal(0, 1, (4, 6, 3, 3)), np.zeros(4)),
+         (rng.normal(0, 1, (5, 6, 6)), rng.normal(0, 1, (16, 4, 6, 3, 3)),
+          rng.normal(0, 1, 4))]
+def outputs():
+    out = [fusion._conv3x3(fusion._padded(a), w, b).tobytes() for a, w, b in cases]
+    return out + [repr(fusion.finite_difference_check(seed)) for seed in range(3)]
+want = outputs()
+for band in (1, 2 ** 40):
+    fusion._BAND = band
+    assert outputs() == want, f"_BAND={band} changes the bits"
+print("bands agree")
+"""
+
+
+def blas_core(setting, code):
+    """(child's output, the BLAS core OpenBLAS names) of running code with
+    trajprior importable under the environment setting."""
+    env = dict(os.environ, OPENBLAS_VERBOSE="2", **setting)
+    paths = [str(pathlib.Path(fusion.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run([sys.executable, "-c", code], env=env, text=True, timeout=300,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    assert done.returncode == 0, done.stdout
+    core = re.findall(r"Core: (\w+)", done.stdout)
+    return done.stdout, core[0] if core else None
+
+
+@pytest.mark.parametrize("kernel", ["Sandybridge", "Haswell"])
+def test_conv_bands_bit_identical_under_other_blas_kernels(kernel):
+    """Each output of `_conv3x3` is the same BLAS sum in any band under another
+    OpenBLAS kernel too, or the fused map would depend on the band; a kernel
+    this machine cannot select, or runs already, is skipped naming the core."""
+    _, base = blas_core({}, "import numpy")
+    out, got = blas_core({"OPENBLAS_CORETYPE": kernel}, BAND_CHILD)
+    if not got == kernel != base:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} took no effect: BLAS core {got} "
+                    f"(default {base})")
+    assert "bands agree" in out
 
 
 def malformed_params():
@@ -451,10 +506,10 @@ def conv_grad_without_last_tap(x, w, d_out, _right=fusion._conv3x3_grad):
 
 
 def offsets_grad_without_tanh_prime(bev, prior, w1, b1, w2, b2, upstream):
-    x = fusion._concat(bev, prior)
-    a1 = np.tanh(fusion._conv3x3(x, w1, b1))
-    d_a1, d_w2, d_b2 = fusion._conv3x3_grad(a1, w2, upstream)
-    d_x, d_w1, d_b1 = fusion._conv3x3_grad(x, w1, d_a1)
+    xp = fusion._padded(bev, prior)
+    a1 = np.tanh(fusion._conv3x3(xp, w1, b1))
+    d_a1, d_w2, d_b2 = fusion._conv3x3_grad(fusion._padded(a1), w2, upstream)
+    d_x, d_w1, d_b1 = fusion._conv3x3_grad(xp, w1, d_a1)
     return (*np.split(d_x, [bev.shape[-1]], axis=-1), d_w1, d_b1, d_w2, d_b2)
 
 
@@ -643,6 +698,28 @@ class TestPipeline:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20
+
+    def test_peak_memory_bounded_by_padded_inputs_and_bands(self):
+        # a 200x400 grid, C=2 and hidden 8: the convolutions hold at most their
+        # two padded inputs, (H+5)(W+5)(2C + hidden) values, and two band
+        # buffers of fusion._BAND values; warp works in bands too, and what the
+        # later stages hold (offsets, aligned map, logits, fused map and the
+        # softmax's temporaries) stays within one more H x W x 2 map. It peaks
+        # near 8.6 MiB; full-grid tap products took 14.9 MiB, and an unbanded
+        # warp 9.9 MiB
+        rng = np.random.default_rng(32)
+        spec = GridSpec(-100.0, 100.0, -50.0, 50.0, 0.5, 0.5)
+        h, w = spec.shape
+        bev, prior = random_fm(rng, spec, 2), random_fm(rng, spec, 2)
+        params = random_params(0, 2, 8)
+        tracemalloc.start()
+        try:
+            fuse_pipeline(bev, prior, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (h, w) == (200, 400)
+        assert peak < 8 * ((h + 5) * (w + 5) * (2 * 2 + 8) + 2 * fusion._BAND + h * w * 2)
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(25)

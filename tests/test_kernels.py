@@ -2,9 +2,10 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from trajprior import raster, selection
-from trajprior.core import GridSpec, Trajectory, TrajectorySet
+from trajprior import core, raster, selection
+from trajprior.core import ContractError, GridSpec, Trajectory, TrajectorySet
 from trajprior.ingest import synth_scene
 from trajprior.raster import rasterize_trajectories, traverse_cells
 from trajprior.selection import fps, frechet_dp
@@ -197,17 +198,61 @@ def test_rasterize_byte_identical_to_segment_loop_oracle():
 
 
 def test_rasterize_memory_bounded():
-    # 78k segments: traversing them all at once peaks near 38 MB, in
-    # chunks near 13 MB
+    # 78k segments. rasterize holds about 16 8-byte values per segment (the
+    # canonical copy, its segment endpoints and their crossing counts), five
+    # H x W arrays and at most two dozen temporaries per parameter of a
+    # traversal chunk: 13 MiB here, where it peaks near 10.1 MiB (12 MiB
+    # with chunks of 1 << 15 parameters, 38 MB traversing them all at once)
     ts, _ = synth_scene(4, 8, 50, 0.5)
     long = TrajectorySet.of(
         Trajectory(t.id, np.repeat(t.points, 4, axis=0)
                    + np.linspace(0, 0.2, 4 * len(t.points))[:, None])
         for t in ts.trajectories)
+    segments = len(long.points) - len(long)
+    spec = GridSpec()
     tracemalloc.start()
     try:
-        rasterize_trajectories(long, GridSpec())
+        rasterize_trajectories(long, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 8 * (18 * segments + 5 * spec.height * spec.width
+                       + 24 * raster._TRAVERSE_CHUNK)
+
+
+def test_traverse_chunks_without_visits(monkeypatch):
+    """No segments, or none inside the ROI, give no visits, alone and as
+    traversal chunks of a rasterize."""
+    spec = GridSpec()
+    empty = np.empty(0)
+    for got in traverse_cells(empty, empty, empty, empty, spec):
+        assert got.shape == (0,) and got.dtype == np.int64
+    x0, y0 = np.array([100.0, -80.0, 0.0]), np.array([100.0, 0.0, 40.0])
+    for got in traverse_cells(x0, y0, x0 + 5.0, y0 - 3.0, spec):
+        assert got.shape == (0,)
+    # one trajectory per chunk: two wholly outside the ROI, one of zero-length
+    # steps (a chunk of no segments), then one inside
+    trajs = TrajectorySet.of([
+        Trajectory("a", [[100.0, 100.0], [120.0, 130.0], [60.0, 30.0]]),
+        Trajectory("b", [[-80.0, 0.0], [-51.0, 0.0]]),
+        Trajectory("c", [[1.0, 1.0], [1.0, 1.0]]),
+        Trajectory("d", [[-10.0, -3.0], [10.0, 3.5], [12.0, -1.0]])])
+    monkeypatch.setattr(raster, "_TRAVERSE_CHUNK", 1)
+    assert_same_heatmap(rasterize_trajectories(trajs, spec), trajs, spec)
+    # a set whose every segment has zero length traverses no chunk
+    still = rasterize_trajectories(TrajectorySet.of([trajs[2]]), spec)
+    assert not still.count.any() and still.n_max == 1
+
+
+def test_traverse_key_fits_int64_or_is_refused():
+    """The keys cell * S + seg of S segments reach H * W * S - 1: within int64
+    for every S up to 2**63 // (H * W) on the largest grid, and a chunk of one
+    segment more is refused before anything is allocated."""
+    spec = GridSpec(0.0, 5000.0, 0.0, 2000.0, 1.0, 1.0)
+    cells = spec.height * spec.width
+    assert cells == core.MAX_CELLS
+    most = (1 << 63) // cells
+    assert (cells - 1) * most + (most - 1) <= np.iinfo(np.int64).max
+    over = np.broadcast_to(0.0, (most + 1,))  # no memory behind it
+    with pytest.raises(ContractError, match="overflow the int64 cell keys"):
+        traverse_cells(over, over, over, over, spec)

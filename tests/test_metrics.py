@@ -3,12 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajprior import core, metrics, raster
-from trajprior.core import MAX_COORD, ContractError, GridSpec, Trajectory, TrajectorySet
+from trajprior import core, fusion, metrics, raster
+from trajprior.core import (MAX_COORD, ContractError, FeatureMap, GridSpec, Trajectory,
+                            TrajectorySet)
+from trajprior.fusion import (finite_difference_check, fuse_pipeline, predict_offsets_grad,
+                              random_params)
 from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
                                sample_polyline_points)
-from trajprior.raster import rasterize_polylines, rasterize_trajectories
+from trajprior.raster import heatmap_to_feature, rasterize_polylines, rasterize_trajectories
 from trajprior.selection import resample_all
 
 from conftest import INVALID_POINTS
@@ -209,22 +212,35 @@ class TestAeDist:
 
 @pytest.mark.parametrize("name,value", [
     ("CHUNK", 1), ("CHUNK", 7), ("CHUNK", 2**20),
-    ("_TRAVERSE_CHUNK", 1), ("_TRAVERSE_CHUNK", 7)])
+    ("_TRAVERSE_CHUNK", 1), ("_TRAVERSE_CHUNK", 7), ("_TRAVERSE_CHUNK", 2**20),
+    ("_BAND", 1), ("_BAND", 2**40)])
 def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
+    # fusion's _BAND of 1 gives bands of one grid row, 2**40 one band per grid
     ts, centerlines = synth_scene(5, 2, 3, 0.5)
     spec = GridSpec()
+    rng = np.random.default_rng(41)
+    bev = FeatureMap(spec, rng.normal(0, 1, spec.shape + (2,)))
+    params = random_params(0, 2)
+    upstream = rng.normal(0, 1, spec.shape + (2,))
 
     def results():
         hm = rasterize_trajectories(ts, spec)
+        prior = heatmap_to_feature(hm)
+        fused, stats = fuse_pipeline(bev, prior, params)
+        grads = predict_offsets_grad(bev.data, prior.data, *(params[k] for k in (
+            "w1", "b1", "w2", "b2")), upstream)
         return ([ae_dist(a, b).hex() for a, b in chamfer_cases()],
                 rasterize_polylines(ts, spec, 0.75).tobytes(),
                 rasterize_polylines(centerlines, spec, 0.75).tobytes(),
                 hm.density.tobytes(), hm.direction.tobytes(), hm.count.tobytes(),
                 hm.n_max, sample_polyline_points(ts, 0.5).tobytes(),
-                resample_all(ts, 9).tobytes())
+                resample_all(ts, 9).tobytes(), fused.data.tobytes(),
+                {k: v.hex() for k, v in stats.items()}, [g.tobytes() for g in grads],
+                {k: v.hex() for k, v in finite_difference_check(3).items()})
 
     want = results()
-    monkeypatch.setattr(core if name == "CHUNK" else raster, name, value)
+    module = {"CHUNK": core, "_TRAVERSE_CHUNK": raster, "_BAND": fusion}[name]
+    monkeypatch.setattr(module, name, value)
     assert results() == want
 
 
