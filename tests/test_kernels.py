@@ -114,20 +114,25 @@ def test_traverse_batch_matches_per_segment_oracle(monkeypatch):
     assert len(calls) >= 2
 
 
-def test_frechet_batch_bit_identical_to_oracle():
-    rng = np.random.default_rng(10)
-    for trial in range(60):
-        a = rng.normal(0, 20, (int(rng.integers(1, 41)), 2))
-        if trial % 3 == 0:
-            a[1::2] = a[::2][:len(a[1::2])]  # duplicate points
-        bs = [rng.normal(0, 20, (int(rng.integers(1, 41)), 2))
-              for _ in range(int(rng.integers(1, 6)))]
-        bs += [a.copy(), np.repeat(a[-1:], 3, axis=0), a[::-1].copy()]
-        got = frechet_dp(a, packed(bs))
-        want = [oracles.frechet_dp(a, b) for b in bs]
-        assert got.tolist() == want
-        assert frechet_dp(a, packed([bs[0]]))[0] == want[0]
-    assert frechet_dp(a, packed([])).shape == (0,)
+def test_frechet_batch_bit_identical_to_oracle(monkeypatch):
+    # squared distances taken one diagonal at a time (1 entry), a few
+    # diagonals at a time (64) and for the whole table (2**40 and, at these
+    # sizes, the default)
+    for block in (selection._FRECHET_BLOCK, 1, 64, 2**40):
+        monkeypatch.setattr(selection, "_FRECHET_BLOCK", block)
+        rng = np.random.default_rng(10)
+        for trial in range(60):
+            a = rng.normal(0, 20, (int(rng.integers(1, 41)), 2))
+            if trial % 3 == 0:
+                a[1::2] = a[::2][:len(a[1::2])]  # duplicate points
+            bs = [rng.normal(0, 20, (int(rng.integers(1, 41)), 2))
+                  for _ in range(int(rng.integers(1, 6)))]
+            bs += [a.copy(), np.repeat(a[-1:], 3, axis=0), a[::-1].copy()]
+            got = frechet_dp(a, packed(bs))
+            want = [oracles.frechet_dp(a, b) for b in bs]
+            assert got.tolist() == want
+            assert frechet_dp(a, packed([bs[0]]))[0] == want[0]
+        assert frechet_dp(a, packed([])).shape == (0,)
 
 
 def test_fps_pruned_matches_full_matrix_every_start(monkeypatch):
@@ -218,6 +223,23 @@ def test_rasterize_memory_bounded():
         tracemalloc.stop()
     assert peak < 8 * (18 * segments + 5 * spec.height * spec.width
                        + 24 * raster._TRAVERSE_CHUNK)
+
+
+def test_frechet_memory_bounded():
+    # K = 300 candidates of n = M = 120 points. The DP holds three (n + 1, K)
+    # diagonals, the (M, K) gathered candidates with their index and a few
+    # (cells, K) temporaries of one block: it peaks near 2.9 MB here, where
+    # the n * M * K table alone would take 34.6 MB
+    rng = np.random.default_rng(5)
+    a = rng.normal(0, 20, (120, 2))
+    bs = packed([rng.normal(0, 20, (120, 2)) for _ in range(300)])
+    tracemalloc.start()
+    try:
+        frechet_dp(a, bs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (8 * 300 * (120 + 120) + 4 * selection._FRECHET_BLOCK)
 
 
 def test_traverse_chunks_without_visits(monkeypatch):

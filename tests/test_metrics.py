@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajprior import core, fusion, metrics, raster
+from trajprior import core, fusion, metrics, raster, selection
 from trajprior.core import (MAX_COORD, ContractError, FeatureMap, GridSpec, Trajectory,
                             TrajectorySet)
 from trajprior.fusion import (finite_difference_check, fuse_pipeline, predict_offsets_grad,
@@ -12,7 +12,7 @@ from trajprior.ingest import synth_scene
 from trajprior.metrics import (ae_dist, ae_type, iou, prior_iou,
                                sample_polyline_points)
 from trajprior.raster import heatmap_to_feature, rasterize_polylines, rasterize_trajectories
-from trajprior.selection import resample_all
+from trajprior.selection import fps, resample_all
 
 from conftest import INVALID_POINTS
 from oracles import chamfer_mean_bruteforce, chamfer_mean_dense
@@ -213,9 +213,10 @@ class TestAeDist:
 @pytest.mark.parametrize("name,value", [
     ("CHUNK", 1), ("CHUNK", 7), ("CHUNK", 2**20),
     ("_TRAVERSE_CHUNK", 1), ("_TRAVERSE_CHUNK", 7), ("_TRAVERSE_CHUNK", 2**20),
-    ("_BAND", 1), ("_BAND", 2**40)])
+    ("_BAND", 1), ("_BAND", 2**40), ("_FRECHET_BLOCK", 1), ("_FRECHET_BLOCK", 2**40)])
 def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
-    # fusion's _BAND of 1 gives bands of one grid row, 2**40 one band per grid
+    # fusion's _BAND of 1 gives bands of one grid row, 2**40 one band per grid;
+    # selection's _FRECHET_BLOCK of 1 one diagonal per block, 2**40 one per DP
     ts, centerlines = synth_scene(5, 2, 3, 0.5)
     spec = GridSpec()
     rng = np.random.default_rng(41)
@@ -229,7 +230,9 @@ def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
         fused, stats = fuse_pipeline(bev, prior, params)
         grads = predict_offsets_grad(bev.data, prior.data, *(params[k] for k in (
             "w1", "b1", "w2", "b2")), upstream)
+        sampled = fps(ts, 6)
         return ([ae_dist(a, b).hex() for a, b in chamfer_cases()],
+                sampled.indices, [d.hex() for d in sampled.min_dists],
                 rasterize_polylines(ts, spec, 0.75).tobytes(),
                 rasterize_polylines(centerlines, spec, 0.75).tobytes(),
                 hm.density.tobytes(), hm.direction.tobytes(), hm.count.tobytes(),
@@ -239,7 +242,8 @@ def test_chunk_size_leaves_results_bit_identical(name, value, monkeypatch):
                 {k: v.hex() for k, v in finite_difference_check(3).items()})
 
     want = results()
-    module = {"CHUNK": core, "_TRAVERSE_CHUNK": raster, "_BAND": fusion}[name]
+    module = {"CHUNK": core, "_TRAVERSE_CHUNK": raster, "_BAND": fusion,
+              "_FRECHET_BLOCK": selection}[name]
     monkeypatch.setattr(module, name, value)
     assert results() == want
 
