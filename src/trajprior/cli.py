@@ -61,11 +61,10 @@ def _load_set(path, parse=None) -> TrajectorySet:
         # not read_text: its universal newlines would end a record at a lone "\r"
         return parse(Path(path).read_bytes().decode("utf-8"))
     except UnicodeDecodeError as e:  # e.object holds the whole file's bytes
-        raise ingest.ParseError(e.object.count(b"\n", 0, e.start) + 1,
-                                f"{path}: byte 0x{e.object[e.start]:02x} is not "
-                                f"UTF-8 ({e.reason})") from None
-    except ingest.ParseError as e:
-        raise ingest.ParseError(e.line_no, f"{path}: {e.msg}") from None
+        raise ContractError(f"{path}: byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})",
+                            line=e.object.count(b"\n", 0, e.start) + 1) from None
+    except ContractError as e:
+        raise ContractError(f"{path}: {e.msg}", line=e.line) from None
 
 
 def _write_set(path, ts: TrajectorySet) -> None:
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         return _COMMANDS[command][1](SimpleNamespace(**args))
-    except (OSError, ValueError) as e:  # ParseError and ContractError are ValueErrors
+    except (OSError, ContractError) as e:  # bad input; any other exception is a defect
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

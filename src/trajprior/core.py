@@ -31,8 +31,7 @@ MAX_COORD = 1e7
 
 # Most values one request may allocate: the points one `sample_arc_length`
 # call returns (16 bytes each; `eval` samples each of its two inputs once,
-# `cluster` and `sample --queries-out` their curves) and the w1 weights of
-# `random_params`.
+# `cluster` and `sample` their curves) and the w1 weights of `random_params`.
 MAX_SAMPLES = 10_000_000
 
 # Entries held at once by the blocked kernels: raster.rasterize_polylines'
@@ -45,13 +44,14 @@ CHUNK = 1 << 12
 
 
 class ContractError(ValueError):
-    """An operation was called with inputs that violate its contract. A failed
-    TrajectorySet check names polyline ``index`` by id before ``msg``, the
-    reason, and ``point`` is the row within it of a bad point."""
+    """Inputs that violate an operation's contract, the one error of bad input;
+    ``msg`` says why. A TrajectorySet check names polyline ``index`` by id before
+    it and ``point``, the bad row in it; a reader names the 1-based input ``line``."""
 
-    def __init__(self, msg: str, index: Optional[int] = None, tid=None, point=None):
-        super().__init__(msg if index is None else f"trajectory {tid!r}: {msg}")
-        self.msg, self.index, self.point = msg, index, point
+    def __init__(self, msg: str, index: Optional[int] = None, tid=None, point=None, line=None):
+        super().__init__(f"line {line}: {msg}" if line is not None else
+                         msg if index is None else f"trajectory {tid!r}: {msg}")
+        self.msg, self.index, self.point, self.line = msg, index, point, line
 
 
 def _require(cond: bool, msg: str) -> None:

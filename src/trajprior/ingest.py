@@ -16,7 +16,7 @@ discrete lane label that ``TrajectorySet.labels`` holds and the
 attribute-error metric scores; ``"type": null`` counts as no label. The
 record schema lives in ``core``: its key sets and ``TrajectorySet``. Each
 line is decoded once, and a header, record or CSV row that fails any check
-raises a ``ParseError`` that names its line.
+raises a ``ContractError`` that names its line.
 
 Smoothing is a centered moving average whose window shrinks symmetrically
 at a polyline's ends. ``smooth_set`` runs it over a set's packed points in
@@ -43,14 +43,6 @@ from .core import (CENTERLINE_KEYS, HEADER_KEYS, TRAJECTORY_KEYS, ContractError,
 RETENTION_RATIO = 5
 
 
-class ParseError(ValueError):
-    """Malformed input; the message starts with its 1-based line number."""
-
-    def __init__(self, line_no: int, msg: str):
-        super().__init__(f"line {line_no}: {msg}")
-        self.line_no, self.msg = line_no, msg
-
-
 def _records(lines: List[str]) -> Iterator[Tuple[int, str, dict]]:
     """(line number, line, object) for every nonblank line of a JSONL text split
     at "\n" alone: JSON strings may hold U+0085, U+2028 and U+2029 raw, and a
@@ -61,15 +53,15 @@ def _records(lines: List[str]) -> Iterator[Tuple[int, str, dict]]:
         try:
             rec = decode_json(line)
         except ValueError as e:  # a constant, a number beyond float range, too deep
-            raise ParseError(line_no, f"invalid JSON: {getattr(e, 'msg', e)}") from e
+            raise ContractError(f"invalid JSON: {getattr(e, 'msg', e)}", line=line_no) from e
         if not isinstance(rec, dict):
-            raise ParseError(line_no, "record is not an object")
+            raise ContractError("record is not an object", line=line_no)
         yield line_no, line, rec
 
 
 def _check_keys(line_no: int, rec: dict, keys: frozenset) -> None:
     if not rec.keys() <= keys:
-        raise ParseError(line_no, f"unknown key {min(rec.keys() - keys)!r}")
+        raise ContractError(f"unknown key {min(rec.keys() - keys)!r}", line=line_no)
 
 
 def _holds_bool(pts) -> bool:  # numpy would read a row [true, 2.5] as [1.0, 2.5]
@@ -91,16 +83,18 @@ def _polylines(records: Iterator[Tuple[int, str, dict]], key: str, header_line: 
             try:
                 points, tid = rec[key], rec["id"]
             except KeyError as e:
-                raise ParseError(line_no, f"record missing {e.args[0]!r}") from None
+                raise ContractError(f"record missing {e.args[0]!r}", line=line_no) from None
             if ("true" in line or "false" in line) and _holds_bool(points):
-                raise ParseError(line_no, "points must be numbers: got bool values")
+                raise ContractError("points must be numbers: got bool values", line=line_no)
             lines.append(line_no)
             yield Trajectory(tid, points, rec.get("type"))
 
     try:
         return TrajectorySet.of(trajectories(), **header)
     except ContractError as e:  # a polyline's line, else the header's
-        raise ParseError(header_line if e.index is None else lines[e.index], e.msg) from None
+        if e.line:  # a record's own check names its line already
+            raise
+        raise ContractError(e.msg, line=header_line if e.index is None else lines[e.index]) from None
 
 
 def _to_record(t: Trajectory, key: str = "points") -> dict:
@@ -144,15 +138,16 @@ def _parse_csv(text: str) -> TrajectorySet:
                            and row[0] == "traj_id"):
                 continue
             if len(row) != 4:
-                raise ParseError(line_no, f"expected 4 columns traj_id,seq,x,y, got {len(row)}")
+                raise ContractError(f"expected 4 columns traj_id,seq,x,y, got {len(row)}",
+                                    line=line_no)
             tid = row[0]
             try:
                 seq, x, y = int(row[1]), float(row[2]), float(row[3])
             except ValueError as e:
-                raise ParseError(line_no, f"bad numeric field: {e}") from e
+                raise ContractError(f"bad numeric field: {e}", line=line_no) from e
             groups.setdefault(tid, []).append((seq, x, y, line_no))
     except csv.Error as e:  # e.g. a field beyond csv.field_size_limit()
-        raise ParseError(end + 1, f"bad CSV record: {e}") from e
+        raise ContractError(f"bad CSV record: {e}", line=end + 1) from e
     rows_of = list(groups.values())
     for rows in rows_of:
         rows.sort(key=lambda r: r[0])
@@ -160,7 +155,7 @@ def _parse_csv(text: str) -> TrajectorySet:
         return TrajectorySet.of([Trajectory(tid, [r[1:3] for r in rows])
                                  for tid, rows in groups.items()])
     except ContractError as e:  # the line of a bad point, else of its polyline's first
-        raise ParseError(rows_of[e.index][e.point or 0][3], e.msg) from None
+        raise ContractError(e.msg, line=rows_of[e.index][e.point or 0][3]) from None
 
 
 def serialize_trajectories(ts: TrajectorySet) -> str:

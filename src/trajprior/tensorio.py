@@ -83,7 +83,10 @@ def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
             raise ContractError(f"{path}: tensor '{name}' runs past the end of the "
                                 f"payload ({len(payload)} bytes)")
         arr = np.frombuffer(payload, dtype=dt, count=n, offset=start)
-        tensors[name] = arr.reshape(shape).astype(dt.newbyteorder("="))
+        try:  # an empty shape may still have over 64 dims or overflow numpy's size
+            tensors[name] = arr.reshape(shape).astype(dt.newbyteorder("="))
+        except ValueError as e:
+            raise ContractError(f"{path}: tensor '{name}' has a bad shape ({e})") from None
     return tensors, header.get("meta", {})
 
 
@@ -101,8 +104,9 @@ def _load_kind(path, kind: str, names) -> Tuple[Dict[str, np.ndarray], dict]:
 def _spec(path, meta: dict) -> GridSpec:
     try:
         spec = meta["spec"]
-        # each field by name, so none takes its default; GridSpec refuses other keys
-        return GridSpec(**{f.name: spec[f.name] for f in fields(GridSpec)} | spec)
+        if bool in {type(spec[f.name]) for f in fields(GridSpec)}:  # each given, none a bool
+            raise TypeError("fields must be numbers, not true or false")
+        return GridSpec(**spec)  # GridSpec refuses any other key
     except (KeyError, TypeError, OverflowError) as e:  # an int past float range
         raise ContractError(f"{path}: bad or missing grid spec in meta ({e!r})") from None
 
@@ -120,8 +124,10 @@ def load_heatmap(path) -> Heatmap:
     tensors, meta = _load_kind(path, "heatmap", ("density", "direction", "count"))
     if type(meta.get("n_max")) is not int:
         raise ContractError(f"{path}: heatmap meta lacks an integer n_max")
+    if tensors["count"].dtype != np.int64:  # a count of 1.7 is no count
+        raise ContractError(f"{path}: heatmap count must be int64, got {tensors['count'].dtype}")
     return Heatmap(_spec(path, meta), tensors["density"], tensors["direction"],
-                   tensors["count"].astype(np.int64), meta["n_max"])
+                   tensors["count"], meta["n_max"])
 
 
 def save_feature_map(path, fm) -> None:

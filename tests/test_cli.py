@@ -12,7 +12,7 @@ import pytest
 
 from trajprior import cli, fusion, ingest, metrics, selection, tensorio
 from trajprior.cli import main
-from trajprior.core import MAX_SAMPLES, FeatureMap, GridSpec, TrajectorySet
+from trajprior.core import MAX_SAMPLES, ContractError, FeatureMap, GridSpec, TrajectorySet
 from trajprior.raster import heatmap_to_feature
 
 
@@ -98,6 +98,22 @@ class TestClusterSample:
     def test_k_too_large_exit_2(self, scene, tmp_path):
         assert run("cluster", "--input", scene / "trajectories.jsonl",
                    "--k", 99, "--out", tmp_path / "c.json") == 2
+
+    @pytest.mark.parametrize("error", [ValueError, ContractError])
+    def test_only_bad_input_exits_2(self, error, scene, tmp_path, monkeypatch):
+        """ContractError is bad input; any other exception is a defect and
+        reaches the caller, as a traceback from the shell."""
+        def kmeans(*args, **kwargs):
+            raise error("k-means failed")
+
+        monkeypatch.setattr(selection, "kmeans", kmeans)
+        argv = ("cluster", "--input", scene / "trajectories.jsonl", "--k", 2,
+                "--out", tmp_path / "c.json")
+        if error is ContractError:
+            assert run(*argv) == 2
+        else:
+            with pytest.raises(ValueError, match="k-means failed"):
+                run(*argv)
 
     def test_fixed_seed_identical_json(self, scene, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -156,6 +156,12 @@ class TestSchema:
         with pytest.raises(ContractError, match="type must be JSON"):
             TrajectorySet.of([Trajectory("a", LINE, label)])
 
+    def test_label_beyond_64_bits_names_the_encoder_error(self):
+        with pytest.raises(ContractError) as e:
+            TrajectorySet.of([Trajectory("a", LINE, 2**64)])
+        assert str(e.value) == ("trajectory 'a': type must be JSON without NaN or Infinity: "
+                                "not JSON: Integer exceeds 64-bit range")
+
     @pytest.mark.parametrize("label", [(1, 2), {1: "x"}, {True: 1}, {"k": [(0.5,)]}],
                              ids=["tuple", "int-key", "bool-key", "nested-tuple"])
     def test_label_must_read_back_as_written(self, label):
@@ -200,6 +206,14 @@ def test_check_names_the_first_bad_polyline_and_point(fault):
     assert (e.value.index, e.value.point) == (2, point)
     assert e.value.msg.startswith(reason)
     assert str(e.value) == f"trajectory {bad.id!r}: {e.value.msg}"
+
+
+def test_points_of_the_wrong_shape_name_no_polyline():
+    """A set built from arrays, not records, has no polyline to blame for them."""
+    with pytest.raises(ContractError) as e:
+        TrajectorySet(np.zeros((2, 3)), np.array([0, 2]), ("a",), (None,))
+    assert str(e.value) == "expected (n, 2) point array, got shape (2, 3)"
+    assert e.value.index is None
 
 
 def test_bad_point_after_an_empty_polyline_is_not_the_empty_ones():

@@ -6,7 +6,7 @@ import pytest
 from oracles import smooth_by_point_loop
 from trajprior import cli, ingest
 from trajprior.core import ContractError, Trajectory, TrajectorySet, decode_json
-from trajprior.ingest import (ParseError, filter_by_length,
+from trajprior.ingest import (filter_by_length,
                               parse_centerlines, parse_trajectories,
                               retention_check, serialize_centerlines,
                               serialize_trajectories, smooth_set, synth_scene)
@@ -38,12 +38,12 @@ class TestParse:
 
     def test_single_point_rejected_with_line(self):
         text = make_jsonl([{"id": "a", "points": [[0, 0]]}])
-        with pytest.raises(ParseError, match="line 1.*shorter than 2"):
+        with pytest.raises(ContractError, match="line 1.*shorter than 2"):
             parse_trajectories(text)
 
     def test_bad_json_names_line(self):
         text = '{"id": "a", "points": [[0,0],[1,0]]}\n{oops\n'
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ContractError, match="line 2"):
             parse_trajectories(text)
 
     @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029"],
@@ -55,11 +55,11 @@ class TestParse:
         ts = parse_trajectories(text)
         assert [(t.id, t.label) for t in ts.trajectories] == \
             [(f"a{sep}b", None), ("c", f"x{sep}")]
-        with pytest.raises(ParseError, match="^line 3: invalid JSON"):
+        with pytest.raises(ContractError, match="^line 3: invalid JSON"):
             parse_trajectories(text + "{oops\n")
         cl = text.replace('"points"', '"centerlines"')
         assert [p.id for p in parse_centerlines(cl)] == [f"a{sep}b", "c"]
-        with pytest.raises(ParseError, match="^line 3: record missing"):
+        with pytest.raises(ContractError, match="^line 3: record missing"):
             parse_centerlines(cl + '{"id": "d"}\n')
 
     def test_crlf_lines_parse(self):
@@ -67,7 +67,7 @@ class TestParse:
                            {"id": "b", "points": [[0, 1], [1, 1]]}])
         ts = parse_trajectories(text.replace("\n", "\r\n"))
         assert [t.id for t in ts.trajectories] == ["a", "b"]
-        with pytest.raises(ParseError, match="^line 3:"):
+        with pytest.raises(ContractError, match="^line 3:"):
             parse_trajectories(text.replace("\n", "\r\n") + "{oops\r\n")
 
     def test_csv_fixture(self, fixtures_dir):
@@ -105,15 +105,15 @@ class TestParse:
                 serialize_trajectories(parse_trajectories(text))
         for blank in ("", " \n\x0c\n"):
             assert len(parse_trajectories(blank)) == 0
-        with pytest.raises(ParseError, match="^line 1: expected 4 columns"):
+        with pytest.raises(ContractError, match="^line 1: expected 4 columns"):
             parse_trajectories("[1, 2]\n")
 
     def test_csv_error_names_first_physical_line(self):
         """A quoted newline does not shift later line numbers."""
         text = 'traj_id,seq,x,y\n"a\nb",0,0,0\n"a\nb",1,nan,1\n'
-        with pytest.raises(ParseError, match="^line 4: points must be finite"):
+        with pytest.raises(ContractError, match="^line 4: points must be finite"):
             parse_trajectories(text)
-        with pytest.raises(ParseError, match="^line 6: trajectory shorter"):
+        with pytest.raises(ContractError, match="^line 6: trajectory shorter"):
             parse_trajectories(text.replace("nan", "1") + "c,0,0,0\n")
         ts = parse_trajectories(text.replace("nan", "1"))
         assert [t.id for t in ts.trajectories] == ["a\nb"]
@@ -185,7 +185,7 @@ class TestCodecLimits:
         records = [{"id": "b", "points": points}]
         if not first:
             records.insert(0, {"id": "a", "points": [[0, 0], [9, 0]]})
-        with pytest.raises(ParseError, match=f"line {len(records)}: points must be numbers"):
+        with pytest.raises(ContractError, match=f"line {len(records)}: points must be numbers"):
             parse_trajectories(make_jsonl(records))
 
     def test_true_outside_the_points_is_read(self):
@@ -232,7 +232,7 @@ class TestOnePass:
         line is read; points that make no (n, 2) array stop the read."""
         lines = (fixtures_dir / "mixed_lengths.jsonl").read_text().splitlines()
         lines += [bad, lines[-1].replace("len10", "len11")]
-        with pytest.raises(ParseError, match="^line 5: "):
+        with pytest.raises(ContractError, match="^line 5: "):
             parse_trajectories("\n".join(lines) + "\n")
         assert decoded == lines[:read]
 
@@ -240,7 +240,7 @@ class TestOnePass:
         lines = ['{"id": "c0", "centerlines": [[0, 0], [5, 0]]}',
                  '{"id": "c1", "centerlines": [[0, 1], [5, 1e300]]}',
                  '{"id": "c2", "centerlines": [[0, 2], [5, 2]]}']
-        with pytest.raises(ParseError, match="^line 2: points must be finite"):
+        with pytest.raises(ContractError, match="^line 2: points must be finite"):
             parse_centerlines("\n".join(lines))
         assert decoded == lines
 

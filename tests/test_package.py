@@ -4,6 +4,7 @@ function, and private and public names that nothing uses.
 No linter ships with the project, so every check is a plain ``ast`` walk.
 """
 import ast
+import builtins
 import pathlib
 import re
 
@@ -134,6 +135,33 @@ def test_no_package_function_as_a_default():
              if isinstance(default, ast.Attribute) and isinstance(default.value, ast.Name)
              and default.attr in functions.get(default.value.id, ())]
     assert not bound, f"package functions bound as defaults at import: {bound}"
+
+
+def is_exception(name, known):
+    """Whether a class named ``name`` is an exception: a builtin one, one
+    named like one (``csv.Error``, ``orjson.JSONDecodeError``), or ``known``."""
+    builtin = getattr(builtins, name, None)
+    return (name in known or name.endswith(("Error", "Exception", "Warning"))
+            or isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+
+def test_one_bad_input_error():
+    """Bad input raises ``core.ContractError`` and a bad command line
+    ``cli._UsageError``; ``cli.main`` maps them and ``OSError`` to exit 2,
+    and any other exception is a defect. A second error type for bad input
+    would need a mapping of its own, or end in a traceback."""
+    classes = [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(parse(path.name)) if isinstance(node, ast.ClassDef)]
+    errors = set()  # (module, class), grown until no class derives from a new member
+    while True:
+        names = {name for _, name in errors}
+        found = {(module, node.name) for module, node in classes
+                 if any(is_exception(ast.unparse(base).split(".")[-1], names)
+                        for base in node.bases)}
+        if found == errors:
+            break
+        errors = found
+    assert errors == {("core", "ContractError"), ("cli", "_UsageError")}
 
 
 

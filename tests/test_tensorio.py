@@ -126,6 +126,16 @@ def test_tensor_past_payload_rejected(heatmap_file):
         load_tensors(heatmap_file)
 
 
+@pytest.mark.parametrize("shape", [[0] * 65, [0, 2**62, 2**62], [0, 2**63]])
+def test_empty_shape_numpy_cannot_hold_rejected(heatmap_file, shape):
+    """A shape of no elements passes the payload check, yet numpy holds no
+    array of more than 64 dimensions or of a size past its index range."""
+    rewrite_header(heatmap_file, lambda h: h["tensors"][0].update(shape=shape))
+    with pytest.raises(ContractError) as e:
+        load_tensors(heatmap_file)
+    assert str(e.value).startswith(f"{heatmap_file}: tensor 'count' has a bad shape (")
+
+
 def test_truncated_or_foreign_file_rejected(heatmap_file):
     raw = heatmap_file.read_bytes()
     for blob in (raw[:10], raw[:40], b"P5\n4 3\n255\n" + raw[11:]):
@@ -162,3 +172,26 @@ def test_missing_heatmap_meta_rejected(heatmap_file):
         rewrite_header(heatmap_file, lambda h: edit(h["meta"]["spec"]))
         with pytest.raises(ContractError, match="grid spec"):
             load_heatmap(heatmap_file)
+
+
+def test_float_count_rejected(heatmap_file):
+    """A count is a whole number of trajectories: one stored as float64 is
+    refused, not truncated (1.7 would read as 1)."""
+    tensors, meta = load_tensors(heatmap_file)
+    save_tensors(heatmap_file, tensors | {"count": tensors["count"] + 0.7}, meta)
+    with pytest.raises(ContractError) as e:
+        load_heatmap(heatmap_file)
+    assert str(e.value) == f"{heatmap_file}: heatmap count must be int64, got float64"
+
+
+def test_bool_grid_spec_rejected(tmp_path):
+    """JSON true and false are not numbers, though Python reads them as 1 and
+    0: bounds of false and true would make the 2 x 2 grid saved here."""
+    path = tmp_path / "hm.tp"
+    ts, _ = synth_scene(1, 2, 3, 0.2)
+    save_heatmap(path, rasterize_trajectories(ts, GridSpec(0.0, 1.0, 0.0, 1.0)))
+    rewrite_header(path, lambda h: h["meta"]["spec"].update(
+        x_min=False, x_max=True, y_min=False, y_max=True))
+    with pytest.raises(ContractError, match="grid spec.*not true or false") as e:
+        load_heatmap(path)
+    assert str(e.value).startswith(f"{path}: ")
